@@ -28,6 +28,7 @@ from .flows import (
     flow_reverse_anti,
     inverse_map,
     _check_horizon,
+    _segments,
 )
 from .transforms import AnalyticMap, F, R, as_cauchy, cauchy_from_r, halfplane_sqrt, invert_stieltjes
 
@@ -71,22 +72,15 @@ def _free_r_atom_segment(w: complex, u1: float, u2: float, tau1: float, tau2: fl
 
 def _free_r_value(d: Driving, s: float, t: float, z: complex, tol: float) -> complex:
     w = 1.0 / complex(z)
-    if isinstance(d, MeasurePath):
-        total = 0.0 + 0.0j
-        bps = list(d.breakpoints) + [math.inf]
-        for k, m in enumerate(d.measures):
-            lo, hi = max(s, bps[k]), min(t, bps[k + 1])
-            if hi > lo:
-                total += (hi - lo) * d._maps[k](w)
-        return total
-    if isinstance(d, AtomPath):
-        total = 0.0 + 0.0j
-        knots = [s] + d.breakpoints(s, t) + [t]
-        for lo, hi in zip(knots, knots[1:]):
-            if hi > lo:
-                total += _free_r_atom_segment(w, d.u(lo), d.u(hi), lo, hi)
-        return total
-    return _adaptive_simpson(lambda tau: d.cauchy(tau, w), s, t, tol=1e-12)
+    if not isinstance(d, (MeasurePath, AtomPath)):
+        return _adaptive_simpson(lambda tau: d.cauchy(tau, w), s, t, tol=1e-12)
+    total = 0.0 + 0.0j
+    for lo, hi, g in _segments(d, s, t):
+        if isinstance(d, MeasurePath):
+            total += (hi - lo) * g(lo, w)
+        else:
+            total += _free_r_atom_segment(w, d.u(lo), d.u(hi), lo, hi)
+    return total
 
 
 class EvolutionFamily:

@@ -10,11 +10,18 @@ plus the inverse of the forward map, slit traces by boundary extrapolation and
 the conformal welding of a slit.  Driving families are piecewise structured
 (piecewise-linear point trajectories or piecewise-constant measures) and the
 integrator never steps across a structural breakpoint.
+
+Piece contract: every driver has ``knots`` (its breakpoints) and
+``piece(lo, hi)``, its Cauchy transform ``(t, z) -> G_{nu_t}(z)`` on the one
+piece holding ``[lo, hi]``, continuously extended to both ends.  So the left
+piece holds up to and including a segment's end, the next piece is never
+sampled, and solvers do no driver lookup while stepping.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +56,7 @@ TRACE_DELTAS = (1e-3, 5e-4, 2.5e-4)
 
 @dataclass(frozen=True, eq=False)
 class AtomPath:
-    """Point-mass driving ``nu_t = delta_{U(t)}`` with piecewise-linear U."""
+    """Point-mass driving ``nu_t = delta_{U(t)}`` with U linear between ``knots = times``."""
 
     times: np.ndarray
     values: np.ndarray
@@ -67,6 +74,8 @@ class AtomPath:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "knots", tuple(times.tolist()))
+        object.__setattr__(self, "_values", tuple(values.tolist()))
 
     @property
     def horizon(self) -> float:
@@ -79,8 +88,19 @@ class AtomPath:
         return 1.0 / (z - self.u(t))
 
     def breakpoints(self, a: float, b: float):
-        inner = self.times[(self.times > a) & (self.times < b)]
-        return [float(t) for t in inner]
+        return [t for t in self.knots if a < t < b]
+
+    def _line(self, lo: float, hi: float):
+        """``(t_j, u_j, slope)``, ``U(t) = u_j + slope * (t - t_j)`` on the piece of [lo, hi]."""
+        j = min(max(bisect_right(self.knots, 0.5 * (lo + hi)) - 1, 0), len(self.knots) - 2)
+        t0, t1 = self.knots[j], self.knots[j + 1]
+        u0, u1 = self._values[j], self._values[j + 1]
+        return t0, u0, (u1 - u0) / (t1 - t0)
+
+    def piece(self, lo: float, hi: float):
+        """Transform ``(t, z) -> 1/(z - U(t))`` of the piece holding ``[lo, hi]``, ends included."""
+        tj, uj, slope = self._line(lo, hi)
+        return lambda t, z: 1.0 / (z - (uj + slope * (t - tj)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +122,7 @@ class MeasurePath:
             raise ValidationError("need exactly one measure per breakpoint")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "measures", ms)
+        object.__setattr__(self, "knots", bps)
         object.__setattr__(self, "_maps", tuple(measure_cauchy(m) for m in ms))
 
     @property
@@ -112,19 +133,22 @@ class MeasurePath:
         return self.measures[self._index(t)]
 
     def _index(self, t: float) -> int:
-        i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(i, 0), len(self.measures) - 1)
+        return min(max(bisect_right(self.breakpoints, t) - 1, 0), len(self.measures) - 1)
 
     def cauchy(self, t: float, z: complex) -> complex:
         return self._maps[self._index(t)](z)
 
-    def breakpoints_between(self, a: float, b: float):
-        return [t for t in self.breakpoints if a < t < b]
+    def piece(self, lo: float, hi: float):
+        """Fixed transform ``(t, z) -> G_k(z)`` of the piece holding ``[lo, hi]``, ends included."""
+        fn = self._maps[self._index(0.5 * (lo + hi))].fn
+        return lambda t, z: fn(z)
 
 
 @dataclass(frozen=True)
 class SemicircleFamily:
-    """Driving ``nu_t`` = semicircle law of variance ``t`` (the fixed point)."""
+    """Driving ``nu_t`` = semicircle law of variance ``t`` (the fixed point); one piece."""
+
+    knots = ()
 
     @property
     def horizon(self) -> float:
@@ -135,8 +159,8 @@ class SemicircleFamily:
             return 1.0 / z
         return 2.0 / (z + halfplane_sqrt(z, 2.0 * math.sqrt(t)))
 
-    def breakpoints(self, a: float, b: float):
-        return []
+    def piece(self, lo: float, hi: float):
+        return self.cauchy
 
 
 Driving = AtomPath | MeasurePath | SemicircleFamily
@@ -147,26 +171,21 @@ def constant_driver(u: float = 0.0) -> MeasurePath:
     return MeasurePath((0.0,), (Dirac(u),))
 
 
-def _driver_breakpoints(d: Driving, a: float, b: float):
-    if isinstance(d, MeasurePath):
-        return d.breakpoints_between(a, b)
-    return d.breakpoints(a, b)
-
-
 def _segments(d: Driving, a: float, b: float, reflect_about: float | None = None):
-    """Integration segments of [a, b] that avoid structural breakpoints.
+    """Integration segments ``(lo, hi, g)`` of [a, b] that avoid structural breakpoints.
 
-    With ``reflect_about = c`` the driver is sampled at ``c - tau`` (reverse
-    time), so breakpoints are reflected accordingly.
+    ``g(t, z)`` is the driver's Cauchy transform on the segment's piece, in
+    driver time.  With ``reflect_about = c`` the driver is sampled at
+    ``c - tau`` (reverse time), so breakpoints are reflected accordingly.
     """
-    if reflect_about is None:
-        pts = _driver_breakpoints(d, a, b)
+    c = reflect_about
+    if c is None:
+        pts = [t for t in d.knots if a < t < b]
     else:
-        lo, hi = reflect_about - b, reflect_about - a
-        pts = sorted(reflect_about - t for t in _driver_breakpoints(d, lo, hi))
-        pts = [t for t in pts if a < t < b]
+        pts = sorted(c - t for t in d.knots if c - b < t < c - a and a < c - t < b)
     knots = [a] + pts + [b]
-    return [(knots[i], knots[i + 1]) for i in range(len(knots) - 1) if knots[i + 1] > knots[i]]
+    return [(lo, hi, d.piece(lo, hi) if c is None else d.piece(c - hi, c - lo))
+            for lo, hi in zip(knots, knots[1:]) if hi > lo]
 
 
 def driving_to_dict(d: Driving) -> dict:
@@ -233,8 +252,11 @@ def _integrate(rhs, t0: float, t1: float, y0: complex, tol: float, event=None):
     h = min(span, 1e-2 * max(1.0, abs(y)) / max(abs(k1), 1e-12), 1.0)
     err_acc = 0.0
     while t < t1:
+        floor = 1e-14 * max(1.0, abs(t)) + 1e-300
+        if t1 - t < floor:  # round-off remainder of the span, not a stall
+            break
         h = min(h, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t)) + 1e-300:
+        if h < floor:
             return "stall", t, y, err_acc, h
         k2 = complex(rhs(t + _C[0] * h, y + h * (_A[0][0] * k1)))
         k3 = complex(rhs(t + _C[1] * h, y + h * (_A[1][0] * k1 + _A[1][1] * k2)))
@@ -330,15 +352,14 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
     if t == 0:
         return FlowPoint(z, True, math.inf, 0.0)
 
-    rhs = lambda tt, yy: d.cauchy(tt, yy)
     event = lambda tt, yy: yy.imag - EPS_SWALLOW
     y = z
     err_acc = 0.0
-    for a, b in _segments(d, 0.0, t):
-        status, tc, yc, err, h = _integrate(rhs, a, b, y, tol, event)
+    for a, b, g in _segments(d, 0.0, t):
+        status, tc, yc, err, h = _integrate(g, a, b, y, tol, event)
         err_acc += err
         if status == "event":
-            t_cross, y_safe = _locate_event(rhs, tc, yc, min(h, b - tc), event, tol)
+            t_cross, y_safe = _locate_event(g, tc, yc, min(h, b - tc), event, tol)
             return FlowPoint(y_safe, False, t_cross, err_acc)
         if status == "stall":
             if yc.imag <= 10 * EPS_SWALLOW:
@@ -346,6 +367,20 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
             raise NumericError(f"forward flow stalled at t = {tc}")
         y = yc
     return FlowPoint(y, True, math.inf, err_acc)
+
+
+def _solve_reverse(d: Driving, a: float, b: float, z: complex, tol: float, what: str,
+                   reflect_about: float | None = None) -> complex:
+    """Integrate ``dy/dtau = -G_{nu_r}(y)`` over ``[a, b]`` from ``y(a) = z``, in driver
+    time ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``."""
+    c = reflect_about
+    y = z
+    for lo, hi, g in _segments(d, a, b, c):
+        rhs = (lambda tau, yy: -g(tau, yy)) if c is None else (lambda tau, yy: -g(c - tau, yy))
+        status, _, y, _, _ = _integrate(rhs, lo, hi, y, tol)
+        if status != "done":
+            raise NumericError(f"{what} failed to integrate")
+    return y
 
 
 def flow_reverse(d: Driving, s: float, t: float, z: complex, tol: float = DEFAULT_TOL) -> complex:
@@ -360,13 +395,7 @@ def flow_reverse(d: Driving, s: float, t: float, z: complex, tol: float = DEFAUL
     _check_horizon(d, t)
     if not (z.imag > 0):
         raise ValidationError("flow_reverse needs a start in the open upper half-plane")
-    rhs = lambda tt, yy: -d.cauchy(tt, yy)
-    y = z
-    for a, b in _segments(d, s, t):
-        status, _, y, _, _ = _integrate(rhs, a, b, y, tol)
-        if status != "done":
-            raise NumericError("reverse flow failed to integrate")
-    return y
+    return _solve_reverse(d, s, t, z, tol, "reverse flow")
 
 
 def flow_reverse_anti(d: Driving, s: float, t: float, z: complex,
@@ -383,13 +412,7 @@ def flow_reverse_anti(d: Driving, s: float, t: float, z: complex,
     if not (z.imag > 0):
         raise ValidationError("flow_reverse_anti needs a start in the open upper half-plane")
     # substitute tau = s + t - sigma so integration runs forward in tau
-    rhs = lambda tau, yy: -d.cauchy(s + t - tau, yy)
-    y = z
-    for a, b in _segments(d, s, t, reflect_about=s + t):
-        status, _, y, _, _ = _integrate(rhs, a, b, y, tol)
-        if status != "done":
-            raise NumericError("anti-monotone flow failed to integrate")
-    return y
+    return _solve_reverse(d, s, t, z, tol, "anti-monotone flow", reflect_about=s + t)
 
 
 def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
@@ -408,12 +431,7 @@ def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
         raise ValidationError("inverse_map needs a point in the open upper half-plane")
     if t == 0:
         return z
-    rhs = lambda sigma, yy: -d.cauchy(t - sigma, yy)
-    y = z
-    for a, b in _segments(d, 0.0, t, reflect_about=t):
-        status, _, y, _, _ = _integrate(rhs, a, b, y, tol)
-        if status != "done":
-            raise NumericError("inverse map failed to integrate")
+    y = _solve_reverse(d, 0.0, t, z, tol, "inverse map", reflect_about=t)
     if check:
         back = flow_forward(d, y, t, tol)
         if not back.alive or abs(back.value - z) > 1e-6:
@@ -479,22 +497,23 @@ class Welding:
     pairs: tuple
 
 
-def _seed_lifetime(d: AtomPath, big_t: float, x: float, tol: float):
+def _seed_lifetime(d: AtomPath, big_t: float, tip: float, x: float, tol: float):
     """Absolute swallowing time of the slit point that lands at ``x``.
 
     Runs the forward vector field backwards in time from ``(T, x)`` until the
-    trajectory collides with the driver; returns ``None`` when it survives all
-    the way down to time 0 (seed outside the welding interval).
+    trajectory collides with the driver, which starts at ``tip = U(T)``;
+    returns ``None`` when it survives all the way down to time 0 (seed outside
+    the welding interval).
     """
-    u_rev = lambda s: d.u(big_t - s)
     x = float(x)
-    if abs(x - u_rev(0.0)) <= EPS_COLLIDE:
+    if abs(x - tip) <= EPS_COLLIDE:
         return big_t
-    side = 1.0 if x > u_rev(0.0) else -1.0
-    rhs = lambda s, y: -1.0 / (y - u_rev(s))
-    event = lambda s, y: side * (y.real - u_rev(s)) - EPS_COLLIDE
+    side = 1.0 if x > tip else -1.0
     y = complex(x)
-    for a, b in _segments(d, 0.0, big_t, reflect_about=big_t):
+    for a, b, g in _segments(d, 0.0, big_t, reflect_about=big_t):
+        tj, uj, slope = d._line(big_t - b, big_t - a)
+        rhs = lambda s, yy: -g(big_t - s, yy)
+        event = lambda s, yy: side * (yy.real - (uj + slope * (big_t - s - tj))) - EPS_COLLIDE
         status, tc, yc, _, h = _integrate(rhs, a, b, y, tol, event)
         if status == "event":
             s_cross, _ = _locate_event(rhs, tc, yc, min(h, b - tc), event, tol)
@@ -505,12 +524,11 @@ def _seed_lifetime(d: AtomPath, big_t: float, x: float, tol: float):
     return None
 
 
-def _edge_bisect(lifetime, inner: float, outer: float, width_tol: float = 1e-7):
-    """Boundary between colliding and escaping seeds; returns (edge, inner)."""
-    lo, hi = inner, outer  # lo collides, hi escapes
+def _bisect(inside, lo: float, hi: float, width_tol: float = 1e-7):
+    """Bisect between ``lo`` (``inside``) and ``hi`` (not); returns (midpoint, lo)."""
     while abs(hi - lo) > width_tol:
         mid = 0.5 * (lo + hi)
-        if lifetime(mid) is not None:
+        if inside(mid):
             lo = mid
         else:
             hi = mid
@@ -532,27 +550,22 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
         raise ValidationError("T must be positive and within the driver horizon")
 
     u = d.u(big_t)
-    lifetime = lambda x: _seed_lifetime(d, big_t, x, tol)
+    lifetime = lambda x: _seed_lifetime(d, big_t, u, x, tol)
 
     spread = float(np.max(d.values) - np.min(d.values))
     widths = math.sqrt(2.0 * big_t) + spread + 1.0
-    out_left = u - widths
-    for _ in range(60):
-        if lifetime(out_left) is None:
-            break
-        out_left = u - 2.0 * (u - out_left)
-    else:
-        raise NumericError("could not bracket the left welding endpoint")
-    out_right = u + widths
-    for _ in range(60):
-        if lifetime(out_right) is None:
-            break
-        out_right = u + 2.0 * (out_right - u)
-    else:
-        raise NumericError("could not bracket the right welding endpoint")
-
-    a, a_inner = _edge_bisect(lifetime, u - 10 * EPS_COLLIDE, out_left)
-    b, b_inner = _edge_bisect(lifetime, u + 10 * EPS_COLLIDE, out_right)
+    edges = []
+    for side, name in ((-1.0, "left"), (1.0, "right")):
+        out = u + side * widths
+        for _ in range(60):
+            if lifetime(out) is None:
+                break
+            out = u + 2.0 * (out - u)
+        else:
+            raise NumericError(f"could not bracket the {name} welding endpoint")
+        # the edge between colliding and escaping seeds
+        edges.append(_bisect(lambda x: lifetime(x) is not None, u + side * 10 * EPS_COLLIDE, out))
+    (a, a_inner), (b, b_inner) = edges
 
     # slit check: the lifetime must rise to T at u and fall on both sides
     probes = np.linspace(a_inner, b_inner, 41)
@@ -573,15 +586,6 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     pairs = []
     for x in left:
         target = lifetime(float(x))
-        lo, hi = u + 1e-9 * max(1.0, abs(u)), b_inner
-        for _ in range(40):
-            if hi - lo < 1e-7:
-                break
-            mid = 0.5 * (lo + hi)
-            val = lifetime(mid)
-            if val is not None and val > target:
-                lo = mid
-            else:
-                hi = mid
-        pairs.append((float(x), 0.5 * (lo + hi)))
+        longer = lambda y: (val := lifetime(y)) is not None and val > target
+        pairs.append((float(x), _bisect(longer, u + 1e-9 * max(1.0, abs(u)), b_inner)[0]))
     return Welding(a=a, b=b, u=u, pairs=tuple(pairs))

@@ -131,6 +131,17 @@ class TestFamilyAndBurgers:
         assert printed.startswith("max residual")
         assert float(printed.split()[-1]) < 1e-3
 
+    def test_burgers_readme_grid_9x9(self, tmp_path, capsys):
+        # this grid leaves a round-off remainder of the span at t = 0.699,
+        # which must end the integration, not stall it
+        out = tmp_path / "burgers.csv"
+        code = run(["burgers", "--t", "0.2:1:9", "--re=-1:1:9", "--im", "1",
+                    "--out", str(out)])
+        assert code == 0
+        assert float(capsys.readouterr().out.split()[-1]) < 1e-3
+        _, rows = read_rows(out)
+        assert len(rows) == 81
+
 
 class TestWeldingCommand:
     def test_summary_line(self, tmp_path, capsys):

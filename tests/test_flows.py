@@ -126,6 +126,13 @@ class TestReverse:
             assert abs(mean) < 0.01
             assert abs(var - t) <= 0.01 * t
 
+    def test_segment_end_reads_left_piece(self):
+        # the piece ending at the breakpoint holds through its end: the far
+        # Dirac on the next piece must not leak into the last stage
+        far = MeasurePath((0.0, 0.5), (Dirac(0.0), Dirac(100.0)))
+        for z in (1j, 0.3 + 0.2j, -1 + 2j):
+            assert flow_reverse(far, 0.0, 0.5, z) == flow_reverse(D0, 0.0, 0.5, z)
+
 
 class TestReverseAnti:
     def test_constant_driver_time_symmetry(self):
@@ -259,6 +266,22 @@ class TestDrivers:
         for d in zoo:
             back = driving_from_dict(driving_to_dict(d))
             assert back.cauchy(0.3, 2j) == pytest.approx(d.cauchy(0.3, 2j), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [
+        AtomPath([0.0, 0.3, 0.7, 1.0], [0.0, 1.0, -0.5, 0.25]),
+        MeasurePath((0.0, 0.4, 0.9), (Dirac(-1.0), Semicircle(0.5), Arcsine(1.0))),
+        SemicircleFamily(),
+    ], ids=["atom-path", "measure-path", "semicircle-family"])
+    def test_piece_matches_cauchy_inside(self, d):
+        knots = list(d.knots) or [0.0]
+        if d.horizon == math.inf:
+            knots.append(knots[-1] + 1.0)
+        for lo, hi in zip(knots, knots[1:]):
+            g = d.piece(lo, hi)
+            for frac in (0.1, 0.5, 0.9):
+                t = lo + frac * (hi - lo)
+                for z in (2j, 0.3 + 0.1j):
+                    assert g(t, z) == d.cauchy(t, z)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
