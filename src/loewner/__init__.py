@@ -39,6 +39,7 @@ from .transforms import (
     halfplane_sqrt,
     invert_cauchy,
     invert_stieltjes,
+    pointwise,
     r_transform,
 )
 from .convolve import (
@@ -86,7 +87,7 @@ __all__ = [
     "density_at", "dilate", "mean_variance", "moments", "shift", "support",
     "AnalyticMap", "asymptotic_moments", "as_cauchy", "as_f", "cauchy",
     "cauchy_from_r", "f_transform", "halfplane_sqrt", "invert_cauchy",
-    "invert_stieltjes", "r_transform",
+    "invert_stieltjes", "pointwise", "r_transform",
     "anti_monotone", "free_r", "free_subordination", "materialize", "monotone",
     "parse_expression",
     "AtomPath", "Driving", "FlowPoint", "HullTrace", "MeasurePath",

@@ -27,6 +27,7 @@ from .transforms import (
     cauchy,
     invert_stieltjes,
     merge_domains,
+    pointwise,
 )
 
 SUBORDINATION_TOL = 1e-12
@@ -88,7 +89,6 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap,
         return 1.0 / gb.fn(w) - w
 
     def omega1(z: complex) -> complex:
-        z = complex(z)
         w = z
         prev_delta = None
         damped = False
@@ -104,7 +104,7 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap,
         raise NoConvergenceError(f"no convergence in subordination at z = {z}")
 
     mean, var = _sum_meta(ga, gb)
-    return AnalyticMap(CAUCHY, lambda z: ga.fn(omega1(z)), mean=mean, variance=var)
+    return AnalyticMap(CAUCHY, pointwise(lambda z: ga.fn(omega1(z))), mean=mean, variance=var)
 
 
 def materialize(g: AnalyticMap, grid, eps: float):

@@ -30,7 +30,17 @@ from .flows import (
     _check_horizon,
     _segments,
 )
-from .transforms import AnalyticMap, F, R, as_cauchy, cauchy_from_r, halfplane_sqrt, invert_stieltjes
+from .transforms import (
+    AnalyticMap,
+    F,
+    R,
+    as_cauchy,
+    as_points,
+    cauchy_from_r,
+    halfplane_sqrt,
+    invert_stieltjes,
+    pointwise,
+)
 
 MONOTONE = "monotone"
 ANTI_MONOTONE = "anti-monotone"
@@ -70,10 +80,11 @@ def _free_r_atom_segment(w: complex, u1: float, u2: float, tau1: float, tau2: fl
     return (np.log(w - u1) - np.log(w - u2)) / beta
 
 
-def _free_r_value(d: Driving, s: float, t: float, z: complex, tol: float) -> complex:
-    w = 1.0 / complex(z)
+def _free_r_value(d: Driving, s: float, t: float, z, tol: float):
+    w = 1.0 / as_points(z)
     if not isinstance(d, (MeasurePath, AtomPath)):
-        return _adaptive_simpson(lambda tau: d.cauchy(tau, w), s, t, tol=1e-12)
+        return pointwise(lambda v: _adaptive_simpson(lambda tau: d.cauchy(tau, v), s, t,
+                                                     tol=1e-12))(w)
     total = 0.0 + 0.0j
     for lo, hi, g in _segments(d, s, t):
         if isinstance(d, MeasurePath):
@@ -99,7 +110,9 @@ class EvolutionFamily:
         self.driving = driving
         self.tol = tol
 
-    def eval(self, s: float, t: float, z: complex) -> complex:
+    def eval(self, s: float, t: float, z):
+        """Value at ``z``, a complex scalar or ndarray (the reverse flows run
+        all points of an array together through the lane kernel)."""
         if not (0 <= s <= t):
             raise ValidationError("need 0 <= s <= t")
         _check_horizon(self.driving, t)
@@ -108,7 +121,8 @@ class EvolutionFamily:
         if self.semantics == ANTI_MONOTONE:
             return flow_reverse_anti(self.driving, s, t, z, self.tol)
         if s == t:
-            return 0.0 + 0.0j
+            z = as_points(z)
+            return np.zeros(z.shape, dtype=complex) if isinstance(z, np.ndarray) else 0.0 + 0.0j
         return _free_r_value(self.driving, s, t, z, self.tol)
 
     __call__ = eval
@@ -127,7 +141,11 @@ class EvolutionFamily:
         return as_cauchy(tr)
 
     def measure(self, s: float, t: float, grid, eps: float):
-        """Materialize ``sigma_{s,t}`` on a grid via Stieltjes inversion."""
+        """Materialize ``sigma_{s,t}`` on a grid via Stieltjes inversion.
+
+        For the monotone and anti-monotone semantics every grid node, at both
+        inversion heights, is one lane of a single reverse-flow solve.
+        """
         return invert_stieltjes(self.cauchy_map(s, t), grid, eps)
 
 
@@ -205,8 +223,8 @@ def chain_approximation(d: Driving, dt: float, K: int, shift: str = "left") -> A
             shifts.append(_driver_value(d, (k + 1) * dt) - _driver_value(d, k * dt))
     radius = math.sqrt(2.0 * dt)
 
-    def fn(z: complex) -> complex:
-        w = complex(z)
+    def fn(z):
+        w = as_points(z)
         for delta in shifts:
             w = delta + halfplane_sqrt(w, radius, delta)
         return w

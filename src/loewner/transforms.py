@@ -9,6 +9,19 @@ Branch rule: every square root ``sqrt((z - c)^2 - r^2)`` is taken with the
 branch cut on ``[c - r, c + r]`` and asymptotics ``~ z - c``, realized as the
 product of principal square roots of the two linear factors.  That branch maps
 the upper half-plane into itself, which is what every closed form here needs.
+
+Array contract: every map the library builds takes a complex scalar or a
+complex ndarray.  A scalar gives a Python ``complex`` computed by scalar
+arithmetic, so single-point callers keep their bits and their speed; an array
+gives an array of the pointwise values.  Closed forms and compositions
+evaluate arrays as numpy expressions (:func:`as_points`), and scalars by the
+scalar formula, which the flow kernel calls on every step; per-point algorithms
+(Newton inversion, the subordination fixed point, the ``Empirical`` log-sum)
+map themselves over the array through :func:`pointwise`.  ``Empirical`` stays
+per point: for 4002 points on a 2001-node grid (2-core x86 host, numpy 2.4) a
+dense M x N log-sum took 1.03 s, and 256-row chunks 0.83 s, against 0.48 s.
+:func:`invert_stieltjes` evaluates its whole grid, at both heights, in one
+call of ``g.fn``.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ ASYMPTOTIC_LEVELS = (50.0, 100.0, 200.0)
 class AnalyticMap:
     """An evaluable holomorphic map on the upper half-plane.
 
+    ``fn`` takes a complex scalar or ndarray (the array contract above).
     ``kind`` is one of ``"cauchy"``, ``"f"``, ``"r"``; ``mean``/``variance``
     are optional asymptotic metadata.  For ``kind="r"`` the optional ``domain``
     records the radius interval on the imaginary test segment where the map is
@@ -64,21 +78,50 @@ class AnalyticMap:
         return self.fn(z)
 
 
-def halfplane_sqrt(z: complex, radius: float, center: float = 0.0) -> complex:
+def as_points(z):
+    """An ndarray of points as a complex ndarray, anything else as ``complex(z)``.
+
+    Type checks, not ``np.ndim`` (1.4 us on a Python scalar): closed forms run
+    on every right-hand-side evaluation of the scalar flow kernel.
+    """
+    if type(z) is complex:
+        return z
+    if isinstance(z, np.ndarray) and z.ndim:
+        return np.asarray(z, dtype=complex)
+    return complex(z)
+
+
+def pointwise(fn: Callable[[complex], complex]):
+    """Lift a per-point map ``complex -> complex`` to scalar-or-ndarray input."""
+
+    def lifted(z):
+        z = as_points(z)
+        if not isinstance(z, np.ndarray):
+            return fn(z)
+        return np.array([fn(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
+
+    return lifted
+
+
+def halfplane_sqrt(z, radius: float, center: float = 0.0):
     """``sqrt((z - center)**2 - radius**2)`` with the half-plane branch.
 
     Cut on ``[center - radius, center + radius]``; asymptotic to ``z - center``
-    far away; maps the open upper half-plane into itself.
+    far away; maps the open upper half-plane into itself.  ``z`` (and
+    ``radius``) may be arrays.
     """
+    if isinstance(z, np.ndarray):
+        w = np.asarray(z, dtype=complex) - center
+        return np.sqrt(w - radius) * np.sqrt(w + radius)
     w = complex(z) - center
     return complex(np.sqrt(w - radius) * np.sqrt(w + radius))
 
 
-def _empirical_cauchy_fn(m: Empirical) -> Callable[[complex], complex]:
+def _empirical_cauchy_fn(m: Empirical):
     atoms = m.atoms
     if m.values is None:
-        def fn(z: complex) -> complex:
-            z = complex(z)
+        def fn(z):
+            z = as_points(z)
             return sum(w / (z - x) for x, w in atoms)
 
         return fn
@@ -91,14 +134,13 @@ def _empirical_cauchy_fn(m: Empirical) -> Callable[[complex], complex]:
 
     def fn(z: complex) -> complex:
         # exact integral of the piecewise-linear density against 1/(z - x)
-        z = complex(z)
         logs = np.log(z - xs)
         seg = logs[:-1] - logs[1:]
         out = complex(np.sum((rho[:-1] + slopes * (z - xs[:-1])) * seg)) - edge
         out += sum(w / (z - x) for x, w in atoms)
         return out
 
-    return fn
+    return pointwise(fn)
 
 
 def cauchy(m: Measure) -> AnalyticMap:
@@ -112,13 +154,23 @@ def cauchy(m: Measure) -> AnalyticMap:
     mean, var = mean_variance(m)
     if isinstance(m, Dirac):
         a = m.location
-        fn = lambda z: 1.0 / (complex(z) - a)
+        fn = lambda z: 1.0 / (as_points(z) - a)
     elif isinstance(m, Semicircle):
         c, r = m.center, m.radius
-        fn = lambda z: 2.0 / ((complex(z) - c) + halfplane_sqrt(z, r, c))
+
+        def fn(z):
+            if isinstance(z, np.ndarray):
+                return 2.0 / ((as_points(z) - c) + halfplane_sqrt(z, r, c))
+            w = complex(z) - c  # halfplane_sqrt inlined: scalar paths call this per step
+            return 2.0 / (w + complex(np.sqrt(w - r) * np.sqrt(w + r)))
     elif isinstance(m, Arcsine):
         c, r = m.center, m.radius
-        fn = lambda z: 1.0 / halfplane_sqrt(z, r, c)
+
+        def fn(z):
+            if isinstance(z, np.ndarray):
+                return 1.0 / halfplane_sqrt(z, r, c)
+            w = complex(z) - c
+            return 1.0 / complex(np.sqrt(w - r) * np.sqrt(w + r))
     elif isinstance(m, Empirical):
         fn = _empirical_cauchy_fn(m)
     else:
@@ -209,8 +261,8 @@ def r_transform(g: AnalyticMap, max_iter: int = 100) -> AnalyticMap:
     if g.kind != CAUCHY:
         raise ValidationError("r_transform expects a cauchy-kind map")
 
+    @pointwise
     def fn(w: complex) -> complex:
-        w = complex(w)
         return invert_cauchy(g, w, max_iter) - 1.0 / w
 
     return AnalyticMap(R, fn, mean=g.mean, variance=g.variance, domain=(0.0, 0.5))
@@ -225,8 +277,8 @@ def cauchy_from_r(r: AnalyticMap, max_iter: int = 100) -> AnalyticMap:
     if r.kind != R:
         raise ValidationError("cauchy_from_r expects an r-kind map")
 
+    @pointwise
     def fn(z: complex) -> complex:
-        z = complex(z)
         return _damped_newton(lambda w: r.fn(w) + 1.0 / w - z, 1.0 / z, max(1.0, abs(z)), max_iter)
 
     return AnalyticMap(CAUCHY, fn, mean=r.mean, variance=r.variance)
@@ -238,8 +290,7 @@ def _refine_atom_location(g, lo: float, hi: float, eps: float) -> float:
     f_hi = g(complex(hi, eps)).real
     if not (f_lo < 0 < f_hi):
         xs = np.linspace(lo, hi, 65)
-        vals = [abs(g(complex(x, eps))) for x in xs]
-        return float(xs[int(np.argmax(vals))])
+        return float(xs[int(np.argmax(np.abs(g(xs + 1j * eps))))])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if g(complex(mid, eps)).real < 0:
@@ -269,6 +320,9 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float,
     The recovered mass must reach ``1 - deficit_tol`` (otherwise
     ``MassDeficitError``); the result is renormalized to total mass one.
     Non-uniform grids are resampled onto a uniform grid of the same size.
+
+    ``g.fn`` must accept a complex ndarray: the whole grid, at both heights,
+    is evaluated in one call.  Wrap a scalar-only map with :func:`pointwise`.
     """
     if g.kind != CAUCHY:
         raise ValidationError("invert_stieltjes expects a cauchy-kind map")
@@ -278,8 +332,9 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float,
     if not (1e-8 <= eps <= 1e-2):
         raise ValidationError("eps must lie in [1e-8, 1e-2]")
 
-    g1 = np.array([g(complex(x, eps)) for x in xs])
-    g2 = np.array([g(complex(x, eps / 2.0)) for x in xs])
+    both = np.asarray(g.fn(np.concatenate([xs + 1j * eps, xs + 1j * (eps / 2.0)])),
+                      dtype=complex)
+    g1, g2 = both[:xs.size], both[xs.size:]
 
     flagged = eps * np.abs(g1) > atom_threshold
     atoms = []

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loewner
 from loewner.cli import RunConfig, load_config, run, save_config
 from loewner.errors import ConfigError
 from loewner.flows import AtomPath
@@ -51,6 +56,24 @@ class TestConvolve:
         vals = np.array([float(r[1]) for r in rows])
         mid = np.argmin(np.abs(xs))
         assert vals[mid] == pytest.approx(1.0 / math.pi, abs=1e-2)
+
+
+class TestVectorizedDeterminism:
+    """Grid materializations evaluate whole arrays; their CSV bytes must not
+    depend on the run (one in-process, one in a fresh interpreter)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--measure", "semicircle:1", "--grid=-2.2:2.2:2201", "--eps", "1e-4"],
+        ["convolve", "--expr", "mono(arcsine:1, arcsine:1)", "--grid=-2:2:801", "--eps", "1e-3"],
+    ], ids=["density", "convolve-mono"])
+    def test_csv_bytes_repeat(self, tmp_path, argv):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run(argv + ["--out", str(first)]) == 0
+        src = str(Path(loewner.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "loewner", *argv, "--out", str(second)],
+                       env=env, check=True)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestDensity:

@@ -20,9 +20,11 @@ from loewner import (
     flow_reverse,
     free_family,
     monotone_family,
+    pointwise,
     sle_driving,
 )
 from loewner.errors import ValidationError
+from loewner.transforms import AnalyticMap, invert_stieltjes
 
 from conftest import root_upper
 
@@ -69,6 +71,32 @@ class TestMonotoneFamily:
         for du in (1e-2, 1e-3, 1e-4):
             gap = abs(fam(0.0, t + du, z) - fam(0.0, t, z))
             assert gap <= du / z.imag + 1e-12
+
+
+class TestMeasureThroughLanes:
+    """``measure`` solves the whole grid in one lane-kernel call; the old route
+    ran one scalar solve per node and height."""
+
+    @pytest.mark.parametrize("fam, s, t, grid, eps", [
+        (monotone_family(MeasurePath((0.0, 0.25, 0.6), (Dirac(-0.5), Arcsine(0.5),
+                                                         Dirac(0.8)))),
+         0.1, 0.9, np.linspace(-2.5, 2.5, 401), 5e-3),
+        (monotone_family(sle_driving(2.0, 1.0 / 64.0, 1.0, 2)),
+         0.0, 1.0, np.linspace(-3.0, 3.0, 201), 1e-2),
+        (anti_monotone_family(sle_driving(2.0, 1.0 / 64.0, 1.0, 7)),
+         0.0, 1.0, np.linspace(-3.0, 3.0, 201), 1e-2),
+        (monotone_family(TWO_STEP), 0.3, 0.3, np.linspace(-0.5, 0.5, 101), 1e-3),
+    ], ids=["measure-path", "sle-monotone", "sle-anti-monotone", "diagonal-atom"])
+    def test_matches_scalar_route(self, fam, s, t, grid, eps):
+        g = fam.cauchy_map(s, t)
+        scalar_only = AnalyticMap("cauchy", pointwise(lambda z: g(complex(z))),
+                                  mean=g.mean, variance=g.variance)
+        old = invert_stieltjes(scalar_only, grid, eps)
+        new = fam.measure(s, t, grid, eps)
+        assert len(new.atoms) == len(old.atoms)
+        for (x_new, m_new), (x_old, m_old) in zip(new.atoms, old.atoms):
+            assert abs(x_new - x_old) <= 1e-10 and abs(m_new - m_old) <= 1e-10
+        assert float(np.max(np.abs(new.values - old.values))) <= 1e-10
 
 
 class TestAntiMonotoneFamily:

@@ -19,11 +19,13 @@ from loewner import (
     flow_reverse,
     flow_reverse_anti,
     inverse_map,
+    sle_driving,
     trace,
     welding,
 )
+from loewner.flows import _integrate, _integrate_lanes, _segments
 from loewner.transforms import AnalyticMap
-from loewner.errors import HorizonExceededError, ValidationError
+from loewner.errors import HorizonExceededError, NumericError, ValidationError
 
 from conftest import root_upper
 
@@ -286,3 +288,69 @@ class TestDrivers:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             driving_from_dict({"kind": "brownian-sheet"})
+
+
+LANE_DRIVERS = [
+    MeasurePath((0.0, 0.3, 0.6), (Dirac(0.5), Semicircle(0.7, 0.2), Arcsine(1.1, -0.3))),
+    sle_driving(2.0, 1.0 / 64.0, 1.0, 3),
+    SemicircleFamily(),
+]
+LANE_IDS = ["measure-path", "sle-atom-path", "semicircle-family"]
+# starts far from and close to the axis, and on both sides of the support
+LANE_STARTS = np.concatenate([np.linspace(-2.5, 2.5, 26) + 1e-3j,
+                              np.linspace(-2.0, 2.0, 9) + 0.5j,
+                              [3j, 1 + 2j, -0.2 + 0.05j]])
+
+
+def counted(g):
+    """Right-hand side ``-g`` that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return -g(t, y)
+
+    return rhs, calls
+
+
+class TestLanes:
+    @pytest.mark.parametrize("d", LANE_DRIVERS, ids=LANE_IDS)
+    @pytest.mark.parametrize("flow", [flow_reverse, flow_reverse_anti],
+                             ids=["monotone", "anti-monotone"])
+    def test_lanes_match_scalar_solves(self, d, flow):
+        got = flow(d, 0.1, 0.9, LANE_STARTS)
+        assert isinstance(got, np.ndarray) and got.shape == LANE_STARTS.shape
+        want = np.array([flow(d, 0.1, 0.9, complex(z)) for z in LANE_STARTS])
+        assert float(np.max(np.abs(got - want) / np.abs(want))) < 1e-12
+
+    def test_one_lane_takes_the_scalar_steps(self, rng):
+        # same accept/reject sequence: the same number of RHS calls, start by start
+        # on each piece of the Dirac / semicircle / arcsine path
+        for _ in range(20):
+            z = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-3, 0.5))
+            for lo, hi, g in _segments(LANE_DRIVERS[0], 0.1, 0.9):
+                rhs_s, calls_s = counted(g)
+                status, _, y_s, _, _ = _integrate(rhs_s, lo, hi, z, 1e-10)
+                rhs_l, calls_l = counted(g)
+                done, y_l = _integrate_lanes(rhs_l, lo, hi, np.array([z]), 1e-10)
+                assert status == "done" and done.all()
+                assert calls_l[0] == calls_s[0]
+                assert abs(y_l[0] - y_s) <= 1e-12 * abs(y_s)
+                z = y_s
+
+    @pytest.mark.parametrize("flow", [flow_reverse, flow_reverse_anti],
+                             ids=["monotone", "anti-monotone"])
+    def test_array_start_below_axis_rejected(self, flow):
+        for bad in (np.array([1j, 2.0 + 0j]), np.array([1j, 0.5 - 1e-9j])):
+            with pytest.raises(ValidationError):
+                flow(D0, 0.0, 1.0, bad)
+
+    @pytest.mark.parametrize("flow", [flow_reverse, flow_reverse_anti],
+                             ids=["monotone", "anti-monotone"])
+    def test_stall_names_the_first_failing_start(self, flow):
+        # tol = 1e-300 rejects every step until the step size underflows
+        starts = np.array([0.5 + 1j, 2j])
+        with pytest.raises(NumericError, match=r"z = \(0\.5\+1j\)"):
+            flow(D0, 0.0, 1.0, starts, tol=1e-300)
+        with pytest.raises(NumericError, match=r"z = 2j"):
+            flow(D0, 0.0, 1.0, 2j, tol=1e-300)

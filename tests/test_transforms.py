@@ -15,8 +15,18 @@ from loewner import (
     cauchy_from_r,
     density_at,
     f_transform,
+    anti_monotone,
+    as_cauchy,
+    as_f,
+    chain_approximation,
+    constant_driver,
+    free_r,
+    free_subordination,
+    halfplane_sqrt,
     invert_stieltjes,
     moments,
+    monotone,
+    pointwise,
     r_transform,
     shift,
 )
@@ -229,3 +239,80 @@ class TestAsymptoticMoments:
     def test_kind_check(self):
         with pytest.raises(ValidationError):
             asymptotic_moments(cauchy(Dirac(0.0)))
+
+
+def seed_cauchy(m, z):
+    """The scalar closed forms and log-sum as written before maps took arrays."""
+    z = complex(z)
+
+    def hp_sqrt(r, c):
+        w = z - c
+        return complex(np.sqrt(w - r) * np.sqrt(w + r))
+
+    if isinstance(m, Dirac):
+        return 1.0 / (z - m.location)
+    if isinstance(m, Semicircle):
+        return 2.0 / ((z - m.center) + hp_sqrt(m.radius, m.center))
+    if isinstance(m, Arcsine):
+        return 1.0 / hp_sqrt(m.radius, m.center)
+    out = 0j
+    if m.values is not None:
+        xs, rho = m.grid(), np.asarray(m.values, dtype=float)
+        slopes = np.diff(rho) / (xs[1] - xs[0])
+        logs = np.log(z - xs)
+        seg = logs[:-1] - logs[1:]
+        out = complex(np.sum((rho[:-1] + slopes * (z - xs[:-1])) * seg)) - (rho[-1] - rho[0])
+    return out + sum(w / (z - x) for x, w in m.atoms)
+
+
+ARRAY_Z = np.array(SAMPLE_Z + [-0.4 + 1e-3j, 2.9 + 1e-4j])
+ATOMS_ONLY = Empirical(atoms=((-1.0, 0.25), (0.5, 0.75)))
+
+
+def assert_pointwise(fn, zs=ARRAY_Z, rtol=1e-14):
+    got = fn(zs)
+    assert isinstance(got, np.ndarray) and got.shape == zs.shape
+    want = np.array([fn(complex(z)) for z in zs])
+    assert float(np.max(np.abs(got - want) / np.abs(want))) <= rtol
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("m", ZOO + [ATOMS_ONLY], ids=lambda m: type(m).__name__)
+    def test_cauchy_arrays_and_seed_scalars(self, m):
+        g = cauchy(m)
+        assert_pointwise(g.fn)
+        for z in SAMPLE_Z:
+            val = g(z)
+            assert type(val) is complex
+            assert val == seed_cauchy(m, z)  # bit for bit
+
+    def test_halfplane_sqrt(self):
+        for r, c in ((1.0, 0.0), (2.0, -0.5)):
+            assert_pointwise(lambda z: halfplane_sqrt(z, r, c))
+            for z in SAMPLE_Z:
+                val = halfplane_sqrt(z, r, c)
+                w = complex(z) - c
+                assert type(val) is complex
+                assert val == complex(np.sqrt(w - r) * np.sqrt(w + r))
+
+    def test_composition_maps(self):
+        fa, fb = f_transform(Arcsine(0.5)), f_transform(shift(Semicircle(1.0), 0.3))
+        for amap in (fa, as_f(cauchy(Dirac(0.7))), as_cauchy(fa), monotone(fa, fb),
+                     anti_monotone(fa, fb),
+                     chain_approximation(constant_driver(0.2), 1.0 / 16.0, 16)):
+            assert_pointwise(amap.fn)
+            assert type(amap(1 + 2j)) is complex
+
+    def test_newton_and_subordination_maps(self):
+        ga, gb = cauchy(Semicircle(1.0)), cauchy(Arcsine(1.0))
+        ws = -1j * np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        zs = np.array([2j, 1 + 1j, -2 + 1j, 1.5 + 1.5j, 0.3 + 3j])
+        r_sum = free_r(r_transform(ga), r_transform(gb))
+        for amap, pts in ((r_transform(ga), ws), (r_sum, ws), (cauchy_from_r(r_sum), zs),
+                          (free_subordination(ga, gb), zs)):
+            assert_pointwise(amap.fn, pts, rtol=0.0)  # per point: bit for bit
+
+    def test_pointwise_lifts_a_scalar_map(self):
+        lifted = pointwise(lambda z: complex(z).conjugate())
+        assert lifted(1 + 2j) == 1 - 2j
+        assert np.array_equal(lifted(np.array([1j, 2 + 0j])), np.array([-1j, 2 + 0j]))
