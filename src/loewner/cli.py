@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .convolve import parse_expression
+from .convolve import _to_cauchy, parse_expression
 from .errors import NumericError, ValidationError, ConfigError
 from .evolution import (
     anti_monotone_family,
@@ -35,7 +35,7 @@ from .flows import (
     welding,
 )
 from .measures import from_dict as measure_from_dict, Arcsine, Dirac, Semicircle
-from .transforms import as_cauchy, cauchy, cauchy_from_r, invert_stieltjes
+from .transforms import cauchy, invert_stieltjes
 
 
 def _fmt(x: float) -> str:
@@ -224,14 +224,6 @@ def _resolve_grid(args, cfg):
     raise ValidationError("no grid given (use --grid a:b:n or a config file)")
 
 
-def _to_cauchy_kind(m):
-    if m.kind == "cauchy":
-        return m
-    if m.kind == "f":
-        return as_cauchy(m)
-    return cauchy_from_r(m)
-
-
 def _write_measure_csv(measure, out, atoms_out):
     rows = []
     if measure.values is not None:
@@ -294,7 +286,7 @@ def _cmd_convolve(args) -> int:
     if not args.out:
         raise ValidationError("materializing needs --out (or use --probe)")
     grid = _resolve_grid(args, cfg)
-    measure = invert_stieltjes(_to_cauchy_kind(amap), grid, eps)
+    measure = invert_stieltjes(_to_cauchy(amap), grid, eps)
     _write_measure_csv(measure, args.out, args.atoms_out)
     return 0
 

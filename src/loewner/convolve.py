@@ -15,23 +15,28 @@ from __future__ import annotations
 
 import re
 
-from .errors import NoConvergenceError, ValidationError
+import numpy as np
+
+from .errors import ValidationError
 from .measures import Arcsine, Dirac, Semicircle
 from .transforms import (
     CAUCHY,
     F,
     R,
     AnalyticMap,
+    _damped_newton,
+    _lanes,
     as_cauchy,
     as_f,
     cauchy,
+    cauchy_from_r,
     invert_stieltjes,
     merge_domains,
-    pointwise,
 )
 
 SUBORDINATION_TOL = 1e-12
-SUBORDINATION_MAX_ITER = 500
+#: lane-wise Picard steps before the remaining lanes switch to Newton
+SUBORDINATION_PICARD_STEPS = 20
 
 
 def _sum_meta(a: AnalyticMap, b: AnalyticMap):
@@ -69,15 +74,21 @@ def free_r(ra: AnalyticMap, rb: AnalyticMap) -> AnalyticMap:
 
 
 def free_subordination(ga: AnalyticMap, gb: AnalyticMap,
-                       tol: float = SUBORDINATION_TOL,
-                       max_iter: int = SUBORDINATION_MAX_ITER) -> AnalyticMap:
+                       tol: float = SUBORDINATION_TOL, max_iter: int = 100) -> AnalyticMap:
     """Free convolution via the subordination fixed point.
 
     For each ``z`` the first subordinator ``omega_1(z)`` is the attracting
-    fixed point of ``w -> z + H_b(z + H_a(w))`` with ``H = F - id``; the result
-    is the Cauchy transform ``z -> G_a(omega_1(z))``.  Picard iteration is
-    damped by 0.5 once it stops contracting; exceeding ``max_iter`` raises
-    ``NoConvergenceError`` (typical for probes too close to the real axis).
+    (Denjoy-Wolff) fixed point of ``w -> z + H_b(z + H_a(w))`` with
+    ``H = F - id``; the result is the Cauchy transform ``z -> G_a(omega_1(z))``.
+    All points run together, one lane each.  ``SUBORDINATION_PICARD_STEPS``
+    Picard steps, damped by 0.5 once a lane stops contracting, settle every
+    lane whose step falls below ``tol``.  The rest, near the real axis where
+    Picard contracts at a rate close to 1, finish by the lane-wise damped
+    Newton of :mod:`loewner.transforms` on ``w - z - H_b(z + H_a(w)) = 0``
+    from the last Picard iterate, within ``max_iter`` iterations.  So a probe
+    close to the axis converges rather than meeting an iteration cap; only a
+    Newton lane that runs out of halvings or iterations raises
+    ``NoConvergenceError``, naming its ``z``.
     """
     if ga.kind != CAUCHY or gb.kind != CAUCHY:
         raise ValidationError("free_subordination needs two cauchy-kind maps")
@@ -88,23 +99,33 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap,
     def h_b(w):
         return 1.0 / gb.fn(w) - w
 
-    def omega1(z: complex) -> complex:
-        w = z
-        prev_delta = None
-        damped = False
-        for _ in range(max_iter):
-            nxt = z + h_b(z + h_a(w))
+    def fn(z):
+        zs, back = _lanes(z)
+        omega = np.empty_like(zs)
+        live = np.arange(zs.size)
+        w, prev, damped = zs, None, np.zeros(zs.size, dtype=bool)
+        for _ in range(SUBORDINATION_PICARD_STEPS):
+            zl = zs[live]
+            nxt = zl + h_b(zl + h_a(w))
             delta = nxt - w
-            if abs(delta) < tol:
-                return nxt
-            if prev_delta is not None and abs(delta) >= prev_delta:
-                damped = True
-            w = w + 0.5 * delta if damped else nxt
-            prev_delta = abs(delta)
-        raise NoConvergenceError(f"no convergence in subordination at z = {z}")
+            size = np.abs(delta)
+            done = size < tol
+            omega[live[done]] = nxt[done]
+            if prev is not None:
+                damped |= size >= prev
+            w = np.where(damped, w + 0.5 * delta, nxt)
+            keep = ~done
+            live, w, prev, damped = live[keep], w[keep], size[keep], damped[keep]
+            if not live.size:
+                break
+        if live.size:
+            zl = zs[live]
+            omega[live] = _damped_newton(lambda v, k: v - zl[k] - h_b(zl[k] + h_a(v)), w, zl,
+                                         max_iter)
+        return back(ga.fn(omega))
 
     mean, var = _sum_meta(ga, gb)
-    return AnalyticMap(CAUCHY, pointwise(lambda z: ga.fn(omega1(z))), mean=mean, variance=var)
+    return AnalyticMap(CAUCHY, fn, mean=mean, variance=var)
 
 
 def materialize(g: AnalyticMap, grid, eps: float):
@@ -179,7 +200,9 @@ def _to_f(m: AnalyticMap) -> AnalyticMap:
 
 
 def _to_cauchy(m: AnalyticMap) -> AnalyticMap:
-    return m if m.kind == CAUCHY else as_cauchy(m)
+    if m.kind == CAUCHY:
+        return m
+    return as_cauchy(m) if m.kind == F else cauchy_from_r(m)
 
 
 def _apply(head: str, args) -> AnalyticMap:

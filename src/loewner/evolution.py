@@ -143,8 +143,9 @@ class EvolutionFamily:
     def measure(self, s: float, t: float, grid, eps: float):
         """Materialize ``sigma_{s,t}`` on a grid via Stieltjes inversion.
 
-        For the monotone and anti-monotone semantics every grid node, at both
-        inversion heights, is one lane of a single reverse-flow solve.
+        Every grid node, at both inversion heights, is one lane of a single
+        solve: a reverse flow for the monotone and anti-monotone semantics, a
+        Newton inversion of the R-transform for the free one.
         """
         return invert_stieltjes(self.cauchy_map(s, t), grid, eps)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,23 @@ class TestConvolve:
         vals = np.array([float(r[1]) for r in rows])
         mid = np.argmin(np.abs(xs))
         assert vals[mid] == pytest.approx(1.0 / math.pi, abs=1e-2)
+
+
+def readme_command_lines():
+    """The ``loewner ...`` lines of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.strip().splitlines() if line.startswith("loewner ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", readme_command_lines(), ids=lambda line: line.split()[1])
+    def test_command_line_runs(self, tmp_path, capsys, line):
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert run(argv) == 0, capsys.readouterr().err
 
 
 class TestVectorizedDeterminism:

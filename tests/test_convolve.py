@@ -22,7 +22,7 @@ from loewner import (
     r_transform,
     shift,
 )
-from loewner.errors import DomainMismatchError, ValidationError
+from loewner.errors import DomainMismatchError, NoConvergenceError, ValidationError
 
 from conftest import root_upper
 
@@ -174,6 +174,38 @@ class TestSubordination:
         g_r = cauchy_from_r(free_r(r_transform(ga), r_transform(gb)))
         for z in (2j, 1 + 3j, 4j):
             assert abs(g_sub(z) - g_r(z)) < 1e-6
+
+
+class TestSubordinationNearAxis:
+    # 0, 1 and 3.5 settle during the Picard steps at this height; -2.826,
+    # -2.5 and 2.83 are still moving after them and finish by Newton
+    NEAR = np.array([0.0, 1.0, -2.826, -2.5, 2.83, 3.5]) + 1e-4j
+
+    def test_newton_lanes_match_single_lanes(self):
+        g = free_subordination(cauchy(Semicircle(1.0)), cauchy(Semicircle(1.0)))
+        got = g.fn(self.NEAR)
+        want = np.array([g.fn(complex(z)) for z in self.NEAR])
+        assert np.array_equal(got, want)  # bit for bit
+        closed = cauchy(Semicircle(2.0)).fn(self.NEAR)
+        assert float(np.max(np.abs(got - closed) / np.abs(closed))) < 1e-11
+
+    def test_newton_failure_names_its_point(self):
+        # no Newton iterations allowed: the first lane still moving after
+        # Picard fails, and the error names it, not the first lane
+        g = free_subordination(cauchy(Semicircle(1.0)), cauchy(Semicircle(1.0)), max_iter=0)
+        with pytest.raises(NoConvergenceError, match=r"-2\.826"):
+            g.fn(self.NEAR)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_covering_grid_is_semicircle_of_variance_two(self, eps):
+        # the grid covers the support [-2 sqrt 2, 2 sqrt 2]; a capped Picard
+        # loop used to stop near its edge, at x = -2.826
+        rec = materialize(parse_expression("free(sc:1, sc:1)"), np.linspace(-3.0, 3.0, 2001), eps)
+        assert rec.atoms == ()
+        xs = rec.grid()
+        inner = np.abs(xs) <= 2.5
+        closed = np.sqrt(8.0 - xs[inner] ** 2) / (4.0 * math.pi)
+        assert float(np.max(np.abs(np.asarray(rec.values)[inner] - closed))) < 1e-2
 
 
 class TestMaterialize:

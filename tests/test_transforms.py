@@ -147,6 +147,19 @@ class TestRTransform:
         with pytest.raises(NoConvergenceError):
             r(-5j)
 
+    def test_array_failure_names_its_point(self):
+        r = r_transform(cauchy(Semicircle(1.0)))
+        with pytest.raises(NoConvergenceError, match=r"-5j"):
+            r(np.array([-0.3j, -5j]))
+
+    def test_cauchy_from_r_failure_names_its_point(self):
+        # with no iterations allowed only a lane whose seed 1/z already
+        # solves R(w) + 1/w = z passes: 1e8i does, 2i does not
+        back = cauchy_from_r(r_transform(cauchy(Semicircle(1.0))), max_iter=0)
+        assert back(1e8j) == pytest.approx(-1e-8j, rel=1e-12)
+        with pytest.raises(NoConvergenceError, match=r"2j"):
+            back(np.array([1e8j, 2j]))
+
     def test_round_trip_through_cauchy(self):
         g = cauchy(Semicircle(1.0))
         back = cauchy_from_r(r_transform(g))
@@ -212,6 +225,40 @@ class TestStieltjesInversion:
             want = list(moments(m, 4))
             got = list(moments(rec, 4))
             assert got == pytest.approx(want, abs=1e-2)
+
+
+def seed_refine_atom_location(g, lo, hi, eps):
+    """The 80-step bisection as written before it stopped at adjacent floats."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(complex(mid, eps)).real < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestAtomRefinement:
+    def test_bisection_stops_when_the_midpoint_stops_moving(self):
+        emp = Empirical(atoms=((-1.2341, 0.3), (0.7113, 0.7)))
+        g = cauchy(emp)
+        scalar_calls = []
+
+        def counted(z):
+            if not isinstance(z, np.ndarray):
+                scalar_calls.append(z)
+            return g.fn(z)
+
+        xs, eps = np.linspace(-2.0, 2.0, 4001), 1e-4
+        rec = invert_stieltjes(AnalyticMap("cauchy", counted), xs, eps)
+        assert len(rec.atoms) == 2
+        assert len(scalar_calls) <= 2 * 60
+        flagged = np.nonzero(eps * np.abs(g.fn(xs + 1j * eps)) > 0.1)[0]
+        runs = np.split(flagged, np.nonzero(np.diff(flagged) > 1)[0] + 1)
+        for (x0, _), run, (want, _) in zip(rec.atoms, runs, emp.atoms):
+            lo, hi = xs[run[0] - 1], xs[run[-1] + 1]
+            assert x0 == seed_refine_atom_location(g.fn, lo, hi, eps)  # bit for bit
+            assert abs(x0 - want) < 1e-6
 
 
 class TestAsymptoticMoments:
