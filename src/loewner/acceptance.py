@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import free_r, free_subordination, monotone
+from .errors import ValidationError
 from .evolution import (
     _adaptive_simpson,
     burgers_residual,
@@ -294,7 +295,7 @@ def run(names=None) -> list:
     wanted = set(names) if names else None
     known = {name for name, _ in CRITERIA}
     if wanted and not wanted <= known:
-        raise ValueError(f"unknown criteria: {sorted(wanted - known)}")
+        raise ValidationError(f"unknown criteria: {sorted(wanted - known)}")
     results = []
     for name, fn in CRITERIA:
         if wanted is None or name in wanted:

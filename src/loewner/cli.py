@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .convolve import _to_cauchy, parse_expression
+from .convolve import parse_expression
 from .errors import NumericError, ValidationError, ConfigError
 from .evolution import (
     anti_monotone_family,
@@ -34,8 +34,8 @@ from .flows import (
     trace,
     welding,
 )
-from .measures import from_dict as measure_from_dict, Arcsine, Dirac, Semicircle
-from .transforms import cauchy, invert_stieltjes
+from .measures import from_dict as measure_from_dict, from_spec as measure_from_spec
+from .transforms import cauchy, invert_stieltjes, to_cauchy
 
 
 def _fmt(x: float) -> str:
@@ -64,39 +64,41 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid must look like a:b:n, got {spec!r}") from exc
 
 
+def _json_spec(spec: str):
+    """The JSON value of an ``@file`` or inline-JSON spec; ``None`` for any other spec."""
+    if not spec.startswith(("@", "{")):
+        return None
+    try:
+        return json.loads(Path(spec[1:]).read_text() if spec[0] == "@" else spec)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read spec {spec!r}: {exc}") from None
+
+
 def _parse_measure(spec: str):
-    if spec.startswith("@"):
-        return measure_from_dict(json.loads(Path(spec[1:]).read_text()))
-    if spec.startswith("{"):
-        return measure_from_dict(json.loads(spec))
+    if (obj := _json_spec(spec)) is not None:
+        return measure_from_dict(obj)
     name, _, param = spec.partition(":")
-    table = {"dirac": Dirac, "semicircle": Semicircle, "sc": Semicircle,
-             "arcsine": Arcsine, "arc": Arcsine}
-    if name not in table or not param:
-        raise ValidationError(f"cannot parse measure spec {spec!r}")
-    return table[name](float(param))
+    return measure_from_spec(name, param)
 
 
 def _parse_driver(spec: str, horizon: float, seed: int):
-    if spec.startswith("@"):
-        return _validated_driver(json.loads(Path(spec[1:]).read_text()), "driver")
-    if spec.startswith("{"):
-        return _validated_driver(json.loads(spec), "driver")
+    if (obj := _json_spec(spec)) is not None:
+        return _validated_driver(obj, "driver")
     if spec in ("semicircle-family", "sc-family"):
         return SemicircleFamily()
     name, _, rest = spec.partition(":")
-    if name == "const":
-        u = float(rest)
-        return AtomPath(np.array([0.0, horizon + 1.0]), np.array([u, u]))
-    if name == "line":
-        a, slope = (float(p) for p in rest.split(":"))
-        end = horizon + 1.0
-        return AtomPath(np.array([0.0, end]), np.array([a, a + slope * end]))
-    if name == "sle":
-        parts = rest.split(":")
-        kappa = float(parts[0])
-        dt = float(parts[1]) if len(parts) > 1 else 1.0 / 64.0
-        return sle_driving(kappa, dt, horizon, seed)
+    try:
+        params = [float(p) for p in rest.split(":")]
+    except ValueError:
+        raise ValidationError(f"cannot parse driver spec {spec!r}") from None
+    end = horizon + 1.0
+    if name == "const" and len(params) == 1:
+        return AtomPath(np.array([0.0, end]), np.array([params[0], params[0]]))
+    if name == "line" and len(params) == 2:
+        return AtomPath(np.array([0.0, end]), np.array([params[0], params[0] + params[1] * end]))
+    if name == "sle" and len(params) <= 2:
+        dt = params[1] if len(params) > 1 else 1.0 / 64.0
+        return sle_driving(params[0], dt, horizon, seed)
     raise ValidationError(f"cannot parse driver spec {spec!r}")
 
 
@@ -286,7 +288,7 @@ def _cmd_convolve(args) -> int:
     if not args.out:
         raise ValidationError("materializing needs --out (or use --probe)")
     grid = _resolve_grid(args, cfg)
-    measure = invert_stieltjes(_to_cauchy(amap), grid, eps)
+    measure = invert_stieltjes(to_cauchy(amap), grid, eps)
     _write_measure_csv(measure, args.out, args.atoms_out)
     return 0
 
@@ -398,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_convolve)
 
     p = sub.add_parser("density", help="Stieltjes inversion of a measure's Cauchy transform")
-    p.add_argument("--measure", required=True, help="dirac:a | semicircle:v | arcsine:v | @file")
+    p.add_argument("--measure", required=True,
+                   help="dirac:a | semicircle:v (sc:v) | arcsine:v (arc:v) | @file | inline JSON")
     p.add_argument("--grid", help="a:b:n inversion grid")
     p.add_argument("--eps", type=float, help="inversion offset (default 1e-4)")
     p.add_argument("--atoms-out")

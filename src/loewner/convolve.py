@@ -18,7 +18,7 @@ import re
 import numpy as np
 
 from .errors import ValidationError
-from .measures import Arcsine, Dirac, Semicircle
+from .measures import SPECS, from_spec
 from .transforms import (
     CAUCHY,
     F,
@@ -26,12 +26,11 @@ from .transforms import (
     AnalyticMap,
     _damped_newton,
     _lanes,
-    as_cauchy,
-    as_f,
     cauchy,
-    cauchy_from_r,
     invert_stieltjes,
     merge_domains,
+    to_cauchy,
+    to_f,
 )
 
 SUBORDINATION_TOL = 1e-12
@@ -140,14 +139,6 @@ def materialize(g: AnalyticMap, grid, eps: float):
 
 _TOKEN = re.compile(r"\s*([A-Za-z_]+|[(),:]|[-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)")
 
-_LEAVES = {
-    "dirac": lambda p: Dirac(p),
-    "semicircle": lambda p: Semicircle(p),
-    "sc": lambda p: Semicircle(p),
-    "arcsine": lambda p: Arcsine(p),
-    "arc": lambda p: Arcsine(p),
-}
-
 
 def _tokenize(text: str):
     pos = 0
@@ -178,7 +169,7 @@ class _Parser:
 
     def expr(self) -> AnalyticMap:
         head = self.take()
-        if head in ("mono", "anti", "free"):
+        if head in _OPERATORS:
             self.take("(")
             args = [self.expr()]
             while self.peek() == ",":
@@ -188,47 +179,32 @@ class _Parser:
             if len(args) < 2:
                 raise ValidationError(f"{head} needs at least two arguments")
             return _apply(head, args)
-        if head in _LEAVES:
+        if head in SPECS:
             self.take(":")
-            param = float(self.take())
-            return cauchy(_LEAVES[head](param))
+            return cauchy(from_spec(head, self.take()))
         raise ValidationError(f"unknown name {head!r} in expression")
 
 
-def _to_f(m: AnalyticMap) -> AnalyticMap:
-    return m if m.kind == F else as_f(m)
-
-
-def _to_cauchy(m: AnalyticMap) -> AnalyticMap:
-    if m.kind == CAUCHY:
-        return m
-    return as_cauchy(m) if m.kind == F else cauchy_from_r(m)
+#: each operator's convolution and the transform kind it takes its arguments in
+_OPERATORS = {"mono": (monotone, to_f), "anti": (anti_monotone, to_f),
+              "free": (free_subordination, to_cauchy)}
 
 
 def _apply(head: str, args) -> AnalyticMap:
-    if head == "mono":
-        out = _to_f(args[0])
-        for nxt in args[1:]:
-            out = monotone(out, _to_f(nxt))
-        return out
-    if head == "anti":
-        out = _to_f(args[0])
-        for nxt in args[1:]:
-            out = anti_monotone(out, _to_f(nxt))
-        return out
-    out = _to_cauchy(args[0])
+    op, convert = _OPERATORS[head]
+    out = convert(args[0])
     for nxt in args[1:]:
-        out = free_subordination(out, _to_cauchy(nxt))
+        out = op(out, convert(nxt))
     return out
 
 
 def parse_expression(text: str) -> AnalyticMap:
     """Parse a convolution expression into an :class:`AnalyticMap`.
 
-    Leaves are ``dirac:a``, ``semicircle:v`` (alias ``sc``), ``arcsine:v``
-    (alias ``arc``); operators are ``mono(...)``, ``anti(...)``, ``free(...)``
-    with two or more arguments.  ``:`` separates a leaf name from its
-    parameter.
+    Leaves are the specs of :func:`~loewner.measures.from_spec`: ``dirac:a``,
+    ``semicircle:v`` (alias ``sc``), ``arcsine:v`` (alias ``arc``); operators
+    are ``mono(...)``, ``anti(...)``, ``free(...)`` with two or more
+    arguments.  ``:`` separates a leaf name from its parameter.
     """
     parser = _Parser(_tokenize(text))
     out = parser.expr()

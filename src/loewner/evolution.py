@@ -34,12 +34,11 @@ from .transforms import (
     AnalyticMap,
     F,
     R,
-    as_cauchy,
     as_points,
-    cauchy_from_r,
     halfplane_sqrt,
     invert_stieltjes,
     pointwise,
+    to_cauchy,
 )
 
 MONOTONE = "monotone"
@@ -135,10 +134,7 @@ class EvolutionFamily:
 
     def cauchy_map(self, s: float, t: float) -> AnalyticMap:
         """Cauchy transform of ``sigma_{s,t}`` (Newton inversion for free)."""
-        tr = self.transform(s, t)
-        if self.semantics == FREE:
-            return cauchy_from_r(tr)
-        return as_cauchy(tr)
+        return to_cauchy(self.transform(s, t))
 
     def measure(self, s: float, t: float, grid, eps: float):
         """Materialize ``sigma_{s,t}`` on a grid via Stieltjes inversion.

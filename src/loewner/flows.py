@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import Dirac, Measure, from_dict as measure_from_dict, to_dict as measure_to_dict
-from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt
+from .transforms import _bisect, as_points, cauchy as measure_cauchy, halfplane_sqrt
 
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
@@ -256,6 +256,25 @@ _E = (  # b5 - b4, applied to the seven stages for the embedded error
 )
 
 
+def _dp_step(rhs, t, y, h, k1):
+    """One Dormand-Prince step of width ``h`` from ``(t, y)`` with first stage ``k1``, for a
+    scalar or for lane arrays: the fifth-order state ``y5``, its stage ``k7 = rhs(t + h, y5)``
+    (the next step's ``k1``) and the embedded error norm."""
+    k2 = rhs(t + _C[0] * h, y + h * (_A[0][0] * k1))
+    k3 = rhs(t + _C[1] * h, y + h * (_A[1][0] * k1 + _A[1][1] * k2))
+    k4 = rhs(t + _C[2] * h, y + h * (_A[2][0] * k1 + _A[2][1] * k2 + _A[2][2] * k3))
+    k5 = rhs(t + _C[3] * h, y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3
+                                     + _A[3][3] * k4))
+    k6 = rhs(t + _C[4] * h, y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3
+                                     + _A[4][3] * k4 + _A[4][4] * k5))
+    y5 = y + h * (_A[5][0] * k1 + _A[5][2] * k3 + _A[5][3] * k4 + _A[5][4] * k5
+                  + _A[5][5] * k6)
+    k7 = rhs(t + h, y5)
+    err = abs(h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5 + _E[5] * k6
+                   + _E[6] * k7))
+    return y5, k7, err
+
+
 def _integrate(rhs, t0: float, t1: float, y0: complex, tol: float, event=None):
     """Integrate ``dy/dt = rhs(t, y)`` over ``[t0, t1]``.
 
@@ -269,7 +288,7 @@ def _integrate(rhs, t0: float, t1: float, y0: complex, tol: float, event=None):
     if span <= 0:
         return "done", t0, y0, 0.0, 0.0
     t, y = t0, complex(y0)
-    k1 = complex(rhs(t, y))
+    k1 = rhs(t, y)
     h = min(span, 1e-2 * max(1.0, abs(y)) / max(abs(k1), 1e-12), 1.0)
     err_acc = 0.0
     while t < t1:
@@ -279,18 +298,7 @@ def _integrate(rhs, t0: float, t1: float, y0: complex, tol: float, event=None):
         h = min(h, t1 - t)
         if h < floor:
             return "stall", t, y, err_acc, h
-        k2 = complex(rhs(t + _C[0] * h, y + h * (_A[0][0] * k1)))
-        k3 = complex(rhs(t + _C[1] * h, y + h * (_A[1][0] * k1 + _A[1][1] * k2)))
-        k4 = complex(rhs(t + _C[2] * h, y + h * (_A[2][0] * k1 + _A[2][1] * k2 + _A[2][2] * k3)))
-        k5 = complex(rhs(t + _C[3] * h, y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3
-                                                 + _A[3][3] * k4)))
-        k6 = complex(rhs(t + _C[4] * h, y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3
-                                                 + _A[4][3] * k4 + _A[4][4] * k5)))
-        y5 = y + h * (_A[5][0] * k1 + _A[5][2] * k3 + _A[5][3] * k4 + _A[5][4] * k5
-                      + _A[5][5] * k6)
-        k7 = complex(rhs(t + h, y5))
-        err = abs(h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5 + _E[5] * k6
-                       + _E[6] * k7))
+        y5, k7, err = _dp_step(rhs, t, y, h, k1)
         scale = tol * max(1.0, abs(y), abs(y5))
         if not math.isfinite(err) or not math.isfinite(abs(y5)):
             h *= 0.25
@@ -346,18 +354,7 @@ def _integrate_lanes(rhs, t0: float, t1: float, y0, tol: float):
                 lane, tl, yl, h, k1 = lane[run], tl[run], yl[run], h[run], k1[run]
                 if not lane.size:
                     break
-            k2 = rhs(tl + _C[0] * h, yl + h * (_A[0][0] * k1))
-            k3 = rhs(tl + _C[1] * h, yl + h * (_A[1][0] * k1 + _A[1][1] * k2))
-            k4 = rhs(tl + _C[2] * h, yl + h * (_A[2][0] * k1 + _A[2][1] * k2 + _A[2][2] * k3))
-            k5 = rhs(tl + _C[3] * h, yl + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3
-                                               + _A[3][3] * k4))
-            k6 = rhs(tl + _C[4] * h, yl + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3
-                                               + _A[4][3] * k4 + _A[4][4] * k5))
-            y5 = yl + h * (_A[5][0] * k1 + _A[5][2] * k3 + _A[5][3] * k4 + _A[5][4] * k5
-                           + _A[5][5] * k6)
-            k7 = rhs(tl + h, y5)
-            err = np.abs(h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5 + _E[5] * k6
-                              + _E[6] * k7))
+            y5, k7, err = _dp_step(rhs, tl, yl, h, k1)
             scale = tol * np.maximum(np.maximum(1.0, np.abs(yl)), np.abs(y5))
             bad = ~(np.isfinite(err) & np.isfinite(np.abs(y5)))
             accept = ~bad & (err <= scale)
@@ -378,16 +375,16 @@ def _locate_event(rhs, t0: float, y0: complex, window: float, event, tol: float,
     vector field blows up past the crossing) count as crossed.  Returns the
     crossing time and the last state on the safe side.
     """
-    lo, y_lo = 0.0, y0
-    hi = window
-    while hi - lo > t_tol:
-        mid = 0.5 * (lo + hi)
-        status, _, y_mid, _, _ = _integrate(rhs, t0 + lo, t0 + mid, y_lo, tol)
+    safe = [0.0, y0]  # offset from t0 and state of the last probe on the safe side
+
+    def inside(mid):
+        status, _, y_mid, _, _ = _integrate(rhs, t0 + safe[0], t0 + mid, safe[1], tol)
         if status == "done" and event(t0 + mid, y_mid) >= 0.0:
-            lo, y_lo = mid, y_mid
-        else:
-            hi = mid
-    return t0 + 0.5 * (lo + hi), y_lo
+            safe[:] = mid, y_mid
+            return True
+        return False
+
+    return t0 + _bisect(inside, 0.0, window, t_tol)[0], safe[1]
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +578,9 @@ def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> Hull
 
 EPS_COLLIDE = 1e-6
 
+#: welding endpoints and partners are bisection-refined to this width
+WELDING_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class Welding:
@@ -624,17 +624,6 @@ def _seed_lifetime(d: AtomPath, big_t: float, tip: float, x: float, tol: float):
     return None
 
 
-def _bisect(inside, lo: float, hi: float, width_tol: float = 1e-7):
-    """Bisect between ``lo`` (``inside``) and ``hi`` (not); returns (midpoint, lo)."""
-    while abs(hi - lo) > width_tol:
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), lo
-
-
 def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TOL) -> Welding:
     """Conformal welding of the hull at time ``T`` for a point-mass driver.
 
@@ -664,7 +653,8 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
         else:
             raise NumericError(f"could not bracket the {name} welding endpoint")
         # the edge between colliding and escaping seeds
-        edges.append(_bisect(lambda x: lifetime(x) is not None, u + side * 10 * EPS_COLLIDE, out))
+        edges.append(_bisect(lambda x: lifetime(x) is not None, u + side * 10 * EPS_COLLIDE,
+                             out, WELDING_TOL))
     (a, a_inner), (b, b_inner) = edges
 
     # slit check: the lifetime must rise to T at u and fall on both sides
@@ -687,5 +677,6 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     for x in left:
         target = lifetime(float(x))
         longer = lambda y: (val := lifetime(y)) is not None and val > target
-        pairs.append((float(x), _bisect(longer, u + 1e-9 * max(1.0, abs(u)), b_inner)[0]))
+        pairs.append((float(x), _bisect(longer, u + 1e-9 * max(1.0, abs(u)), b_inner,
+                                        WELDING_TOL)[0]))
     return Welding(a=a, b=b, u=u, pairs=tuple(pairs))

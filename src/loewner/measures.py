@@ -33,6 +33,7 @@ class Dirac:
     """Unit point mass at ``location``."""
 
     location: float
+    kind = "dirac"
 
     def __post_init__(self):
         if not math.isfinite(self.location):
@@ -40,15 +41,22 @@ class Dirac:
 
 
 @dataclass(frozen=True)
-class Semicircle:
-    """Semicircle law with variance ``var`` centered at ``center``."""
+class _CenteredLaw:
+    """A named law fixed by its variance ``var`` and its ``center``."""
 
     var: float
     center: float = 0.0
 
     def __post_init__(self):
-        if not (self.var > 0):
-            raise ValidationError("Semicircle variance must be positive")
+        if not (0 < self.var < math.inf):
+            raise ValidationError(f"{type(self).__name__} variance must be positive and finite")
+
+
+@dataclass(frozen=True)
+class Semicircle(_CenteredLaw):
+    """Semicircle law with variance ``var`` centered at ``center``."""
+
+    kind = "semicircle"
 
     @property
     def radius(self) -> float:
@@ -56,15 +64,10 @@ class Semicircle:
 
 
 @dataclass(frozen=True)
-class Arcsine:
+class Arcsine(_CenteredLaw):
     """Arcsine law with variance ``var`` centered at ``center``."""
 
-    var: float
-    center: float = 0.0
-
-    def __post_init__(self):
-        if not (self.var > 0):
-            raise ValidationError("Arcsine variance must be positive")
+    kind = "arcsine"
 
     @property
     def radius(self) -> float:
@@ -92,6 +95,7 @@ class Empirical:
     a: float | None = None
     b: float | None = None
     values: np.ndarray | None = None
+    kind = "empirical"
 
     def __post_init__(self):
         atoms = tuple((float(x), float(m)) for x, m in self.atoms)
@@ -128,6 +132,22 @@ class Empirical:
 
 
 Measure = Union[Dirac, Semicircle, Arcsine, Empirical]
+
+#: names of the one-parameter specs ``name:param``, aliases included
+SPECS = {"dirac": Dirac, "semicircle": Semicircle, "sc": Semicircle,
+         "arcsine": Arcsine, "arc": Arcsine}
+
+
+def from_spec(name: str, param: str) -> Measure:
+    """The measure of the spec ``name:param``, e.g. ``sc:1``; an unknown name or a
+    non-numeric parameter raises ``ValidationError``."""
+    if name not in SPECS:
+        raise ValidationError(f"unknown measure {name!r}; expected one of {', '.join(SPECS)}")
+    try:
+        value = float(param)
+    except ValueError:
+        raise ValidationError(f"measure {name} needs a number, got {param!r}") from None
+    return SPECS[name](value)
 
 
 @dataclass(frozen=True)
@@ -244,7 +264,7 @@ def moments(m: Measure, n: int) -> MomentSequence:
         raise ValidationError(f"moment order must lie in [0, {MAX_MOMENT_ORDER}]")
     if isinstance(m, Dirac):
         vals = [m.location**k for k in range(n + 1)]
-    elif isinstance(m, (Semicircle, Arcsine)):
+    elif isinstance(m, _CenteredLaw):
         vals = _shift_moments(_centered_even_moments(m, n), m.center)
     elif isinstance(m, Empirical):
         vals = []
@@ -262,10 +282,8 @@ def shift(m: Measure, a: float) -> Measure:
     """Pushforward under ``x -> x + a`` (exact on every variant)."""
     if isinstance(m, Dirac):
         return Dirac(m.location + a)
-    if isinstance(m, Semicircle):
-        return Semicircle(m.var, m.center + a)
-    if isinstance(m, Arcsine):
-        return Arcsine(m.var, m.center + a)
+    if isinstance(m, _CenteredLaw):
+        return type(m)(m.var, m.center + a)
     if isinstance(m, Empirical):
         return Empirical(
             atoms=tuple((x + a, w) for x, w in m.atoms),
@@ -285,10 +303,8 @@ def dilate(m: Measure, lam: float) -> Measure:
         raise ValidationError("dilation factor must be positive")
     if isinstance(m, Dirac):
         return Dirac(lam * m.location)
-    if isinstance(m, Semicircle):
-        return Semicircle(lam * lam * m.var, lam * m.center)
-    if isinstance(m, Arcsine):
-        return Arcsine(lam * lam * m.var, lam * m.center)
+    if isinstance(m, _CenteredLaw):
+        return type(m)(lam * lam * m.var, lam * m.center)
     if isinstance(m, Empirical):
         return Empirical(
             atoms=tuple((lam * x, w) for x, w in m.atoms),
@@ -304,9 +320,7 @@ def support(m: Measure):
     ``(lo, hi)`` pair or ``None`` when there is no continuous part."""
     if isinstance(m, Dirac):
         return None, [m.location]
-    if isinstance(m, Semicircle):
-        return (m.center - m.radius, m.center + m.radius), []
-    if isinstance(m, Arcsine):
+    if isinstance(m, _CenteredLaw):
         return (m.center - m.radius, m.center + m.radius), []
     if isinstance(m, Empirical):
         locs = [x for x, w in m.atoms if w > 0]
@@ -324,7 +338,7 @@ def mean_variance(m: Measure):
     """Mean and variance (closed form where available)."""
     if isinstance(m, Dirac):
         return m.location, 0.0
-    if isinstance(m, (Semicircle, Arcsine)):
+    if isinstance(m, _CenteredLaw):
         return m.center, m.var
     seq = moments(m, 2)
     return seq[1], seq[2] - seq[1] ** 2
@@ -333,44 +347,46 @@ def mean_variance(m: Measure):
 def to_dict(m: Measure) -> dict:
     """Serializable description, e.g. ``{"kind": "semicircle", "var": 1.0}``."""
     if isinstance(m, Dirac):
-        return {"kind": "dirac", "location": m.location}
-    if isinstance(m, Semicircle):
-        out = {"kind": "semicircle", "var": m.var}
-        if m.center != 0.0:
-            out["center"] = m.center
-        return out
-    if isinstance(m, Arcsine):
-        out = {"kind": "arcsine", "var": m.var}
+        return {"kind": m.kind, "location": m.location}
+    if isinstance(m, _CenteredLaw):
+        out = {"kind": m.kind, "var": m.var}
         if m.center != 0.0:
             out["center"] = m.center
         return out
     if isinstance(m, Empirical):
-        out = {"kind": "empirical", "atoms": [[x, w] for x, w in m.atoms]}
+        out = {"kind": m.kind, "atoms": [[x, w] for x, w in m.atoms]}
         if m.values is not None:
             out.update({"a": m.a, "b": m.b, "values": [float(v) for v in m.values]})
         return out
     raise ValidationError(f"not a measure: {m!r}")
 
 
+def _field(obj: dict, key: str, convert=float, default=None):
+    """Field ``key`` of a measure description through ``convert``, or ``default``
+    if it is absent; a missing or non-numeric field raises ``ValidationError``."""
+    try:
+        return convert(obj[key]) if key in obj or default is None else default
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(f"measure field {key!r} is "
+                              f"{'not numeric' if key in obj else 'missing'}") from None
+
+
 def from_dict(obj: dict) -> Measure:
-    """Inverse of :func:`to_dict`; unknown kinds raise ``ValidationError``."""
+    """Inverse of :func:`to_dict`; unknown kinds (aliases included) and missing or
+    non-numeric fields raise ``ValidationError``."""
     if not isinstance(obj, dict):
         raise ValidationError("measure description must be a mapping")
     kind = obj.get("kind")
     if kind is None and ("values" in obj or "atoms" in obj):
-        kind = "empirical"
-    if kind == "dirac":
-        return Dirac(float(obj["location"]))
-    if kind == "semicircle":
-        return Semicircle(float(obj["var"]), float(obj.get("center", 0.0)))
-    if kind == "arcsine":
-        return Arcsine(float(obj["var"]), float(obj.get("center", 0.0)))
-    if kind == "empirical":
-        values = obj.get("values")
-        return Empirical(
-            atoms=tuple((float(x), float(w)) for x, w in obj.get("atoms", ())),
-            a=None if values is None else float(obj["a"]),
-            b=None if values is None else float(obj["b"]),
-            values=None if values is None else np.asarray(values, dtype=float),
-        )
+        kind = Empirical.kind
+    if kind == Dirac.kind:
+        return Dirac(_field(obj, "location"))
+    if kind in (Semicircle.kind, Arcsine.kind):
+        return SPECS[kind](_field(obj, "var"), _field(obj, "center", default=0.0))
+    if kind == Empirical.kind:
+        atoms = _field(obj, "atoms", lambda v: tuple((float(x), float(w)) for x, w in v), ())
+        if obj.get("values") is None:
+            return Empirical(atoms=atoms)
+        return Empirical(atoms=atoms, a=_field(obj, "a"), b=_field(obj, "b"),
+                         values=_field(obj, "values", lambda v: np.asarray(v, dtype=float)))
     raise ValidationError(f"unknown measure kind {kind!r}")

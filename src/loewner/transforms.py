@@ -187,8 +187,7 @@ def cauchy(m: Measure) -> AnalyticMap:
 
 def f_transform(m: Measure) -> AnalyticMap:
     """F-transform ``1/G`` of ``m`` with mean/variance metadata."""
-    g = cauchy(m)
-    return AnalyticMap(F, lambda z: 1.0 / g.fn(z), mean=g.mean, variance=g.variance)
+    return as_f(cauchy(m))
 
 
 def as_f(g: AnalyticMap) -> AnalyticMap:
@@ -203,6 +202,19 @@ def as_cauchy(f: AnalyticMap) -> AnalyticMap:
     if f.kind != F:
         raise ValidationError("as_cauchy expects an f-kind map")
     return AnalyticMap(CAUCHY, lambda z: 1.0 / f.fn(z), mean=f.mean, variance=f.variance)
+
+
+def to_f(m: AnalyticMap) -> AnalyticMap:
+    """``m`` as an F-transform: itself, or the reciprocal of a Cauchy transform."""
+    return m if m.kind == F else as_f(m)
+
+
+def to_cauchy(m: AnalyticMap) -> AnalyticMap:
+    """``m`` as a Cauchy transform: itself, the reciprocal of an F-transform, or
+    the Newton inversion (:func:`cauchy_from_r`) of an R-transform."""
+    if m.kind == CAUCHY:
+        return m
+    return as_cauchy(m) if m.kind == F else cauchy_from_r(m)
 
 
 def _lanes(z):
@@ -330,6 +342,23 @@ def cauchy_from_r(r: AnalyticMap, max_iter: int = 100) -> AnalyticMap:
     return AnalyticMap(CAUCHY, fn, mean=r.mean, variance=r.variance)
 
 
+def _bisect(inside, lo: float, hi: float, width: float = 0.0, max_steps: float = math.inf):
+    """Bisect from ``lo``, where ``inside`` holds, towards ``hi``, where it does not,
+    until ``|hi - lo| <= width``, ``max_steps`` halvings, or adjacent floats (where
+    every later step would be a no-op).  Returns the final midpoint and ``lo``."""
+    steps = 0
+    while steps < max_steps and abs(hi - lo) > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return 0.5 * (lo + hi), lo
+
+
 def _refine_atom_location(g, lo: float, hi: float, eps: float) -> float:
     # Re G(x + i eps) changes sign from - to + across a pole on the real line.
     f_lo = g(complex(lo, eps)).real
@@ -337,15 +366,7 @@ def _refine_atom_location(g, lo: float, hi: float, eps: float) -> float:
     if not (f_lo < 0 < f_hi):
         xs = np.linspace(lo, hi, 65)
         return float(xs[int(np.argmax(np.abs(g(xs + 1j * eps))))])
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: every later step is a no-op
-            break
-        if g(complex(mid, eps)).real < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: g(complex(x, eps)).real < 0, lo, hi, max_steps=80)[0]
 
 
 def _atom_mass(g, x0: float, eps: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -66,6 +67,30 @@ def readme_command_lines():
     return [line for line in block.strip().splitlines() if line.startswith("loewner ")]
 
 
+#: sha256 of each README line's stdout followed by its output files in name order.
+#: A change that moves these bytes updates the digest and names the moved outputs.
+README_SHA256 = {
+    "loewner trace --driver const:0 --T 1 --steps 100 --out trace.csv":
+        "c879f6c476cd69946d2681ba7138cd021b9f35452abd8d1cc24b0c6c7699b01d",
+    "loewner welding --driver const:0 --T 1 --pairs 50 --out weld.csv":
+        "6ae534b6460bc69d424cdcb381e4b1d2c9a1f0d5bb1beec8aa4cdeee611f76b4",
+    'loewner convolve --expr "mono(arcsine:1, arcsine:1)" --probe 2i':
+        "daaedad81f42dcec2f75595dbf344f541a43d254b8f6ae297dced27a252bd0fd",
+    'loewner convolve --expr "free(sc:1, sc:1)" --grid=-3:3:2001 --eps 1e-4 --out dens.csv':
+        "d7c587ea99ec574500d7ee29e9c00ac4ae2b9d33b6f4e11fd0e57b13059fe69a",
+    "loewner density --measure semicircle:1 --grid=-2.2:2.2:2201 --eps 1e-4 --out sc.csv":
+        "ad216ecc5274ff75bb6424d906468f97de77417d060fab91a6947cca5b9f6e63",
+    "loewner family --driver const:0 --semantics free --s 0 --t 1 --z 0.5i --out fam.csv":
+        "f9c50212ba637aa229cf6fd7d6ff89665121f50493073a1ff938430442a45071",
+    "loewner sle --kappa 2 --dt 0.015625 --T 1 --seed 7 --out path.csv":
+        "ecd22187293f6a8ed00d8e0205313da194852bf9dcd19bba43824759ed805ef4",
+    "loewner burgers --t 0.2:1:5 --re=-1:1:5 --im 1 --out burgers.csv":
+        "8381d0b9dce5eba65fc2bd9ed7b5f78da4ea47fb5855dead470a62f5b76424a6",
+    "loewner flow --driver const:0 --z 2i --T 1 --steps 50 --out flow.csv":
+        "7862bce4d6530f2ff3a973c299d10a493dcc4e578e9f582e73f17a347d79768b",
+}
+
+
 class TestReadme:
     @pytest.mark.parametrize("line", readme_command_lines(), ids=lambda line: line.split()[1])
     def test_command_line_runs(self, tmp_path, capsys, line):
@@ -73,7 +98,15 @@ class TestReadme:
         if "--out" in argv:
             at = argv.index("--out") + 1
             argv[at] = str(tmp_path / argv[at])
-        assert run(argv) == 0, capsys.readouterr().err
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        if argv[0] == "selftest":  # its stdout carries a runtime
+            return
+        digest = hashlib.sha256(out.encode())
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == README_SHA256[line]
 
 
 class TestVectorizedDeterminism:
@@ -216,6 +249,26 @@ class TestExitCodes:
 
     def test_missing_required_flag(self, capsys):
         assert run(["trace", "--driver", "const:0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--grid=-1:1:11", "--measure", "dirac:abc"],
+        ["density", "--grid=-1:1:11", "--measure", "sc:1:2"],
+        ["density", "--grid=-1:1:11", "--measure", "sc:inf"],
+        ["density", "--grid=-1:1:11", "--measure", '{"kind":"dirac"}'],
+        ["density", "--grid=-1:1:11", "--measure", '{"kind":'],
+        ["density", "--grid=-1:1:11", "--measure", "@no-such-measure.json"],
+        ["convolve", "--expr", "sc:abc", "--probe", "1i"],
+        ["convolve", "--expr", "free(sc:1,sc:(1))", "--probe", "1i"],
+        ["flow", "--driver", "line:1", "--z", "1i", "--T", "1"],
+        ["flow", "--driver", "const:x", "--z", "1i", "--T", "1"],
+        ["flow", "--driver", "sle:a", "--z", "1i", "--T", "1"],
+        ["selftest", "--criteria", "bogus"],
+    ])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
+        if argv[0] in ("density", "flow"):  # complete commands, so only the spec is wrong
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConfig:

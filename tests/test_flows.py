@@ -25,7 +25,14 @@ from loewner import (
 )
 from loewner.flows import _integrate, _integrate_lanes, _segments
 from loewner.transforms import AnalyticMap
-from loewner.errors import HorizonExceededError, NumericError, ValidationError
+from loewner.errors import (
+    HorizonExceededError,
+    NotASlitError,
+    NotInImageError,
+    NumericError,
+    TraceUnresolvedError,
+    ValidationError,
+)
 
 from conftest import root_upper
 
@@ -39,6 +46,17 @@ def two_step_driver(u0, u1, split=0.5):
 def const_map(u, dt):
     """Reverse-flow map of a constant point-mass driver over duration dt."""
     return lambda z: u + root_upper((z - u) ** 2 - 2.0 * dt)
+
+
+def sqrt_driver(c):
+    """``U(t) = c sqrt(1 - t)`` on [0, 1], sampled geometrically towards t = 1.
+
+    For c < 4 its trace winds into its endpoint as t -> 1; for c >= 4 it
+    reaches the real line at t = 1, so the hull is not a slit (Kager, Nienhuis
+    & Kadanoff 2004; Lind 2005).
+    """
+    rest = np.concatenate([[1.0], np.geomspace(0.5, 1e-12, 90), [0.0]])
+    return AtomPath(1.0 - rest, c * np.sqrt(rest))
 
 
 class TestForward:
@@ -168,6 +186,11 @@ class TestInverse:
     def test_identity_at_zero(self):
         assert inverse_map(D0, 0.0, 1 + 1j) == 1 + 1j
 
+    def test_point_off_the_image_raises(self):
+        # the preimage lies 4e-9 from the slit, so the forward check swallows it
+        with pytest.raises(NotInImageError):
+            inverse_map(D0, 1.0, 0.5 + 1e-8j)
+
     def test_round_trip(self, rng):
         d = AtomPath(np.linspace(0, 1, 5), 0.4 * rng.standard_normal(5))
         for _ in range(5):
@@ -200,6 +223,11 @@ class TestTrace:
         with pytest.raises(ValidationError):
             trace(D0, [0.5])
 
+    def test_winding_tip_is_unresolved(self):
+        # the offsets' differences grow (ratio 1.14) instead of contracting
+        with pytest.raises(TraceUnresolvedError):
+            trace(sqrt_driver(2.7), [1.0])
+
 
 class TestWelding:
     def test_symmetric_slit_half_time(self):
@@ -217,6 +245,10 @@ class TestWelding:
         assert w.b == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-4)
         assert w.u == pytest.approx(1.0, abs=1e-9)
         assert max(abs(hx - (2.0 - x)) for x, hx in w.pairs) < 1e-4
+
+    def test_hull_meeting_the_line_is_not_a_slit(self):
+        with pytest.raises(NotASlitError, match="gap"):
+            welding(sqrt_driver(6.0), 1.0, npairs=3)
 
     def test_pairs_have_equal_boundary_values(self):
         d = AtomPath([0.0, 1.0], [0.0, 0.0])

@@ -18,7 +18,7 @@ from loewner import (
     support,
 )
 from loewner.errors import AtomicPointError, ValidationError
-from loewner.measures import from_dict, to_dict
+from loewner.measures import from_dict, from_spec, to_dict
 
 from conftest import gaussian_empirical
 
@@ -222,3 +222,19 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             from_dict({"kind": "cauchy-horse"})
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"kind": "dirac"}, "location"),
+        ({"kind": "semicircle", "var": "wide"}, "var"),
+        ({"kind": "arcsine", "var": 1.0, "center": None}, "center"),
+        ({"kind": "empirical", "atoms": [[0.0]]}, "atoms"),
+        ({"atoms": [], "a": -1.0, "values": [0.5, 0.5]}, "b"),
+    ])
+    def test_bad_field_is_named(self, obj, field):
+        with pytest.raises(ValidationError, match=f"'{field}'"):
+            from_dict(obj)
+
+    def test_spec_aliases_are_not_kinds(self):
+        assert from_spec("sc", "1") == Semicircle(1.0)
+        with pytest.raises(ValidationError):
+            from_dict({"kind": "sc", "var": 1.0})
