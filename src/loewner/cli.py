@@ -64,6 +64,12 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid must look like a:b:n, got {spec!r}") from exc
 
 
+def _steps(args) -> int:
+    if args.steps < 0:
+        raise ValidationError(f"--steps must be nonnegative, got {args.steps}")
+    return args.steps
+
+
 def _json_spec(spec: str):
     """The JSON value of an ``@file`` or inline-JSON spec; ``None`` for any other spec."""
     if not spec.startswith(("@", "{")):
@@ -246,7 +252,7 @@ def _cmd_flow(args) -> int:
     d = _resolve_driver(args, cfg, args.T, seed)
     z = _parse_complex(args.z)
     rows = []
-    for t in np.linspace(0.0, args.T, args.steps + 1):
+    for t in np.linspace(0.0, args.T, _steps(args) + 1):
         fp = flow_forward(d, z, float(t), tol)
         rows.append((_fmt(t), _fmt(fp.value.real), _fmt(fp.value.imag),
                      str(int(fp.alive)), _fmt(fp.lifetime), _fmt(fp.err_est)))
@@ -259,7 +265,7 @@ def _cmd_flow(args) -> int:
 def _cmd_trace(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
     d = _resolve_driver(args, cfg, args.T, seed)
-    times = np.linspace(0.0, args.T, args.steps + 1)
+    times = np.linspace(0.0, args.T, _steps(args) + 1)
     result = trace(d, [float(t) for t in times], tol)
     rows = [(_fmt(t), _fmt(p.real), _fmt(p.imag), _fmt(e))
             for t, p, e in zip(result.times, result.points, result.err_est)]

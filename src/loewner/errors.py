@@ -51,11 +51,11 @@ class NotInImageError(NumericError):
 
 
 class TraceUnresolvedError(NumericError):
-    """Boundary extrapolation for the hull trace did not contract."""
+    """Trace tip unresolved: the boundary offsets did not contract, or the tip solve stalled."""
 
 
 class NotASlitError(NumericError):
-    """Welding preprocessing found a non-unimodal lifetime profile."""
+    """Not a slit: a welding shot returns to the driver, or the shots are not monotone."""
 
 
 class QuadratureFailureError(NumericError):

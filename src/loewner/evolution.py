@@ -171,6 +171,8 @@ def sle_driving(kappa: float, dt: float, horizon: float, seed: int) -> AtomPath:
         raise ValidationError("kappa must be nonnegative")
     if not (0 < dt <= horizon):
         raise ValidationError("need 0 < dt <= horizon")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     n = int(math.ceil(horizon / dt - 1e-12))
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     steps = rng.standard_normal(n) * math.sqrt(0.5 * kappa * dt)

@@ -6,17 +6,28 @@ Three flows share one adaptive Dormand-Prince 4(5) kernel:
 * reverse   ``dphi/dt = -G_{nu_t}(phi)``  started at ``phi_{s,s} = z``
 * anti      ``dphi/ds = +G_{nu_s}(phi)``  integrated down from ``phi_{t,t} = z``
 
-plus the inverse of the forward map, slit traces by boundary extrapolation and
-the conformal welding of a slit.  Driving families are piecewise structured
-(piecewise-linear point trajectories or piecewise-constant measures) and the
-integrator never steps across a structural breakpoint.
+plus the inverse of the forward map, slit traces and the conformal welding of
+a slit.  Driving families are piecewise structured (piecewise-linear point
+trajectories or piecewise-constant measures) and the integrator never steps
+across a structural breakpoint.
 
 Piece contract: every driver has ``knots`` (its breakpoints) and
 ``piece(lo, hi)``, its Cauchy transform ``(t, z) -> G_{nu_t}(z)`` on the one
 piece holding ``[lo, hi]``, continuously extended to both ends.  So the left
 piece holds up to and including a segment's end, the next piece is never
 sampled, and solvers do no driver lookup while stepping.  A piece takes
-scalar ``t`` and ``z``, or ndarrays of the same shape.
+scalar ``t`` and ``z``, or ndarrays of the same shape.  A point-mass piece,
+``U(t) = u_j + slope (t - t_j)``, carries ``line = (t_j, u_j, slope)``.
+
+Point-mass pieces in ``q = (g - U)**2``.  ``G = 1/(z - U)`` has its pole on
+the driver, where the hull grows; in ``q`` the forward equation reads
+``dq/dt = 2 - 2 U' sqrt(q)`` and the reverse ones ``dq/dx = -2 - 2 (dU/dx)
+sqrt(q)`` (root with Im >= 0), regular there (Kager, Nienhuis & Kadanoff 2004;
+Kennedy 2007).  On resting pieces (slope 0) ``q`` is linear in time, so every
+step is exact: reverse, anti-monotone and inverse solves on both kernels, and
+forward solves of points the piece swallows, run in ``q``.  Sloped pieces use
+``q`` only where a solve starts on the driver (the trace tip, welding shots);
+elsewhere ``g`` takes fewer steps.  Swallowing means ``Im g <= EPS_SWALLOW``.
 
 Two kernels.  :func:`_integrate` steps one complex scalar; every single-point
 or event-driven caller uses it (:func:`flow_forward`, :func:`inverse_map`,
@@ -25,15 +36,14 @@ CLI ``flow`` and ``family`` lines).  :func:`_integrate_lanes` is its lane-wise
 transcription: an ndarray of starts advances together, each lane with its own
 ``t``, ``h`` and status.  :func:`flow_reverse` and :func:`flow_reverse_anti`
 pick the kernel by the shape of ``z``, so a whole grid of starts (Stieltjes
-inversion of an evolution family) is one solve.  The scalar kernel stays
-because numpy's per-call overhead swamps a lane kernel run on one lane: on a
-2-core x86 host (Python 3.11, numpy 2.4) a one-lane reverse solve took
-10.6 ms against 0.66 ms scalar over a 64-piece SLE path at ``z = 2i``, and
-30.5 ms against 0.89 ms near the axis.
+inversion of an evolution family) is one solve.  On one lane numpy's overhead
+swamps the lane kernel: over a 64-piece SLE path at ``z = 2i`` a one-lane solve
+took 10.6 ms against 0.66 ms scalar (2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -50,18 +60,18 @@ from .errors import (
     ValidationError,
 )
 from .measures import Dirac, Measure, from_dict as measure_from_dict, to_dict as measure_to_dict
-from .transforms import _bisect, as_points, cauchy as measure_cauchy, halfplane_sqrt
+from .transforms import _bisect, _illinois, as_points, cauchy as measure_cauchy, halfplane_sqrt
 
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
 
-#: lifetimes and collision times are bisection-refined to this width
+#: lifetimes are bisection-refined to this width
 LIFETIME_TOL = 1e-8
 
 #: default per-step integration error target
 DEFAULT_TOL = 1e-10
 
-#: boundary offsets used for trace extrapolation
+#: boundary offsets whose contraction checks a trace tip after a short driver piece
 TRACE_DELTAS = (1e-3, 5e-4, 2.5e-4)
 
 
@@ -104,17 +114,15 @@ class AtomPath:
     def breakpoints(self, a: float, b: float):
         return [t for t in self.knots if a < t < b]
 
-    def _line(self, lo: float, hi: float):
-        """``(t_j, u_j, slope)``, ``U(t) = u_j + slope * (t - t_j)`` on the piece of [lo, hi]."""
-        j = min(max(bisect_right(self.knots, 0.5 * (lo + hi)) - 1, 0), len(self.knots) - 2)
-        t0, t1 = self.knots[j], self.knots[j + 1]
-        u0, u1 = self._values[j], self._values[j + 1]
-        return t0, u0, (u1 - u0) / (t1 - t0)
-
     def piece(self, lo: float, hi: float):
-        """Transform ``(t, z) -> 1/(z - U(t))`` of the piece holding ``[lo, hi]``, ends included."""
-        tj, uj, slope = self._line(lo, hi)
-        return lambda t, z: 1.0 / (z - (uj + slope * (t - tj)))
+        """Transform ``(t, z) -> 1/(z - U(t))`` of the piece holding ``[lo, hi]``, ends
+        included; its ``line`` is ``(t_j, u_j, slope)``, ``U(t) = u_j + slope * (t - t_j)``."""
+        j = min(max(bisect_right(self.knots, 0.5 * (lo + hi)) - 1, 0), len(self.knots) - 2)
+        tj, uj = self.knots[j], self._values[j]
+        slope = (self._values[j + 1] - uj) / (self.knots[j + 1] - tj)
+        g = lambda t, z: 1.0 / (z - (uj + slope * (t - tj)))
+        g.line = tj, uj, slope
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +146,8 @@ class MeasurePath:
         object.__setattr__(self, "measures", ms)
         object.__setattr__(self, "knots", bps)
         object.__setattr__(self, "_maps", tuple(measure_cauchy(m) for m in ms))
+        object.__setattr__(self, "_lines", tuple((0.0, m.location, 0.0) if isinstance(m, Dirac)
+                                                 else None for m in ms))
 
     @property
     def horizon(self) -> float:
@@ -153,9 +163,13 @@ class MeasurePath:
         return self._maps[self._index(t)](z)
 
     def piece(self, lo: float, hi: float):
-        """Fixed transform ``(t, z) -> G_k(z)`` of the piece holding ``[lo, hi]``, ends included."""
-        fn = self._maps[self._index(0.5 * (lo + hi))].fn
-        return lambda t, z: fn(z)
+        """Fixed transform ``(t, z) -> G_k(z)`` of the piece holding ``[lo, hi]``, ends
+        included; a Dirac piece's ``line`` is ``(0, location, 0)``, any other's ``None``."""
+        k = self._index(0.5 * (lo + hi))
+        fn = self._maps[k].fn
+        g = lambda t, z: fn(z)
+        g.line = self._lines[k]
+        return g
 
 
 @dataclass(frozen=True)
@@ -207,6 +221,22 @@ def _segments(d: Driving, a: float, b: float, reflect_about: float | None = None
     knots = [a] + pts + [b]
     return [(lo, hi, d.piece(lo, hi) if c is None else d.piece(c - hi, c - lo))
             for lo, hi in zip(knots, knots[1:]) if hi > lo]
+
+
+def _resting(g):
+    """Location ``u`` of a resting point-mass piece (slope 0), else ``None``."""
+    line = getattr(g, "line", None)
+    return line[1] if line is not None and line[2] == 0.0 else None
+
+
+def _root(q):
+    """``y - U`` back from ``q = (y - U)**2``: the square root with Im >= 0."""
+    return 1j * (np.sqrt(-q) if isinstance(q, np.ndarray) else cmath.sqrt(-q))
+
+
+# dq/dt forward and dq/dx reverse on a resting piece: constant, so every step is exact
+_Q_FORWARD = lambda x, q: 2.0 + 0.0 * q
+_Q_REVERSE = lambda x, q: -2.0 + 0.0 * q
 
 
 def driving_to_dict(d: Driving) -> dict:
@@ -367,8 +397,7 @@ def _integrate_lanes(rhs, t0: float, t1: float, y0, tol: float):
     return done.reshape(shape), y.reshape(shape)
 
 
-def _locate_event(rhs, t0: float, y0: complex, window: float, event, tol: float,
-                  t_tol: float = LIFETIME_TOL):
+def _locate_event(rhs, t0: float, y0: complex, window: float, event, tol: float):
     """Bisect the event crossing inside ``[t0, t0 + window]``.
 
     ``event(t0, y0) >= 0`` must hold.  Probe integrations that stall (the
@@ -384,7 +413,7 @@ def _locate_event(rhs, t0: float, y0: complex, window: float, event, tol: float,
             return True
         return False
 
-    return t0 + _bisect(inside, 0.0, window, t_tol)[0], safe[1]
+    return t0 + _bisect(inside, 0.0, window, LIFETIME_TOL)[0], safe[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +446,10 @@ def _check_horizon(d: Driving, t: float):
 def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> FlowPoint:
     """Solve the forward equation ``dg/dt = G_{nu_t}(g)`` from ``g_0 = z``.
 
-    Integration stops when the imaginary part falls below
-    :data:`EPS_SWALLOW`; the swallowing time is then bisection-refined to
-    :data:`LIFETIME_TOL` and reported as the lifetime.  ``err_est`` accumulates
-    the embedded per-step error estimates.
+    Integration stops when the imaginary part falls below :data:`EPS_SWALLOW`;
+    the swallowing time is bisection-refined to :data:`LIFETIME_TOL` and is the
+    lifetime, with the state at the crossing as ``value``.  ``err_est``
+    accumulates the embedded per-step error estimates.
     """
     z = complex(z)
     if not (z.imag > 0):
@@ -433,20 +462,25 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
     if t == 0:
         return FlowPoint(z, True, math.inf, 0.0)
 
-    event = lambda tt, yy: yy.imag - EPS_SWALLOW
-    y = z
-    err_acc = 0.0
+    y, err_acc = z, 0.0
     for a, b, g in _segments(d, 0.0, t):
-        status, tc, yc, err, h = _integrate(g, a, b, y, tol, event)
+        u = _resting(g)
+        # on a resting piece q = (g - u)**2 moves right at rate 2, so a point the
+        # piece swallows is known in advance and runs in q; a survivor stays in g
+        in_q = u is not None and _root((y - u) ** 2 + 2.0 * (b - a)).imag <= EPS_SWALLOW
+        to_g = (lambda q: u + _root(q)) if in_q else (lambda v: v)
+        rhs, y0 = (_Q_FORWARD, (y - u) ** 2) if in_q else (g, y)
+        event = lambda tt, yy: to_g(yy).imag - EPS_SWALLOW
+        status, tc, yc, err, h = _integrate(rhs, a, b, y0, tol, event)
         err_acc += err
         if status == "event":
-            t_cross, y_safe = _locate_event(g, tc, yc, min(h, b - tc), event, tol)
-            return FlowPoint(y_safe, False, t_cross, err_acc)
+            t_cross, y_safe = _locate_event(rhs, tc, yc, min(h, b - tc), event, tol)
+            return FlowPoint(to_g(y_safe), False, t_cross, err_acc)
+        y = to_g(yc)
         if status == "stall":
-            if yc.imag <= 10 * EPS_SWALLOW:
-                return FlowPoint(yc, False, tc, err_acc)
+            if y.imag <= 10 * EPS_SWALLOW:
+                return FlowPoint(y, False, tc, err_acc)
             raise NumericError(f"forward flow stalled at t = {tc}")
-        y = yc
     return FlowPoint(y, True, math.inf, err_acc)
 
 
@@ -463,13 +497,19 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
     time ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``.
 
     A complex ``z`` runs the scalar kernel; an ndarray runs all its starts
-    through the lane kernel.
+    through the lane kernel.  A resting point-mass piece runs in ``q``.
     """
     c = reflect_about
     lanes = isinstance(z, np.ndarray)
     y = z
     for lo, hi, g in _segments(d, a, b, c):
-        rhs = (lambda tau, yy: -g(tau, yy)) if c is None else (lambda tau, yy: -g(c - tau, yy))
+        u = _resting(g)
+        if u is not None:
+            rhs, y = _Q_REVERSE, (y - u) ** 2
+        elif c is None:
+            rhs = lambda tau, yy: -g(tau, yy)
+        else:
+            rhs = lambda tau, yy: -g(c - tau, yy)
         if lanes:
             done, y = _integrate_lanes(rhs, lo, hi, y, tol)
             start = None if done.all() else z.flat[int(np.argmin(done))]
@@ -478,6 +518,8 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
             start = None if status == "done" else z
         if start is not None:
             raise NumericError(f"{what} failed to integrate from z = {start}")
+        if u is not None:
+            y = u + _root(y)
     return y
 
 
@@ -537,12 +579,13 @@ def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
 
 
 def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> HullTrace:
-    """Hull trace ``gamma(t) = lim f_t(U(t) + i delta)`` for a point-mass driver.
+    """Hull trace ``gamma(t) = f_t(U(t)) = U(0) + sqrt(q)`` for a point-mass driver.
 
-    The boundary limit is taken along the offsets :data:`TRACE_DELTAS` with two
-    Richardson stages (the tip expansion is quadratic in the offset); the
-    leftover difference is reported per point.  A non-contracting offset
-    sequence raises ``TraceUnresolvedError``.
+    The tip solve runs the inverse equation in ``q = (w - U)**2`` from ``q = 0``
+    at ``t`` down to time 0; ``err_est`` is its accumulated error estimate.
+    After a linear piece shorter than ``(10 delta_1)**2`` the inverse map at
+    ``U(t) + i delta`` over :data:`TRACE_DELTAS` must also contract (a longer
+    piece gives ratio 1/4), or ``TraceUnresolvedError`` is raised.
     """
     if not isinstance(d, AtomPath):
         raise ValidationError("trace needs an AtomPath driver")
@@ -551,36 +594,27 @@ def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> Hull
         if t < 0:
             raise ValidationError("trace times must be nonnegative")
         _check_horizon(d, t)
-        if t == 0:
-            pts.append(complex(d.u(0.0)))
-            errs.append(0.0)
-            continue
-        base = d.u(t)
-        # no round-trip verification here: g_t o f_t conditions like 1/delta
-        # near the boundary, so the absolute gate would reject valid points;
-        # the contraction check below plays that role for the trace
-        vals = [inverse_map(d, t, complex(base, delta), tol, check=False)
-                for delta in TRACE_DELTAS]
-        d01 = abs(vals[1] - vals[0])
-        d12 = abs(vals[2] - vals[1])
-        if d01 > 1e-12 and d12 > 0.9 * d01:
-            raise TraceUnresolvedError(f"trace unresolved at t = {t}")
-        r1a = (4.0 * vals[1] - vals[0]) / 3.0
-        r1b = (4.0 * vals[2] - vals[1]) / 3.0
-        tip = (8.0 * r1b - r1a) / 7.0
-        pts.append(tip)
-        errs.append(abs(tip - r1b))
+        segs = _segments(d, 0.0, t, reflect_about=t)  # none at t = 0, where q stays 0
+        if segs and segs[0][1] - segs[0][0] < (10.0 * TRACE_DELTAS[0]) ** 2:
+            # no round-trip check: g_t o f_t conditions like 1/delta near the boundary
+            v0, v1, v2 = (inverse_map(d, t, complex(d.u(t), delta), tol, check=False)
+                          for delta in TRACE_DELTAS)
+            if abs(v1 - v0) > 1e-12 and abs(v2 - v1) > 0.9 * abs(v1 - v0):
+                raise TraceUnresolvedError(f"trace unresolved at t = {t}")
+        q, err_acc = 0j, 0.0
+        for lo, hi, g in segs:  # driver time t - sigma, so dU/dsigma = -slope
+            rhs = lambda x, q, slope=g.line[2]: 2.0 * (slope * _root(q) - 1.0)
+            status, _, q, err, _ = _integrate(rhs, lo, hi, q, tol)
+            if status != "done":
+                raise TraceUnresolvedError(f"trace tip solve stalled at t = {t}")
+            err_acc += err
+        pts.append(d.u(0.0) + _root(q))
+        errs.append(err_acc)
     return HullTrace(tuple(times), tuple(pts), tuple(errs))
 
 
 # ---------------------------------------------------------------------------
 # conformal welding
-
-EPS_COLLIDE = 1e-6
-
-#: welding endpoints and partners are bisection-refined to this width
-WELDING_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class Welding:
@@ -597,86 +631,51 @@ class Welding:
     pairs: tuple
 
 
-def _seed_lifetime(d: AtomPath, big_t: float, tip: float, x: float, tol: float):
-    """Absolute swallowing time of the slit point that lands at ``x``.
-
-    Runs the forward vector field backwards in time from ``(T, x)`` until the
-    trajectory collides with the driver, which starts at ``tip = U(T)``;
-    returns ``None`` when it survives all the way down to time 0 (seed outside
-    the welding interval).
-    """
-    x = float(x)
-    if abs(x - tip) <= EPS_COLLIDE:
-        return big_t
-    side = 1.0 if x > tip else -1.0
-    y = complex(x)
-    for a, b, g in _segments(d, 0.0, big_t, reflect_about=big_t):
-        tj, uj, slope = d._line(big_t - b, big_t - a)
-        rhs = lambda s, yy: -g(big_t - s, yy)
-        event = lambda s, yy: side * (yy.real - (uj + slope * (big_t - s - tj))) - EPS_COLLIDE
-        status, tc, yc, _, h = _integrate(rhs, a, b, y, tol, event)
-        if status == "event":
-            s_cross, _ = _locate_event(rhs, tc, yc, min(h, b - tc), event, tol)
-            return big_t - s_cross
-        if status == "stall":
-            return big_t - tc
-        y = yc
-    return None
+def _shot(d: AtomPath, tau: float, big_t: float, side: float, tol: float) -> float:
+    """``g_T`` of the left (``side = -1``) or right (+1) edge of the slit point born at
+    ``tau``: ``dq/dt = 2 - 2 side U' sqrt(q)`` from ``q(tau) = 0``, real.  A shot that
+    comes back within :data:`EPS_SWALLOW` of the driver means the hull is not a slit."""
+    # q grows like 2 (t - tau) from its birth; below EPS_SWALLOW**2 afterwards it is back
+    returned = lambda t, q: q.real - min(EPS_SWALLOW ** 2, t - tau)
+    q = 0.0
+    for lo, hi, g in _segments(d, tau, big_t):
+        c = 2.0 * side * g.line[2]
+        status, _, q, _, _ = _integrate(lambda t, q: 2.0 - c * math.sqrt(max(q.real, 0.0)),
+                                        lo, hi, q, tol, returned)
+        if status != "done":
+            raise NotASlitError("not a slit: lifetime gap inside the welding interval "
+                                f"(the shot from t = {tau} returns to the driver)")
+    return d.u(big_t) + side * math.sqrt(max(q.real, 0.0))
 
 
 def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TOL) -> Welding:
     """Conformal welding of the hull at time ``T`` for a point-mass driver.
 
-    Seeds on the real line are classified by the swallowing time of the slit
-    point they correspond to; the tip preimage ``u = U(T)`` has the maximal
-    lifetime ``T`` and the welding pairs points of equal lifetime on either
-    side of ``u``.  A lifetime profile that is not unimodal on ``[a, b]``
-    raises ``NotASlitError``.
+    The slit point born at ``tau`` has the welded preimages ``x_-(tau) < u <
+    x_+(tau) = h(x_-(tau))`` (:func:`_shot`); ``a`` and ``b`` are those of ``tau = 0``,
+    ``u = U(T)``.  A table of shots brackets the ``tau`` of each ``x``, the Illinois
+    secant refines it, and ``h(x)`` is shot from there.  A shot that returns to the
+    driver, or ``x_-`` not increasing or ``x_+`` not decreasing, is ``NotASlitError``.
     """
     if not isinstance(d, AtomPath):
         raise ValidationError("welding needs an AtomPath driver")
     if not (0 < big_t <= d.horizon + 1e-12):
         raise ValidationError("T must be positive and within the driver horizon")
+    if npairs < 0:
+        raise ValidationError(f"npairs must be nonnegative, got {npairs}")
 
-    u = d.u(big_t)
-    lifetime = lambda x: _seed_lifetime(d, big_t, u, x, tol)
-
-    spread = float(np.max(d.values) - np.min(d.values))
-    widths = math.sqrt(2.0 * big_t) + spread + 1.0
-    edges = []
-    for side, name in ((-1.0, "left"), (1.0, "right")):
-        out = u + side * widths
-        for _ in range(60):
-            if lifetime(out) is None:
-                break
-            out = u + 2.0 * (out - u)
-        else:
-            raise NumericError(f"could not bracket the {name} welding endpoint")
-        # the edge between colliding and escaping seeds
-        edges.append(_bisect(lambda x: lifetime(x) is not None, u + side * 10 * EPS_COLLIDE,
-                             out, WELDING_TOL))
-    (a, a_inner), (b, b_inner) = edges
-
-    # slit check: the lifetime must rise to T at u and fall on both sides
-    probes = np.linspace(a_inner, b_inner, 41)
-    ells = []
-    for x in probes:
-        val = lifetime(float(x))
-        if val is None:
-            raise NotASlitError("not a slit: lifetime gap inside the welding interval")
-        ells.append(val)
-    peak = int(np.argmax(ells))
-    rising = all(ells[i + 1] >= ells[i] - 1e-7 for i in range(peak))
-    falling = all(ells[i + 1] <= ells[i] + 1e-7 for i in range(peak, len(ells) - 1))
-    if not (rising and falling):
+    # birth tau = T - s**2: near the tip x_-+ - u ~ -+sqrt(2 (T - tau)), about linear in s
+    birth = lambda s: max(big_t - s * s, 0.0)
+    ss = np.linspace(0.0, math.sqrt(big_t), 9).tolist()
+    taus = [birth(s) for s in ss[:-1]] + [0.0]
+    lefts, rights = ([_shot(d, tau, big_t, side, tol) for tau in taus] for side in (-1.0, 1.0))
+    if not (np.all(np.diff(lefts) < 0) and np.all(np.diff(rights) > 0)):
         raise NotASlitError("not a slit: lifetime is not unimodal")
-
-    margin = 0.02
-    left = np.linspace(a + margin * (u - a), u - margin * (u - a), npairs)
-    pairs = []
-    for x in left:
-        target = lifetime(float(x))
-        longer = lambda y: (val := lifetime(y)) is not None and val > target
-        pairs.append((float(x), _bisect(longer, u + 1e-9 * max(1.0, abs(u)), b_inner,
-                                        WELDING_TOL)[0]))
+    u, a, b = d.u(big_t), lefts[-1], rights[-1]
+    pairs = []  # at x spaced evenly over (a, u), 2% of it away from each end
+    for x in np.linspace(a + 0.02 * (u - a), u - 0.02 * (u - a), npairs).tolist():
+        k = next(i for i in range(len(ss) - 1) if lefts[i + 1] <= x)
+        s = _illinois(lambda s: _shot(d, birth(s), big_t, -1.0, tol) - x, ss[k], ss[k + 1],
+                      lefts[k] - x, lefts[k + 1] - x, 1e-15 * ss[-1])
+        pairs.append((x, _shot(d, birth(s), big_t, 1.0, tol)))
     return Welding(a=a, b=b, u=u, pairs=tuple(pairs))

@@ -50,6 +50,9 @@ class _CenteredLaw:
     def __post_init__(self):
         if not (0 < self.var < math.inf):
             raise ValidationError(f"{type(self).__name__} variance must be positive and finite")
+        if not math.isfinite(self.radius):  # 2 var overflows near the float limit
+            raise ValidationError(f"{type(self).__name__} of variance {self.var!r} "
+                                  "has an infinite radius")
 
 
 @dataclass(frozen=True)

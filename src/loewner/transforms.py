@@ -359,6 +359,27 @@ def _bisect(inside, lo: float, hi: float, width: float = 0.0, max_steps: float =
     return 0.5 * (lo + hi), lo
 
 
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, width: float) -> float:
+    """Root of ``f`` between ``lo`` and ``hi``, where ``f_lo`` and ``f_hi`` differ in sign:
+    regula falsi that halves the value kept at an end the iterates stay away from
+    (Illinois), until ``f`` vanishes or the bracket is ``width`` wide.  Returns the
+    point of smallest ``|f|`` seen."""
+    best, stale = min((abs(f_lo), lo), (abs(f_hi), hi)), 0
+    while abs(hi - lo) > width and best[0] > 0.0:
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not min(lo, hi) < mid < max(lo, hi):
+            break
+        f_mid = f(mid)
+        best = min(best, (abs(f_mid), mid))
+        if (f_mid > 0.0) == (f_hi > 0.0):
+            hi, f_hi, f_lo = mid, f_mid, 0.5 * f_lo if stale == -1 else f_lo
+            stale = -1
+        else:
+            lo, f_lo, f_hi = mid, f_mid, 0.5 * f_hi if stale == 1 else f_hi
+            stale = 1
+    return best[1]
+
+
 def _refine_atom_location(g, lo: float, hi: float, eps: float) -> float:
     # Re G(x + i eps) changes sign from - to + across a pole on the real line.
     f_lo = g(complex(lo, eps)).real
@@ -431,7 +452,7 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float,
         xs = even
 
     total = sum(m for _, m in atoms) + float(np.trapezoid(dens, xs))
-    if total < 1.0 - deficit_tol:
+    if not (total >= 1.0 - deficit_tol):  # a NaN total fails too
         raise MassDeficitError(f"mass deficit: recovered {total:.6f} of 1")
 
     return Empirical(

@@ -71,9 +71,9 @@ def readme_command_lines():
 #: A change that moves these bytes updates the digest and names the moved outputs.
 README_SHA256 = {
     "loewner trace --driver const:0 --T 1 --steps 100 --out trace.csv":
-        "c879f6c476cd69946d2681ba7138cd021b9f35452abd8d1cc24b0c6c7699b01d",
+        "7d14745c59a74c930d77e41d7e6deda045733ea1faa6a28127533cca6e1da26b",
     "loewner welding --driver const:0 --T 1 --pairs 50 --out weld.csv":
-        "6ae534b6460bc69d424cdcb381e4b1d2c9a1f0d5bb1beec8aa4cdeee611f76b4",
+        "98fb62ebce4a4aa48bcac55dc79452667d124f5d8b5e83f8bcb971dc777c7ad8",
     'loewner convolve --expr "mono(arcsine:1, arcsine:1)" --probe 2i':
         "daaedad81f42dcec2f75595dbf344f541a43d254b8f6ae297dced27a252bd0fd",
     'loewner convolve --expr "free(sc:1, sc:1)" --grid=-3:3:2001 --eps 1e-4 --out dens.csv':
@@ -142,6 +142,14 @@ class TestDensity:
         code = run(["density", "--measure", "semicircle:1", "--grid=-1:1:301",
                     "--eps", "1e-4", "--out", str(tmp_path / "d.csv")])
         assert code == 3
+
+    def test_infinite_radius_exits_2(self, tmp_path, capsys):
+        # var = 1e308 is finite, its arcsine radius sqrt(2 var) is not; this used to
+        # write a NaN density and exit 0
+        code = run(["density", "--measure", "arc:1e308", "--grid=-1:1:5",
+                    "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSle:
@@ -269,6 +277,20 @@ class TestExitCodes:
             argv = argv + ["--out", str(tmp_path / "x.csv")]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNegativeCounts:
+    @pytest.mark.parametrize("argv", [
+        ["welding", "--driver", "const:0", "--T", "1", "--pairs", "-1"],
+        ["trace", "--driver", "const:0", "--T", "1", "--steps", "-2"],
+        ["flow", "--driver", "const:0", "--z", "2i", "--T", "1", "--steps", "-1"],
+        ["sle", "--seed", "-1"],
+    ], ids=["welding-pairs", "trace-steps", "flow-steps", "sle-seed"])
+    def test_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestConfig:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from loewner import (
     SemicircleFamily,
     asymptotic_moments,
     cauchy,
+    chain_approximation,
     constant_driver,
     driving_from_dict,
     driving_to_dict,
@@ -23,6 +25,8 @@ from loewner import (
     trace,
     welding,
 )
+from loewner import flows
+from loewner.cli import run
 from loewner.flows import _integrate, _integrate_lanes, _segments
 from loewner.transforms import AnalyticMap
 from loewner.errors import (
@@ -386,3 +390,165 @@ class TestLanes:
             flow(D0, 0.0, 1.0, starts, tol=1e-300)
         with pytest.raises(NumericError, match=r"z = 2j"):
             flow(D0, 0.0, 1.0, 2j, tol=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# oracles independent of both the g and the q route
+
+TAYLOR_ORDER = 30
+
+
+def taylor_solve(v, x, x_end, c0=0, c1=0, d0=0, d1=0):
+    """Solve ``v v' = c0 + c1 x + (d0 + d1 x) v`` from ``v(x) = v`` to ``x_end`` in mpmath,
+    by Taylor series of order TAYLOR_ORDER, each step a quarter of the radius the last
+    coefficients show.  This is the g equation of a point-mass piece in the frame of
+    the driver, ``v = g - U``.  A start at ``v = 0`` (a tip) needs ``c0 = d0 = 0`` and
+    takes the root ``v' = sqrt(c1)`` with Im >= 0."""
+    v, x, x_end = mp.mpc(v), mp.mpf(x), mp.mpf(x_end)
+    while x < x_end:
+        k0, e0 = c0 + c1 * x, d0 + d1 * x  # coefficients about x
+        if v == 0:  # (n + 1) a_1 a_n = d1 a_{n-1} - sum_{j=2}^{n-1} a_j (n - j + 1) a_{n-j+1}
+            a = [mp.mpc(0), mp.sqrt(mp.mpc(c1))]
+            a[1] = a[1] if a[1].imag >= 0 else -a[1]
+            for n in range(2, TAYLOR_ORDER + 1):
+                conv = mp.fsum(a[j] * (n - j + 1) * a[n - j + 1] for j in range(2, n))
+                a.append((d1 * a[n - 1] - conv) / ((n + 1) * a[1]))
+        else:
+            a = [v]
+            for n in range(TAYLOR_ORDER):
+                rhs = ((k0 if n == 0 else c1 if n == 1 else 0) + e0 * a[n]
+                       + (d1 * a[n - 1] if n else 0))
+                conv = mp.fsum(a[j] * (n - j + 1) * a[n - j + 1] for j in range(1, n + 1))
+                a.append((rhs - conv) / ((n + 1) * a[0]))
+        radius = min([abs(a[k]) ** (-mp.mpf(1) / k)
+                      for k in range(TAYLOR_ORDER - 2, TAYLOR_ORDER + 1) if a[k] != 0] or [mp.inf])
+        h = min(radius / 4, x_end - x)
+        v, x = mp.polyval(a[::-1], h), x + h
+    return v
+
+
+def line_of(d, lo, hi):
+    return (d.u(hi) - d.u(lo)) / (hi - lo)
+
+
+def tip_oracle(d, t):
+    """``gamma(t) = f_t(U(t))``: the inverse g equation from the driver, in ``tau = sqrt(sigma)``
+    on the piece ending at ``t`` (where ``v`` is analytic in ``tau``), then in ``sigma``."""
+    with mp.workdps(30):
+        edges = [t] + [k for k in reversed(d.knots) if k < t]
+        v = taylor_solve(0, 0, mp.sqrt(t - edges[1]), c1=-2, d1=2 * line_of(d, edges[1], t))
+        for hi, lo in zip(edges[1:], edges[2:]):
+            v = taylor_solve(v, t - hi, t - lo, c0=-1, d0=line_of(d, lo, hi))
+        return complex(d.u(0.0) + v)
+
+
+def forward_oracle(d, z, t):
+    with mp.workdps(30):
+        v = mp.mpc(z) - d.u(0.0)
+        for lo, hi in zip(d.knots, d.knots[1:]):
+            if lo < t:
+                v = taylor_solve(v, lo, min(hi, t), c0=1, d0=-line_of(d, lo, hi))
+        return complex(v + d.u(t))
+
+
+#: a resting piece, then a sloped one
+REST_THEN_SLOPE = AtomPath([0.0, 0.5, 1.0], [0.0, 0.0, 0.75])
+
+
+class TestOracles:
+    @pytest.mark.parametrize("d, t", [
+        (AtomPath([0.0, 0.4, 1.0], [0.0, 0.5, -0.2]), 0.7),
+        (AtomPath([0.0, 0.4, 1.0], [0.0, 0.5, -0.2]), 1.0),
+        (AtomPath([0.0, 2.0], [0.0, 2.0]), 1.0),  # the CLI's line:0:1 at T = 1
+    ], ids=["two-piece-inside", "two-piece-end", "line-0-1"])
+    def test_trace_tip(self, d, t):
+        # the tip solve's error is about 18 tol here
+        assert abs(trace(d, [t]).points[0] - tip_oracle(d, t)) < 1e-8
+
+    def test_swallowed_on_each_piece(self):
+        # on the resting piece in q (closed form y**2 / 2), and on the sloped piece in g:
+        # a point of the slit is swallowed when the tip passes it
+        assert flow_forward(REST_THEN_SLOPE, 0.9j, 1.0).lifetime == pytest.approx(0.405, abs=1e-8)
+        tip = tip_oracle(REST_THEN_SLOPE, 0.75)
+        fp = flow_forward(REST_THEN_SLOPE, tip, 1.0)
+        assert not fp.alive and fp.lifetime == pytest.approx(0.75, abs=1e-8)
+
+    def test_alive_value_across_both_pieces(self):
+        z = 0.3 + 1.2j
+        fp = flow_forward(REST_THEN_SLOPE, z, 1.0)
+        assert fp.alive and abs(fp.value - forward_oracle(REST_THEN_SLOPE, z, 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("u, big_t", [(0.0, 1.0), (0.7, 0.5)])
+    def test_welding_of_a_resting_driver(self, u, big_t):
+        w = welding(AtomPath([0.0, 2.0], [u, u]), big_t, npairs=9)
+        assert abs(w.a - (u - math.sqrt(2.0 * big_t))) < 1e-11
+        assert abs(w.b - (u + math.sqrt(2.0 * big_t))) < 1e-11
+        assert max(abs(hx - (2.0 * u - x)) for x, hx in w.pairs) < 1e-11
+
+    def test_dirac_path_is_its_chain(self, rng):
+        # every piece rests, so the reverse flow composes the chain's exact maps
+        n = 64
+        d = MeasurePath(tuple(np.arange(n) / n), tuple(Dirac(float(v)) for v in
+                                                      0.8 * rng.uniform(-1.0, 1.0, n)))
+        chain = chain_approximation(d, 1.0 / n, n, shift="left")
+        starts = np.array([0.5j, 2j, -1.5 + 0.5j, 0.5 + 0.7j, 0.1 + 1e-3j])
+        want = chain(starts)
+        assert float(np.max(np.abs(flow_reverse(d, 0.0, 1.0, starts) - want))) < 1e-13
+        assert max(abs(flow_reverse(d, 0.0, 1.0, complex(z)) - w)
+                   for z, w in zip(starts, want)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# step counts: deterministic, unlike wall time
+
+def count_steps(monkeypatch, call):
+    """``(Dormand-Prince steps, result)`` of ``call()``; a lane step counts once."""
+    calls = [0]
+    step = flows._dp_step
+
+    def counting(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(flows, "_dp_step", counting)
+    result = call()
+    monkeypatch.setattr(flows, "_dp_step", step)
+    return calls[0], result
+
+
+class TestStepCounts:
+    """Bounds about 3x above the counts of the q route; the g route took 31,144 (trace),
+    49,506 (welding), 12,537 (lifetimes) and 5,180 (SLE trace) steps."""
+
+    def test_readme_trace(self, monkeypatch, tmp_path, capsys):
+        argv = ["trace", "--driver", "const:0", "--T", "1", "--steps", "100",
+                "--out", str(tmp_path / "trace.csv")]
+        steps, code = count_steps(monkeypatch, lambda: run(argv))
+        assert code == 0 and steps <= 1200  # 404
+
+    def test_welding_five_pairs(self, monkeypatch, tmp_path, capsys):
+        argv = ["welding", "--driver", "const:0", "--T", "1", "--pairs", "5",
+                "--out", str(tmp_path / "weld.csv")]
+        steps, code = count_steps(monkeypatch, lambda: run(argv))
+        assert code == 0 and steps <= 300  # 93
+
+    def test_lifetimes(self, monkeypatch):
+        # 50 points swallowed on the imaginary axis and 10 that stay alive
+        starts = ([complex(0.0, y) for y in np.linspace(0.2, 1.4, 50)]
+                  + [complex(1.0, y) for y in np.linspace(0.2, 1.4, 10)])
+        steps, points = count_steps(monkeypatch,
+                                    lambda: [flow_forward(D0, z, 1.0) for z in starts])
+        assert sum(not fp.alive for fp in points) == 50
+        assert steps <= 6300  # 2,101
+
+    def test_sle_trace(self, monkeypatch):
+        d = sle_driving(2.0, 1.0 / 64.0, 1.0, 1)
+        steps, _ = count_steps(monkeypatch, lambda: trace(d, list(np.linspace(0.0, 1.0, 11))))
+        assert steps <= 4000  # 2,136; 3x would not catch the g route here
+
+    def test_sloped_anti_monotone_solve_is_untouched(self, monkeypatch):
+        # the g route on sloped pieces keeps its steps and its bits
+        d = sle_driving(2.0, 1.0 / 64.0, 1.0, 3)
+        steps, z = count_steps(monkeypatch, lambda: flow_reverse_anti(d, 0.0, 1.0, 0.3 + 0.1j))
+        assert steps == 210
+        assert (z.real.hex(), z.imag.hex()) == ("-0x1.50f0a6a0a8ed6p-3", "0x1.47507344c885cp+0")

@@ -167,6 +167,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Arcsine(-1.0)
 
+    def test_radius_must_be_finite(self):
+        with pytest.raises(ValidationError, match="infinite radius"):
+            Arcsine(1e308)
+        assert math.isfinite(Semicircle(1e308).radius)
+
     def test_empirical_mass_must_be_one(self):
         xs = np.linspace(-1, 1, 101)
         with pytest.raises(ValidationError):

@@ -208,6 +208,12 @@ class TestStieltjesInversion:
         with pytest.raises(MassDeficitError):
             invert_stieltjes(cauchy(Semicircle(1.0)), np.linspace(-1.0, 1.0, 501), 1e-4)
 
+    def test_nan_mass_is_a_deficit(self):
+        # NaN compares false both ways, so the gate must not let it through
+        nan_map = AnalyticMap("cauchy", lambda z: np.full(np.shape(z), complex(math.nan, math.nan)))
+        with pytest.raises(MassDeficitError, match="nan"):
+            invert_stieltjes(nan_map, np.linspace(-1.0, 1.0, 11), 1e-3)
+
     def test_grid_and_eps_validation(self):
         g = cauchy(Semicircle(1.0))
         with pytest.raises(ValidationError):
