@@ -55,7 +55,7 @@ class TraceUnresolvedError(NumericError):
 
 
 class NotASlitError(NumericError):
-    """Not a slit: a welding shot returns to the driver, or the shots are not monotone."""
+    """Not a slit: a welding shot returns to the driver, or the shots reverse beyond tolerance."""
 
 
 class QuadratureFailureError(NumericError):

@@ -70,15 +70,6 @@ def _adaptive_simpson(fun, a: float, b: float, tol: float = 1e-12, max_depth: in
     return recurse(a, b, fa_, fm_, fb_, whole, tol, 0)
 
 
-def _free_r_atom_segment(w: complex, u1: float, u2: float, tau1: float, tau2: float) -> complex:
-    # integral of 1/(w - U(tau)) over [tau1, tau2] with U linear between u1, u2
-    beta = (u2 - u1) / (tau2 - tau1)
-    if beta == 0.0:
-        return (tau2 - tau1) / (w - u1)
-    # Im w != 0 keeps the whole segment on one side of the log branch cut
-    return (np.log(w - u1) - np.log(w - u2)) / beta
-
-
 def _free_r_value(d: Driving, s: float, t: float, z, tol: float):
     w = 1.0 / as_points(z)
     if not isinstance(d, (MeasurePath, AtomPath)):
@@ -86,10 +77,12 @@ def _free_r_value(d: Driving, s: float, t: float, z, tol: float):
                                                      tol=1e-12))(w)
     total = 0.0 + 0.0j
     for lo, hi, g in _segments(d, s, t):
-        if isinstance(d, MeasurePath):
+        if g.line is None or g.line[2] == 0.0:  # a fixed measure on the piece
             total += (hi - lo) * g(lo, w)
-        else:
-            total += _free_r_atom_segment(w, d.u(lo), d.u(hi), lo, hi)
+        else:  # integral of 1/(w - U(tau)); Im w != 0 keeps U off the log's branch cut
+            tj, uj, slope = g.line
+            total += (np.log(w - (uj + slope * (lo - tj)))
+                      - np.log(w - (uj + slope * (hi - tj)))) / slope
     return total
 
 

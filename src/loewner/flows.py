@@ -19,15 +19,14 @@ sampled, and solvers do no driver lookup while stepping.  A piece takes
 scalar ``t`` and ``z``, or ndarrays of the same shape.  A point-mass piece,
 ``U(t) = u_j + slope (t - t_j)``, carries ``line = (t_j, u_j, slope)``.
 
-Point-mass pieces in ``q = (g - U)**2``.  ``G = 1/(z - U)`` has its pole on
-the driver, where the hull grows; in ``q`` the forward equation reads
-``dq/dt = 2 - 2 U' sqrt(q)`` and the reverse ones ``dq/dx = -2 - 2 (dU/dx)
-sqrt(q)`` (root with Im >= 0), regular there (Kager, Nienhuis & Kadanoff 2004;
-Kennedy 2007).  On resting pieces (slope 0) ``q`` is linear in time, so every
-step is exact: reverse, anti-monotone and inverse solves on both kernels, and
-forward solves of points the piece swallows, run in ``q``.  Sloped pieces use
-``q`` only where a solve starts on the driver (the trace tip, welding shots);
-elsewhere ``g`` takes fewer steps.  Swallowing means ``Im g <= EPS_SWALLOW``.
+Point-mass pieces.  A resting piece (``nu = delta_u``) is autonomous: its flow is
+the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+ 2 dt)`` reverse and forward
+(Kager, Nienhuis & Kadanoff 2004).  Every solver applies these exact maps there,
+and the crossing of a point the piece swallows is closed-form too.  The pole of
+``G = 1/(z - U)`` sits on the driver, where the hull grows; in ``q = (g - U)**2``,
+``dq/dt = 2 - 2 U' sqrt(q)`` (root with Im >= 0) is regular (Kennedy 2007), so
+``q`` is used only from the driver: the trace tip and welding shots.  Everything
+else runs in ``g``.  Swallowing means ``Im g <= EPS_SWALLOW``.
 
 Two kernels.  :func:`_integrate` steps one complex scalar; every single-point
 or event-driven caller uses it (:func:`flow_forward`, :func:`inverse_map`,
@@ -65,7 +64,7 @@ from .transforms import _bisect, _illinois, as_points, cauchy as measure_cauchy,
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
 
-#: lifetimes are bisection-refined to this width
+#: lifetimes found by event search (not on resting pieces) are bisection-refined to this width
 LIFETIME_TOL = 1e-8
 
 #: default per-step integration error target
@@ -232,11 +231,6 @@ def _resting(g):
 def _root(q):
     """``y - U`` back from ``q = (y - U)**2``: the square root with Im >= 0."""
     return 1j * (np.sqrt(-q) if isinstance(q, np.ndarray) else cmath.sqrt(-q))
-
-
-# dq/dt forward and dq/dx reverse on a resting piece: constant, so every step is exact
-_Q_FORWARD = lambda x, q: 2.0 + 0.0 * q
-_Q_REVERSE = lambda x, q: -2.0 + 0.0 * q
 
 
 def driving_to_dict(d: Driving) -> dict:
@@ -446,9 +440,10 @@ def _check_horizon(d: Driving, t: float):
 def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> FlowPoint:
     """Solve the forward equation ``dg/dt = G_{nu_t}(g)`` from ``g_0 = z``.
 
-    Integration stops when the imaginary part falls below :data:`EPS_SWALLOW`;
-    the swallowing time is bisection-refined to :data:`LIFETIME_TOL` and is the
-    lifetime, with the state at the crossing as ``value``.  ``err_est``
+    The point is swallowed when its imaginary part falls to :data:`EPS_SWALLOW`;
+    the swallowing time is the lifetime, with the state at the crossing as
+    ``value``.  On a resting point-mass piece both are closed-form; elsewhere the
+    crossing is bisection-refined to :data:`LIFETIME_TOL`.  ``err_est``
     accumulates the embedded per-step error estimates.
     """
     z = complex(z)
@@ -463,20 +458,22 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
         return FlowPoint(z, True, math.inf, 0.0)
 
     y, err_acc = z, 0.0
+    event = lambda tt, yy: yy.imag - EPS_SWALLOW
     for a, b, g in _segments(d, 0.0, t):
         u = _resting(g)
-        # on a resting piece q = (g - u)**2 moves right at rate 2, so a point the
-        # piece swallows is known in advance and runs in q; a survivor stays in g
-        in_q = u is not None and _root((y - u) ** 2 + 2.0 * (b - a)).imag <= EPS_SWALLOW
-        to_g = (lambda q: u + _root(q)) if in_q else (lambda v: v)
-        rhs, y0 = (_Q_FORWARD, (y - u) ** 2) if in_q else (g, y)
-        event = lambda tt, yy: to_g(yy).imag - EPS_SWALLOW
-        status, tc, yc, err, h = _integrate(rhs, a, b, y0, tol, event)
+        if u is not None:  # q = (g - u)**2 moves right at rate 2
+            q0 = (y - u) ** 2
+            if _root(q0 + 2.0 * (b - a)).imag <= EPS_SWALLOW:
+                # Im q stays and Im sqrt(q) falls as Re q grows, so sqrt(q) passes
+                # x + i EPS_SWALLOW once; a survivor stays in g for its err_est
+                x = q0.imag / (2.0 * EPS_SWALLOW)
+                life = min(max(a + 0.5 * (x * x - EPS_SWALLOW ** 2 - q0.real), a), b)
+                return FlowPoint(complex(u + x, EPS_SWALLOW), False, life, err_acc)
+        status, tc, y, err, h = _integrate(g, a, b, y, tol, event)
         err_acc += err
         if status == "event":
-            t_cross, y_safe = _locate_event(rhs, tc, yc, min(h, b - tc), event, tol)
-            return FlowPoint(to_g(y_safe), False, t_cross, err_acc)
-        y = to_g(yc)
+            t_cross, y_safe = _locate_event(g, tc, y, min(h, b - tc), event, tol)
+            return FlowPoint(y_safe, False, t_cross, err_acc)
         if status == "stall":
             if y.imag <= 10 * EPS_SWALLOW:
                 return FlowPoint(y, False, tc, err_acc)
@@ -497,7 +494,7 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
     time ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``.
 
     A complex ``z`` runs the scalar kernel; an ndarray runs all its starts
-    through the lane kernel.  A resting point-mass piece runs in ``q``.
+    through the lane kernel.  A resting point-mass piece applies its exact map.
     """
     c = reflect_about
     lanes = isinstance(z, np.ndarray)
@@ -505,8 +502,9 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
     for lo, hi, g in _segments(d, a, b, c):
         u = _resting(g)
         if u is not None:
-            rhs, y = _Q_REVERSE, (y - u) ** 2
-        elif c is None:
+            y = u + _root((y - u) ** 2 - 2.0 * (hi - lo))
+            continue
+        if c is None:
             rhs = lambda tau, yy: -g(tau, yy)
         else:
             rhs = lambda tau, yy: -g(c - tau, yy)
@@ -518,8 +516,6 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
             start = None if status == "done" else z
         if start is not None:
             raise NumericError(f"{what} failed to integrate from z = {start}")
-        if u is not None:
-            y = u + _root(y)
     return y
 
 
@@ -655,7 +651,8 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     x_+(tau) = h(x_-(tau))`` (:func:`_shot`); ``a`` and ``b`` are those of ``tau = 0``,
     ``u = U(T)``.  A table of shots brackets the ``tau`` of each ``x``, the Illinois
     secant refines it, and ``h(x)`` is shot from there.  A shot that returns to the
-    driver, or ``x_-`` not increasing or ``x_+`` not decreasing, is ``NotASlitError``.
+    driver, or ``x_-`` not increasing or ``x_+`` not decreasing, is ``NotASlitError``;
+    if every reversal is within ``tol max(1, |x|)``, the welding is unresolved instead.
     """
     if not isinstance(d, AtomPath):
         raise ValidationError("welding needs an AtomPath driver")
@@ -669,7 +666,14 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     ss = np.linspace(0.0, math.sqrt(big_t), 9).tolist()
     taus = [birth(s) for s in ss[:-1]] + [0.0]
     lefts, rights = ([_shot(d, tau, big_t, side, tol) for tau in taus] for side in (-1.0, 1.0))
-    if not (np.all(np.diff(lefts) < 0) and np.all(np.diff(rights) > 0)):
+    # table neighbours moving the wrong way (x_- must fall, x_+ rise as tau falls)
+    wrong = [(abs(x1 - x0), x0, t0) for side, xs in ((-1.0, lefts), (1.0, rights))
+             for x0, x1, t0 in zip(xs, xs[1:], taus) if side * (x1 - x0) <= 0.0]
+    if wrong and all(shift <= tol * max(1.0, abs(x)) for shift, x, _ in wrong):
+        raise NumericError(f"welding unresolved in double precision: shots from tau <= "
+                           f"{max(t for *_, t in wrong):.6g} land within {max(wrong)[0]:.1e} "
+                           "of each other")
+    if wrong:
         raise NotASlitError("not a slit: lifetime is not unimodal")
     u, a, b = d.u(big_t), lefts[-1], rights[-1]
     pairs = []  # at x spaced evenly over (a, u), 2% of it away from each end

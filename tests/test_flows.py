@@ -254,6 +254,13 @@ class TestWelding:
         with pytest.raises(NotASlitError, match="gap"):
             welding(sqrt_driver(6.0), 1.0, npairs=3)
 
+    def test_flat_shot_table_is_unresolved_not_a_slit(self):
+        # at T < 1 the hull is still a slit, but the driver's slope (about -95) pins the
+        # left shots to the driver: they land within 4e-16 of each other
+        with pytest.raises(NumericError, match="unresolved") as info:
+            welding(sqrt_driver(6.0), 0.999, npairs=3)
+        assert not isinstance(info.value, NotASlitError)
+
     def test_pairs_have_equal_boundary_values(self):
         d = AtomPath([0.0, 1.0], [0.0, 0.0])
         w = welding(d, 1.0, npairs=6)
@@ -384,12 +391,14 @@ class TestLanes:
     @pytest.mark.parametrize("flow", [flow_reverse, flow_reverse_anti],
                              ids=["monotone", "anti-monotone"])
     def test_stall_names_the_first_failing_start(self, flow):
-        # tol = 1e-300 rejects every step until the step size underflows
+        # tol = 1e-300 rejects every step until the step size underflows; a resting
+        # point mass integrates nothing, so the driver is a semicircle
+        d = MeasurePath((0.0,), (Semicircle(1.0),))
         starts = np.array([0.5 + 1j, 2j])
         with pytest.raises(NumericError, match=r"z = \(0\.5\+1j\)"):
-            flow(D0, 0.0, 1.0, starts, tol=1e-300)
+            flow(d, 0.0, 1.0, starts, tol=1e-300)
         with pytest.raises(NumericError, match=r"z = 2j"):
-            flow(D0, 0.0, 1.0, 2j, tol=1e-300)
+            flow(d, 0.0, 1.0, 2j, tol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +505,82 @@ class TestOracles:
         assert float(np.max(np.abs(flow_reverse(d, 0.0, 1.0, starts) - want))) < 1e-13
         assert max(abs(flow_reverse(d, 0.0, 1.0, complex(z)) - w)
                    for z, w in zip(starts, want)) < 1e-13
+
+
+def swallow_oracle(z, pieces):
+    """Lifetime of ``z`` over resting pieces ``(u, span)``, in 40-digit mpmath: a survived
+    piece maps ``y -> u + sqrt((y - u)**2 + 2 span)``, and on the last one bisection finds
+    the ``s`` where ``Im sqrt((y - u)**2 + 2 s)`` falls to EPS_SWALLOW."""
+    with mp.workdps(40):
+        y, start = mp.mpc(z), mp.mpf(0)
+        for u, span in pieces[:-1]:
+            r = mp.sqrt((y - u) ** 2 + 2 * mp.mpf(span))
+            y, start = u + (r if r.imag >= 0 else -r), start + span
+        u, span = pieces[-1]
+        q0, lo, hi = (y - u) ** 2, mp.mpf(0), mp.mpf(span)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if abs(mp.sqrt(q0 + 2 * mid).imag) > flows.EPS_SWALLOW:
+                lo = mid
+            else:
+                hi = mid
+        return float(start + lo)
+
+
+def dirac_path(rng, n=64):
+    """A point mass at a fresh place on each of ``n`` equal pieces of [0, 1]."""
+    return MeasurePath(tuple(np.arange(n) / n),
+                       tuple(Dirac(float(v)) for v in 0.8 * rng.uniform(-1.0, 1.0, n)))
+
+
+class TestRestingPieces:
+    """A resting point mass is the arcsine semigroup: every solver applies its exact map."""
+
+    @pytest.mark.parametrize("u", [0.0, 0.7])
+    @pytest.mark.parametrize("path", [constant_driver, lambda u: AtomPath([0.0, 2.0], [u, u])],
+                             ids=["dirac", "flat-atom-path"])
+    def test_swallowing_matches_the_oracle(self, path, u):
+        # on the axis over u, just off it, and just above the line far from u
+        starts = [complex(u, 0.3), complex(u, 1.2), complex(u + 1e-7, 0.5),
+                  complex(u - 3e-7, 1.1), complex(u + 0.5, 1.5e-6), complex(u - 1.0, 1.1e-6)]
+        for z in starts:
+            fp = flow_forward(path(u), z, 1.0)
+            assert not fp.alive and fp.value.imag == flows.EPS_SWALLOW
+            assert abs(fp.lifetime - swallow_oracle(z, [(u, 1.0)])) < 1e-14
+
+    def test_swallowed_on_the_second_piece(self):
+        # the first piece is survived and integrated in g: tol = 1e-14 keeps its error
+        # below the bound; each start lands above the second point mass
+        d = two_step_driver(-0.3, 0.4)
+        for h in (0.6, 1.0):
+            z = const_map(-0.3, 0.5)(complex(0.4, h))
+            fp = flow_forward(d, z, 3.0, tol=1e-14)
+            assert not fp.alive and fp.value.imag == flows.EPS_SWALLOW
+            assert abs(fp.lifetime - swallow_oracle(z, [(-0.3, 0.5), (0.4, 2.5)])) < 1e-14
+
+    def test_swallowed_lifetimes_integrate_nothing(self, monkeypatch):
+        starts = [complex(0.0, y) for y in np.linspace(0.2, 1.4, 50)]
+        steps, points = count_steps(monkeypatch,
+                                    lambda: [flow_forward(D0, z, 1.0) for z in starts])
+        assert steps == 0 and not any(fp.alive for fp in points)
+
+    @pytest.mark.parametrize("flow", [flow_reverse, flow_reverse_anti],
+                             ids=["monotone", "anti-monotone"])
+    def test_dirac_path_integrates_nothing(self, monkeypatch, rng, flow):
+        d = dirac_path(rng)
+        steps, got = count_steps(monkeypatch, lambda: flow(d, 0.0, 1.0, LANE_STARTS))
+        assert steps == 0
+        steps, want = count_steps(monkeypatch, lambda: np.array(
+            [flow(d, 0.0, 1.0, complex(z)) for z in LANE_STARTS]))
+        assert steps == 0
+        # numpy's complex product differs from Python's by an ulp in a quarter of cases;
+        # 64 maps amplify that to 6e-14 at the starts 1e-3 above the line
+        assert float(np.max(np.abs(got - want) / np.abs(want))) < 1e-13
+
+    def test_inverse_map_integrates_nothing(self, monkeypatch):
+        steps, w = count_steps(monkeypatch, lambda: inverse_map(D0, 1.0, 0.3 + 1e-3j, check=False))
+        assert steps == 0
+        assert w == pytest.approx(const_map(0.0, 1.0)(0.3 + 1e-3j), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
