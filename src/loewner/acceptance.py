@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import free_r, free_subordination, monotone
-from .errors import ValidationError
+from .errors import QuadratureFailureError, ValidationError
 from .evolution import (
-    _adaptive_simpson,
     burgers_residual,
     chain_approximation,
     free_family,
@@ -202,6 +201,29 @@ def _evolution_and_lipschitz() -> CriterionResult:
     return CriterionResult("evolution_and_lipschitz", ok,
                            f"composition residual {worst_comp:.3e} (tol 1e-7), "
                            f"Lipschitz slack {worst_lip:.3e} (must be <= 0)")
+
+
+def _adaptive_simpson(fun, a: float, b: float, tol: float = 1e-12, max_depth: int = 30):
+    """Adaptive Simpson quadrature for a complex-valued integrand."""
+
+    def recurse(lo, hi, flo, fmid, fhi, whole, budget, depth):
+        mid = 0.5 * (lo + hi)
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        flm, frm = fun(lm), fun(rm)
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        if abs(left + right - whole) <= 15.0 * budget:
+            return left + right + (left + right - whole) / 15.0
+        if depth >= max_depth:
+            raise QuadratureFailureError("quadrature failure: refinement depth exceeded")
+        return (recurse(lo, mid, flo, flm, fmid, left, 0.5 * budget, depth + 1)
+                + recurse(mid, hi, fmid, frm, fhi, right, 0.5 * budget, depth + 1))
+
+    if b <= a:
+        return 0.0 + 0.0j
+    fa_, fm_, fb_ = fun(a), fun(0.5 * (a + b)), fun(b)
+    whole = (b - a) / 6.0 * (fa_ + 4.0 * fm_ + fb_)
+    return recurse(a, b, fa_, fm_, fb_, whole, tol, 0)
 
 
 def _free_additivity() -> CriterionResult:

@@ -89,7 +89,7 @@ def _parse_measure(spec: str):
 
 def _parse_driver(spec: str, horizon: float, seed: int):
     if (obj := _json_spec(spec)) is not None:
-        return _validated_driver(obj, "driver")
+        return _validated_driver(obj)
     if spec in ("semicircle-family", "sc-family"):
         return SemicircleFamily()
     name, _, rest = spec.partition(":")
@@ -128,26 +128,11 @@ def _require(obj: dict, key: str, prefix: str):
     return obj[key]
 
 
-def _validated_driver(obj, prefix: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{prefix}: expected an object")
-    kind = _require(obj, "kind", prefix)
-    if kind == "atom-path":
-        times = _require(obj, "times", prefix)
-        values = _require(obj, "values", prefix)
-        if not isinstance(times, list) or not all(isinstance(t, (int, float)) for t in times):
-            raise ConfigError(f"{prefix}.times: expected a list of numbers")
-        if not isinstance(values, list) or len(values) != len(times):
-            raise ConfigError(f"{prefix}.values: expected {len(times)} numbers")
-    elif kind == "measure-path":
-        _require(obj, "breakpoints", prefix)
-        _require(obj, "measures", prefix)
-    elif kind != "semicircle-family":
-        raise ConfigError(f"{prefix}.kind: unknown driving kind {kind!r}")
+def _validated_driver(obj):
     try:
         return driving_from_dict(obj)
-    except ValidationError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
+    except ValidationError as exc:  # the library's messages name the field path
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> RunConfig:
@@ -169,7 +154,7 @@ def load_config(path) -> RunConfig:
         if key not in ("driver", "tolerance", "seed", "eps", "grid"):
             raise ConfigError(f"{key}: unknown field")
     if "driver" in obj:
-        cfg.driver = _validated_driver(obj["driver"], "driver")
+        cfg.driver = _validated_driver(obj["driver"])
     if "tolerance" in obj:
         if not isinstance(obj["tolerance"], (int, float)) or not (0 < obj["tolerance"] <= 1e-4):
             raise ConfigError("tolerance: expected a number in (0, 1e-4]")

@@ -6,8 +6,8 @@ reverse flows) and R-transforms for the free semantics, where
 
     R_{s,t}(z) = integral over tau in [s, t] of G_{nu_tau}(1/z)
 
-is computed exactly for piecewise-structured drivers and by adaptive
-quadrature otherwise.  Also here: seeded Brownian driving paths, the symbolic
+is computed exactly: each driver integrates its own Cauchy transform piece by
+piece (``integral``).  Also here: seeded Brownian driving paths, the symbolic
 convolution-chain approximation of the reverse flow, and the inviscid-Burgers
 residual diagnostic for the fixed point of the Loewner correspondence.
 """
@@ -18,12 +18,11 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureFailureError, ValidationError
+from .errors import ValidationError
 from .flows import (
     DEFAULT_TOL,
     AtomPath,
     Driving,
-    MeasurePath,
     flow_reverse,
     flow_reverse_anti,
     inverse_map,
@@ -37,7 +36,6 @@ from .transforms import (
     as_points,
     halfplane_sqrt,
     invert_stieltjes,
-    pointwise,
     to_cauchy,
 )
 
@@ -47,45 +45,6 @@ FREE = "free"
 _SEMANTICS = (MONOTONE, ANTI_MONOTONE, FREE)
 
 
-def _adaptive_simpson(fun, a: float, b: float, tol: float = 1e-12, max_depth: int = 30):
-    """Adaptive Simpson quadrature for a complex-valued integrand."""
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, budget, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = fun(lm), fun(rm)
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        if abs(left + right - whole) <= 15.0 * budget:
-            return left + right + (left + right - whole) / 15.0
-        if depth >= max_depth:
-            raise QuadratureFailureError("quadrature failure: refinement depth exceeded")
-        return (recurse(lo, mid, flo, flm, fmid, left, 0.5 * budget, depth + 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, 0.5 * budget, depth + 1))
-
-    if b <= a:
-        return 0.0 + 0.0j
-    fa_, fm_, fb_ = fun(a), fun(0.5 * (a + b)), fun(b)
-    whole = (b - a) / 6.0 * (fa_ + 4.0 * fm_ + fb_)
-    return recurse(a, b, fa_, fm_, fb_, whole, tol, 0)
-
-
-def _free_r_value(d: Driving, s: float, t: float, z, tol: float):
-    w = 1.0 / as_points(z)
-    if not isinstance(d, (MeasurePath, AtomPath)):
-        return pointwise(lambda v: _adaptive_simpson(lambda tau: d.cauchy(tau, v), s, t,
-                                                     tol=1e-12))(w)
-    total = 0.0 + 0.0j
-    for lo, hi, g in _segments(d, s, t):
-        if g.line is None or g.line[2] == 0.0:  # a fixed measure on the piece
-            total += (hi - lo) * g(lo, w)
-        else:  # integral of 1/(w - U(tau)); Im w != 0 keeps U off the log's branch cut
-            tj, uj, slope = g.line
-            total += (np.log(w - (uj + slope * (lo - tj)))
-                      - np.log(w - (uj + slope * (hi - tj)))) / slope
-    return total
-
-
 class EvolutionFamily:
     """Two-parameter family of transforms with a convolution semantics.
 
@@ -93,6 +52,7 @@ class EvolutionFamily:
     monotone and anti-monotone semantics and the R-transform value
     ``R_{s,t}(z)`` for the free semantics.  Every family here is normal: the
     represented measure ``sigma_{s,t}`` has mean 0 and variance ``t - s``.
+    ``tol`` governs the reverse flows only; the free values are exact.
     """
 
     def __init__(self, semantics: str, driving: Driving, tol: float = DEFAULT_TOL):
@@ -112,10 +72,8 @@ class EvolutionFamily:
             return flow_reverse(self.driving, s, t, z, self.tol)
         if self.semantics == ANTI_MONOTONE:
             return flow_reverse_anti(self.driving, s, t, z, self.tol)
-        if s == t:
-            z = as_points(z)
-            return np.zeros(z.shape, dtype=complex) if isinstance(z, np.ndarray) else 0.0 + 0.0j
-        return _free_r_value(self.driving, s, t, z, self.tol)
+        d, w = self.driving, 1.0 / as_points(z)
+        return sum((d.integral(lo, hi, w) for lo, hi, _ in _segments(d, s, t)), 0.0 * w)
 
     __call__ = eval
 
@@ -175,14 +133,10 @@ def sle_driving(kappa: float, dt: float, horizon: float, seed: int) -> AtomPath:
 
 
 def _driver_value(d: Driving, q: float) -> float:
-    if isinstance(d, AtomPath):
-        return d.u(q)
-    if isinstance(d, MeasurePath):
-        m = d.measure_at(q)
-        if not hasattr(m, "location"):
-            raise ValidationError("chain approximation needs point-mass driving")
-        return m.location
-    raise ValidationError("chain approximation needs a point-mass driving family")
+    line = getattr(d.piece(q, q), "line", None)
+    if line is None:
+        raise ValidationError("chain approximation needs a point-mass driving family")
+    return line[1] + line[2] * (q - line[0])  # U(q) = u_j + slope (q - t_j)
 
 
 def chain_approximation(d: Driving, dt: float, K: int, shift: str = "left") -> AnalyticMap:

@@ -17,7 +17,9 @@ piece holding ``[lo, hi]``, continuously extended to both ends.  So the left
 piece holds up to and including a segment's end, the next piece is never
 sampled, and solvers do no driver lookup while stepping.  A piece takes
 scalar ``t`` and ``z``, or ndarrays of the same shape.  A point-mass piece,
-``U(t) = u_j + slope (t - t_j)``, carries ``line = (t_j, u_j, slope)``.
+``U(t) = u_j + slope (t - t_j)``, carries ``line = (t_j, u_j, slope)``.  Every
+driver also has ``integral(lo, hi, w)``, the exact ``int_lo^hi G_{nu_tau}(w) dtau``
+on the piece holding ``[lo, hi]`` (the free R-transform).
 
 Point-mass pieces.  A resting piece (``nu = delta_u``) is autonomous: its flow is
 the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+ 2 dt)`` reverse and forward
@@ -123,6 +125,14 @@ class AtomPath:
         g.line = tj, uj, slope
         return g
 
+    def integral(self, lo: float, hi: float, w):
+        g = self.piece(lo, hi)
+        tj, uj, slope = g.line
+        if slope == 0.0:
+            return (hi - lo) * g(lo, w)
+        # integral of 1/(w - U(tau)); Im w != 0 keeps U off the log's branch cut
+        return (np.log(w - (uj + slope * (lo - tj))) - np.log(w - (uj + slope * (hi - tj)))) / slope
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurePath:
@@ -170,6 +180,9 @@ class MeasurePath:
         g.line = self._lines[k]
         return g
 
+    def integral(self, lo: float, hi: float, w):
+        return (hi - lo) * self._maps[self._index(0.5 * (lo + hi))].fn(w)
+
 
 @dataclass(frozen=True)
 class SemicircleFamily:
@@ -195,6 +208,18 @@ class SemicircleFamily:
 
     def piece(self, lo: float, hi: float):
         return self.cauchy
+
+    def integral(self, lo: float, hi: float, w):
+        """Closed form: ``w log(w + S) - S`` is an antiderivative, ``S_tau = sqrt(w**2 - 4 tau)``.
+        Its difference is ``w log1p(x) - d`` with ``d = S_hi - S_lo = -4 (hi - lo)/(S_hi + S_lo)``
+        and ``x = d/(w + S_lo)``, free of cancellation for short spans and near the axis."""
+        s_lo, s_hi = (halfplane_sqrt(w, 2.0 * math.sqrt(t)) for t in (lo, hi))
+        d = -4.0 * (hi - lo) / (s_hi + s_lo)
+        x = d / (w + s_lo)
+        u = 1.0 + x
+        with np.errstate(invalid="ignore"):  # Kahan's log1p; numpy's loses digits at small x
+            out = w * np.where(u == 1.0, x, np.log(u) * x / (u - 1.0)) - d
+        return out if isinstance(out, np.ndarray) and out.ndim else complex(out)
 
 
 Driving = AtomPath | MeasurePath | SemicircleFamily
@@ -245,16 +270,30 @@ def driving_to_dict(d: Driving) -> dict:
     raise ValidationError(f"not a driving family: {d!r}")
 
 
+def _field(obj: dict, key: str, convert, what: str = "a list of numbers"):
+    """Field ``key`` of a driver description through ``convert``, or ``ValidationError``."""
+    try:
+        return convert(obj[key])
+    except (KeyError, TypeError, ValueError):
+        problem = f"expected {what}" if key in obj else "missing"
+        raise ValidationError(f"driver.{key}: {problem}") from None
+
+
 def driving_from_dict(obj: dict) -> Driving:
-    kind = obj.get("kind")
+    """Inverse of :func:`driving_to_dict`; an unknown kind and a missing or
+    malformed field raise ``ValidationError`` naming the field."""
+    if not isinstance(obj, dict):
+        raise ValidationError("driver: expected a mapping")
+    kind, array = obj.get("kind"), lambda v: np.asarray(v, dtype=float)
     if kind == "atom-path":
-        return AtomPath(np.asarray(obj["times"], float), np.asarray(obj["values"], float))
+        return AtomPath(_field(obj, "times", array), _field(obj, "values", array))
     if kind == "measure-path":
-        return MeasurePath(tuple(obj["breakpoints"]),
-                           tuple(measure_from_dict(m) for m in obj["measures"]))
+        return MeasurePath(_field(obj, "breakpoints", lambda v: tuple(map(float, array(v)))),
+                           tuple(map(measure_from_dict,
+                                     _field(obj, "measures", list, "a list of measures"))))
     if kind == "semicircle-family":
         return SemicircleFamily()
-    raise ValidationError(f"unknown driving kind {kind!r}")
+    raise ValidationError(f"driver.kind: unknown driving kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ as one lane, so its value is bit for bit that of the same point in an array.
 A one-lane call costs about 0.2-0.3 ms (R-transform or subordination),
 against 0.02-0.03 ms for the scalar loops these replaced, on a 2-core x86
 host with numpy 2.4; a 4002-point subordination grid costs about 10 ms.
-:func:`pointwise` maps a per-point algorithm over an array; it remains for
-the ``Empirical`` log-sum and the adaptive-quadrature free R-transform of a
-``SemicircleFamily``.  ``Empirical`` stays per point: for 4002 points on a
-2001-node grid a dense M x N log-sum took 1.03 s, and 256-row chunks 0.83 s,
-against 0.48 s.  :func:`invert_stieltjes` evaluates its whole grid, at both
-heights, in one call of ``g.fn``.
+:func:`pointwise` maps a per-point algorithm over an array, now only for the
+``Empirical`` log-sum, which stays per point: for 4002 points on a 2001-node
+grid a dense M x N log-sum took 1.03 s, and 256-row chunks 0.83 s, against
+0.48 s.  :func:`invert_stieltjes` evaluates its whole grid, at both heights,
+in one call of ``g.fn``.
 """
 
 from __future__ import annotations

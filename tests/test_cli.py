@@ -270,6 +270,12 @@ class TestExitCodes:
         ["flow", "--driver", "line:1", "--z", "1i", "--T", "1"],
         ["flow", "--driver", "const:x", "--z", "1i", "--T", "1"],
         ["flow", "--driver", "sle:a", "--z", "1i", "--T", "1"],
+        ["flow", "--driver", '{"kind":"measure-path","breakpoints":0,'
+         '"measures":[{"kind":"dirac","location":0}]}', "--z", "2i", "--T", "1"],
+        ["flow", "--driver", '{"kind":"measure-path","breakpoints":[0],"measures":5}',
+         "--z", "2i", "--T", "1"],
+        ["flow", "--driver", '{"kind":"atom-path","times":[0,1],"values":["x",2]}',
+         "--z", "2i", "--T", "1"],
         ["selftest", "--criteria", "bogus"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,7 +25,8 @@ from loewner import (
     sle_driving,
 )
 from loewner.errors import QuadratureFailureError, ValidationError
-from loewner.evolution import _adaptive_simpson
+from loewner.acceptance import _adaptive_simpson
+from loewner.measures import mean_variance
 from loewner.transforms import AnalyticMap, invert_stieltjes
 
 from conftest import root_upper
@@ -185,6 +187,59 @@ class TestFreeFamily:
         for s, t in ((0.0, 1.0), (0.25, 0.75)):
             w = -0.001j
             assert abs(fam(s, t, w) / w - (t - s)) < 0.01 * (t - s)
+
+
+def semicircle_integral_oracle(lo, hi, w):
+    """``Phi(hi) - Phi(lo)`` at 50 digits, ``Phi(tau) = w log(w + S_tau) - S_tau``."""
+    with mp.workdps(50):
+        w = mp.mpc(w)
+
+        def phi(tau):
+            r = 2 * mp.sqrt(mp.mpf(tau))
+            s = mp.sqrt(w - r) * mp.sqrt(w + r)  # the half-plane branch, as in the library
+            return w * mp.log(w + s) - s
+
+        return complex(phi(hi) - phi(lo))
+
+
+# the first three made the adaptive quadrature of R_{0,1} and R_{0,3} exceed its depth
+SC_PROBES = (0.5 + 1e-9j, 1 + 1e-12j, -2.7985 + 2.57e-6j, 0.4j, 3 + 1j, -1 + 1e-6j, 2.5 + 0.3j)
+SC_SPANS = ((0.0, 1.0), (0.0, 3.0), (0.2, 0.21), (0.5, 0.5 + 1e-12), (1e-12, 2e-12), (2.9, 3.0))
+
+
+class TestSemicircleFamilyIntegral:
+    @pytest.mark.parametrize("lo, hi", SC_SPANS)
+    def test_matches_mpmath(self, lo, hi):
+        d = SemicircleFamily()
+        for z in SC_PROBES:
+            for w in (1.0 / z, 1.0 / z.conjugate()):  # both half-planes
+                got = d.integral(lo, hi, w)
+                assert type(got) is complex
+                want = semicircle_integral_oracle(lo, hi, w)
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_family_values_near_the_axis(self):
+        fam = free_family(SemicircleFamily())
+        for z in SC_PROBES:
+            for t in (1.0, 3.0):
+                want = semicircle_integral_oracle(0.0, t, 1.0 / z)
+                assert abs(fam(0.0, t, z) - want) <= 1e-13 * abs(want)
+
+    def test_array_input(self):
+        d = SemicircleFamily()
+        w = 1.0 / np.array(SC_PROBES * 2).reshape(2, -1)
+        for lo, hi in SC_SPANS:
+            got = d.integral(lo, hi, w)
+            assert got.shape == w.shape
+            for g, v in zip(got.flat, w.flat):
+                want = semicircle_integral_oracle(lo, hi, v)
+                assert abs(g - want) <= 1e-13 * abs(want)
+                assert abs(g - d.integral(lo, hi, complex(v))) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("n, eps", [(301, 1e-2), (601, 1e-3)])
+    def test_measure_on_grids_the_quadrature_failed(self, n, eps):
+        rec = free_family(SemicircleFamily()).measure(0.0, 1.0, np.linspace(-3.0, 3.0, n), eps)
+        assert abs(mean_variance(rec)[1] - 1.0) < 1e-3
 
 
 class TestNormality:

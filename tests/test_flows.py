@@ -332,6 +332,20 @@ class TestDrivers:
         with pytest.raises(ValidationError):
             driving_from_dict({"kind": "brownian-sheet"})
 
+    @pytest.mark.parametrize("obj, field", [
+        ([], "driver"),
+        ({"kind": "atom-path"}, "times"),
+        ({"kind": "atom-path", "times": "ab", "values": [0.0, 1.0]}, "times"),
+        ({"kind": "atom-path", "times": [0.0, 1.0], "values": ["x", 2]}, "values"),
+        ({"kind": "measure-path", "breakpoints": [0.0]}, "measures"),
+        ({"kind": "measure-path", "breakpoints": 0,
+          "measures": [{"kind": "dirac", "location": 0.0}]}, "breakpoints"),
+    ], ids=["not-a-mapping", "no-times", "times-string", "values-not-numeric",
+            "no-measures", "breakpoints-number"])
+    def test_malformed_description_names_the_field(self, obj, field):
+        with pytest.raises(ValidationError, match=field):
+            driving_from_dict(obj)
+
 
 LANE_DRIVERS = [
     MeasurePath((0.0, 0.3, 0.6), (Dirac(0.5), Semicircle(0.7, 0.2), Arcsine(1.1, -0.3))),
@@ -493,6 +507,29 @@ class TestOracles:
         assert abs(w.a - (u - math.sqrt(2.0 * big_t))) < 1e-11
         assert abs(w.b - (u + math.sqrt(2.0 * big_t))) < 1e-11
         assert max(abs(hx - (2.0 * u - x)) for x, hx in w.pairs) < 1e-11
+
+    def test_semicircle_forward_is_joukowski(self, monkeypatch):
+        # over the semicircle family g_t(z) = z + t/z, so Im g_t = y (1 - t/|z|**2) and
+        # a point dies at |z|**2 (1 - EPS_SWALLOW/y); no piece rests, so the crossing
+        # is found by the event bisection
+        d, big_t = SemicircleFamily(), 1.0
+        for z in (2j, 1 + 1j, -1.5 + 0.5j, 0.3 + 1.2j):
+            fp = flow_forward(d, z, big_t)
+            assert fp.alive and abs(fp.value - (z + big_t / z)) < 1e-12 * abs(fp.value)
+        calls = [0]
+        integrate = flows._integrate
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "_integrate", counting)
+        swallowed = (0.5j, 0.3 + 0.4j, -0.6 + 0.6j, 0.2 + 0.9j, 0.9 + 0.05j)
+        for z in swallowed:
+            fp = flow_forward(d, z, big_t)
+            want = abs(z) ** 2 * (1.0 - flows.EPS_SWALLOW / z.imag)
+            assert not fp.alive and abs(fp.lifetime - want) < flows.LIFETIME_TOL
+        assert calls[0] > 2 * len(swallowed)  # one solve per point, the rest are probes
 
     def test_dirac_path_is_its_chain(self, rng):
         # every piece rests, so the reverse flow composes the chain's exact maps
