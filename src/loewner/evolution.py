@@ -72,7 +72,10 @@ class EvolutionFamily:
             return flow_reverse(self.driving, s, t, z, self.tol)
         if self.semantics == ANTI_MONOTONE:
             return flow_reverse_anti(self.driving, s, t, z, self.tol)
-        d, w = self.driving, 1.0 / as_points(z)
+        z = as_points(z)
+        if np.any(z == 0):
+            raise ValidationError("free evolution needs z != 0 (it runs in w = 1/z)")
+        d, w = self.driving, 1.0 / z
         return sum((d.integral(lo, hi, w) for lo, hi, _ in _segments(d, s, t)), 0.0 * w)
 
     __call__ = eval

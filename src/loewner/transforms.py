@@ -23,11 +23,20 @@ as one lane, so its value is bit for bit that of the same point in an array.
 A one-lane call costs about 0.2-0.3 ms (R-transform or subordination),
 against 0.02-0.03 ms for the scalar loops these replaced, on a 2-core x86
 host with numpy 2.4; a 4002-point subordination grid costs about 10 ms.
-:func:`pointwise` maps a per-point algorithm over an array, now only for the
-``Empirical`` log-sum, which stays per point: for 4002 points on a 2001-node
-grid a dense M x N log-sum took 1.03 s, and 256-row chunks 0.83 s, against
-0.48 s.  :func:`invert_stieltjes` evaluates its whole grid, at both heights,
-in one call of ``g.fn``.
+The ``Empirical`` log-sum splits an array into rows: maximal runs of
+consecutive points of one height whose real parts step by the density grid's
+spacing.  On a row ``z_j - x_k`` depends only on ``j - k``, so its sums over
+the nodes are two direct convolutions of ``N + M - 1`` logs, not ``N * M``.
+A run of one point, and every scalar, takes the per-point log-sum.  So a row
+point's value depends on its neighbours: it agrees with the per-point value
+within ``1e-13 * max(1, |G|)`` (measured: 8e-15), and both lie within 1e-14 of
+a 40-digit log-sum.  A density that jumps by its own size from node to node
+carries about 5e-13 of round-off on either path.  Points that form no row keep
+their scalar bits.  :func:`invert_stieltjes` evaluates its whole grid, at
+both heights, in one call of ``g.fn``: two rows.  On a 2001-node grid that
+takes about 9 ms, against 0.46 s point by point; at 20001 nodes a row takes
+about 1.1 s, against 29 s (2 cores, numpy 2.4).  :func:`pointwise` lifts a
+scalar-only map to arrays; no map the library builds uses it.
 """
 
 from __future__ import annotations
@@ -134,11 +143,16 @@ def _empirical_cauchy_fn(m: Empirical):
 
     xs = m.grid()
     rho = np.asarray(m.values, dtype=float)
+    n = rho.size
     h = xs[1] - xs[0]
     slopes = np.diff(rho) / h
     edge = rho[-1] - rho[0]
+    # Rows step by the exact spacing: xs[1] - xs[0] is off by ulp(a)/h relative,
+    # which a long row would accumulate.
+    step = (m.b - m.a) / (n - 1)
+    scale = max(abs(m.a), abs(m.b))
 
-    def fn(z: complex) -> complex:
+    def point(z: complex) -> complex:
         # exact integral of the piecewise-linear density against 1/(z - x)
         logs = np.log(z - xs)
         seg = logs[:-1] - logs[1:]
@@ -146,7 +160,53 @@ def _empirical_cauchy_fn(m: Empirical):
         out += sum(w / (z - x) for x, w in atoms)
         return out
 
-    return pointwise(fn)
+    def row(z):
+        # The same sum on z_j = c + j*step + iy.  There z_j - x_k = d[j - k + n - 1],
+        # so both sums over k are convolutions of n + len(z) - 1 logs.
+        count = z.size
+        d = (z[0].real - m.a) + step * np.arange(1 - n, count) + 1j * z[0].imag
+        logs = np.log(d)
+        seg = logs[1:] - logs[:-1]
+        out = np.convolve(seg, rho[:-1], "valid") + np.convolve(d[1:] * seg, slopes, "valid")
+        # The density jumps to 0 at the end nodes, so G ~ rho log(z - x) there, and
+        # d's rounding would cost rho |delta d| / |z - x|: take those logs from z.
+        out += (rho[0] + slopes[0] * d[n - 1:]) * (np.log(z - xs[0]) - logs[n - 1:])
+        out -= (rho[-2] + slopes[-1] * d[1:count + 1]) * (np.log(z - xs[-1]) - logs[:count])
+        return out - edge + sum(w / (z - x) for x, w in atoms)
+
+    def fn(z):
+        z = as_points(z)
+        if not isinstance(z, np.ndarray):
+            return point(z)
+        zs = z.ravel()
+        out = np.empty(zs.size, dtype=complex)
+        for lo, hi in _rows(zs, step, scale):
+            out[lo:hi] = point(complex(zs[lo])) if hi - lo == 1 else row(zs[lo:hi])
+        return out.reshape(z.shape)
+
+    return fn
+
+
+def _rows(zs, step: float, scale: float):
+    """Maximal runs ``[lo, hi)`` of ``zs`` on one row ``c + j*step + iy``.
+
+    A run shares its ``Im z`` exactly, and each real part lies within
+    ``4 eps max(scale, |Re z|)`` of the affine row through the run's first
+    point, so rounding cannot accumulate along it.  Linspace nodes carry
+    rounding of about ``ulp(max(|a|, |b|))`` even near 0: ``scale``.
+    """
+    tol = 4.0 * np.finfo(float).eps * np.maximum(scale, np.abs(zs.real))
+    near = (zs.imag[1:] == zs.imag[:-1]) & (np.abs(np.diff(zs.real) - step) <= tol[1:] + tol[:-1])
+    starts = np.flatnonzero(np.concatenate([[True], ~near]))
+    for lo, end in zip(starts.tolist(), starts[1:].tolist() + [zs.size]):
+        while end - lo > 1:
+            off = np.abs(zs.real[lo:end] - (zs.real[lo] + step * np.arange(end - lo)))
+            bad = np.flatnonzero(off > tol[lo:end])
+            hi = lo + int(bad[0]) if bad.size else end
+            yield lo, hi
+            lo = hi
+        if lo < end:
+            yield lo, end
 
 
 def cauchy(m: Measure) -> AnalyticMap:
@@ -155,7 +215,8 @@ def cauchy(m: Measure) -> AnalyticMap:
     Closed forms: ``1/(z - a)`` for a point mass, ``2/(z + sqrt(z^2 - 4v))``
     for the semicircle law, ``1/sqrt(z^2 - 2v)`` for the arcsine law (each
     recentered when the family carries a center).  Empirical measures use the
-    exact per-segment antiderivative of the gridded density.
+    exact per-segment antiderivative of the gridded density: per point, or as
+    two convolutions on each row of an array (see the module docstring).
     """
     mean, var = mean_variance(m)
     if isinstance(m, Dirac):

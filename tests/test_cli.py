@@ -284,6 +284,13 @@ class TestExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_free_family_at_zero(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run(["family", "--driver", "const:0", "--semantics", "free", "--s", "0",
+                    "--t", "1", "--z", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestNegativeCounts:
     @pytest.mark.parametrize("argv", [

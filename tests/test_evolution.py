@@ -188,6 +188,12 @@ class TestFreeFamily:
             w = -0.001j
             assert abs(fam(s, t, w) / w - (t - s)) < 0.01 * (t - s)
 
+    @pytest.mark.parametrize("z", [0j, np.array([1j, 0.0, 2 + 1j])], ids=["scalar", "array"])
+    def test_zero_is_rejected(self, z):
+        # the free family runs in w = 1/z: no value at z = 0, not inf
+        with pytest.raises(ValidationError, match="z != 0"):
+            free_family(D0)(0.0, 1.0, z)
+
 
 def semicircle_integral_oracle(lo, hi, w):
     """``Phi(hi) - Phi(lo)`` at 50 digits, ``Phi(tau) = w log(w + S_tau) - S_tau``."""

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -369,3 +370,122 @@ class TestArrayContract:
         lifted = pointwise(lambda z: complex(z).conjugate())
         assert lifted(1 + 2j) == 1 - 2j
         assert np.array_equal(lifted(np.array([1j, 2 + 0j])), np.array([-1j, 2 + 0j]))
+
+
+def bumpy_empirical(seed, n_atoms, a=-2.0, b=3.0, n=401):
+    """Random mixture of three bumps on a floor (so the density does not vanish at
+    ``a`` or ``b``), plus ``n_atoms`` random atoms of mass 0.1."""
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(a, b, n)
+    rho = 0.2 + sum(rng.uniform(0.2, 1.0)
+                    * np.exp(-0.5 * ((xs - rng.uniform(a, b)) / rng.uniform(0.2, 0.8)) ** 2)
+                    for _ in range(3))
+    atoms = tuple((rng.uniform(a, b), 0.1) for _ in range(n_atoms))
+    rho *= (1.0 - 0.1 * n_atoms) / np.trapezoid(rho, xs)
+    return Empirical(atoms=atoms, a=a, b=b, values=rho)
+
+
+def grid_row(m, offset, y, count):
+    """``count`` points ``c + j*step + iy`` spaced like ``m``'s density grid,
+    starting ``offset`` grid steps from ``a``."""
+    step = (m.b - m.a) / (len(m.values) - 1)
+    return (m.a + offset * step) + step * np.arange(count) + 1j * y
+
+
+def mp_log_sum(m, z):
+    """The Cauchy transform of ``m`` at 40 digits: the exact integral of the linear
+    interpolant through the grid nodes, plus the atoms."""
+    with mp.workdps(40):
+        z = mp.mpc(complex(z))
+        xs = [mp.mpf(float(x)) for x in m.grid()]
+        rho = [mp.mpf(float(r)) for r in m.values]
+        out = sum(mp.mpf(w) / (z - mp.mpf(x)) for x, w in m.atoms)
+        for k in range(len(xs) - 1):
+            slope = (rho[k + 1] - rho[k]) / (xs[k + 1] - xs[k])
+            out += (rho[k] + slope * (z - xs[k])) * (mp.log(z - xs[k]) - mp.log(z - xs[k + 1]))
+            out -= rho[k + 1] - rho[k]
+        return complex(out)
+
+
+@pytest.fixture
+def log_calls(monkeypatch):
+    """Counts calls of ``np.log`` while the test runs."""
+    calls = [0]
+    real = np.log
+
+    def counting(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(np, "log", counting)
+    return calls
+
+
+class TestEmpiricalRows:
+    """Points in a row of constant height spaced like the density grid are
+    evaluated by convolution; every other point by the per-point log-sum."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n_atoms", [0, 2])
+    def test_rows_match_per_point(self, seed, n_atoms):
+        m = bumpy_empirical(seed, n_atoms)
+        g = cauchy(m)
+        for y in (1e-2, 1e-4, 1e-6, 1e-8, -1e-3):
+            # on the nodes, a hair off them, between them, left of a
+            for offset in (0.0, 3e-13, 0.37, -40.0):
+                zs = grid_row(m, offset, y, len(m.values) + 80)  # and right of b
+                want = np.array([g(complex(z)) for z in zs])
+                err = np.abs(g(zs) - want) / np.maximum(1.0, np.abs(want))
+                assert float(np.max(err)) <= 1e-13, (y, offset)
+
+    def test_rows_match_mpmath(self):
+        m = bumpy_empirical(3, 2)
+        g = cauchy(m)
+        for y, offset in ((1e-8, 0.0), (1e-8, 3e-13), (1e-2, 0.37), (1e-6, -40.0)):
+            zs = grid_row(m, offset, y, len(m.values) + 80)
+            got = g(zs)
+            for j in (0, 40, 173, 400, 440, 470):  # the ends a and b: 0 and 400, or 40 and 440
+                assert abs(got[j] - mp_log_sum(m, zs[j])) <= 1e-14, (y, offset, j)
+
+    def test_points_off_rows_keep_scalar_bits(self, rng):
+        m = bumpy_empirical(4, 2)
+        g = cauchy(m)
+        xs = m.grid()
+        perm = rng.permutation(xs.size)
+        while np.any(np.diff(perm) == 1):  # two grid neighbours in order would form a row
+            perm = rng.permutation(xs.size)
+        for zs in (xs[::-1] + 1e-3j,  # steps by -h
+                   xs[::2] + 1e-3j,  # steps by 2h
+                   xs[perm] + 1e-3j,
+                   xs + np.where(np.arange(xs.size) % 2, 1e-3j, 2e-3j),
+                   rng.uniform(-3.0, 4.0, 50) - 1j * rng.uniform(1e-6, 1.0, 50),
+                   ARRAY_Z):
+            assert np.array_equal(g(zs), np.array([g(complex(z)) for z in zs]))
+
+    @pytest.mark.parametrize("m", [gaussian_empirical(),
+                                   gaussian_empirical(mass=0.6, atoms=((2.0, 0.4),))],
+                             ids=["density", "with-atom"])
+    def test_inversion_takes_logs_per_row(self, m, log_calls):
+        g = cauchy(m)
+        scalar = [0]
+
+        def counted(z):
+            scalar[0] += not isinstance(z, np.ndarray)
+            return g.fn(z)
+
+        xs = m.grid()
+        invert_stieltjes(AnalyticMap("cauchy", counted), xs, float(xs[1] - xs[0]))
+        # a row of the 2 x 2001 grid takes 3 log calls; atom refinement is scalar
+        assert scalar[0] < 200
+        assert log_calls[0] <= 2 * 3 + scalar[0]
+
+    def test_long_row(self, log_calls):
+        m = gaussian_empirical(n=20001)
+        g = cauchy(m)
+        xs = m.grid()
+        zs = xs + 1j * (xs[1] - xs[0])
+        got = g(zs)
+        assert log_calls[0] <= 3  # one row
+        for j in range(0, xs.size, 1999):
+            want = g(complex(zs[j]))
+            assert abs(got[j] - want) <= 1e-13 * max(1.0, abs(want))
