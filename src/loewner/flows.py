@@ -27,13 +27,16 @@ the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+ 2 dt)`` reverse and forward
 and the crossing of a point the piece swallows is closed-form too.  The pole of
 ``G = 1/(z - U)`` sits on the driver, where the hull grows; in ``q = (g - U)**2``,
 ``dq/dt = 2 - 2 U' sqrt(q)`` (root with Im >= 0) is regular (Kennedy 2007), so
-``q`` is used only from the driver: the trace tip and welding shots.  Everything
-else runs in ``g``.  Swallowing means ``Im g <= EPS_SWALLOW``.
+``q`` is used only from the driver: the trace tip and welding shots.  A welding
+shot is real, ``s = sqrt(q)`` with ``ds/dt = 1/s - U'`` on each side, and every
+piece maps it exactly (one scalar implicit equation); the trace tip integrates
+``q`` on sloped pieces only.  Everything else runs in ``g``.  Swallowing means
+``Im g <= EPS_SWALLOW``.
 
 Two kernels.  :func:`_integrate` steps one complex scalar; every single-point
 or event-driven caller uses it (:func:`flow_forward`, :func:`inverse_map`,
-:func:`trace`, :func:`welding`, and through them the Burgers residual and the
-CLI ``flow`` and ``family`` lines).  :func:`_integrate_lanes` is its lane-wise
+:func:`trace`, and through them the Burgers residual and the CLI ``flow`` and
+``family`` lines).  :func:`_integrate_lanes` is its lane-wise
 transcription: an ndarray of starts advances together, each lane with its own
 ``t``, ``h`` and status.  :func:`flow_reverse` and :func:`flow_reverse_anti`
 pick the kernel by the shape of ``z``, so a whole grid of starts (Stieltjes
@@ -617,7 +620,9 @@ def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> Hull
     """Hull trace ``gamma(t) = f_t(U(t)) = U(0) + sqrt(q)`` for a point-mass driver.
 
     The tip solve runs the inverse equation in ``q = (w - U)**2`` from ``q = 0``
-    at ``t`` down to time 0; ``err_est`` is its accumulated error estimate.
+    at ``t`` down to time 0; a resting piece lowers ``q`` by twice its length
+    exactly, a sloped one is integrated, and ``err_est`` is the accumulated error
+    estimate of those integrations.
     After a linear piece shorter than ``(10 delta_1)**2`` the inverse map at
     ``U(t) + i delta`` over :data:`TRACE_DELTAS` must also contract (a longer
     piece gives ratio 1/4), or ``TraceUnresolvedError`` is raised.
@@ -638,6 +643,9 @@ def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> Hull
                 raise TraceUnresolvedError(f"trace unresolved at t = {t}")
         q, err_acc = 0j, 0.0
         for lo, hi, g in segs:  # driver time t - sigma, so dU/dsigma = -slope
+            if g.line[2] == 0.0:  # resting: dq/dsigma = -2
+                q -= 2.0 * (hi - lo)
+                continue
             rhs = lambda x, q, slope=g.line[2]: 2.0 * (slope * _root(q) - 1.0)
             status, _, q, err, _ = _integrate(rhs, lo, hi, q, tol)
             if status != "done":
@@ -666,21 +674,76 @@ class Welding:
     pairs: tuple
 
 
-def _shot(d: AtomPath, tau: float, big_t: float, side: float, tol: float) -> float:
+#: 1/k! for k = 18 down to 2: ``expm1(x) - x = x**2 (1/2! + x/3! + ...)``, to within
+#: 2**-55 of itself for |x| < 1
+_EXPM1_TAIL = tuple(1.0 / math.factorial(k) for k in range(18, 1, -1))
+
+
+def _expm1_tail(x: float) -> float:
+    """``expm1(x) - x``, by its series where the difference would cancel (|x| < 1)."""
+    if abs(x) >= 1.0:
+        return math.expm1(x) - x
+    acc = 0.0
+    for c in _EXPM1_TAIL:
+        acc = acc * x + c
+    return acc * x * x
+
+
+def _shot_piece(s: float, a: float, span: float) -> float:
+    """Exact map of ``ds/dt = 1/s - a`` over ``span`` from ``s >= 0``: a welding shot's
+    ``s = sqrt(q)`` on one driver piece, with ``a = side * slope``.
+
+    With ``p = 1 - a s`` and ``L = log(p_1 / p)`` the piece solves
+    ``G(L) = p expm1(L) - L - a**2 span = 0`` (Kager, Nienhuis & Kadanoff 2004), and
+    ``s_1 = s - p expm1(L) / a``; ``s`` never crosses ``1/a``.  ``G' = -a s_1`` and
+    ``G'' = p e**L``, so Newton started where ``G`` and ``G''`` share a sign moves
+    monotonically to the one root on the solution's side, and stops when a step no
+    longer moves it that way: no iteration cap.  Where ``a`` would move ``s`` by less
+    than 2**-60 of itself over the span, the resting map ``sqrt(s**2 + 2 span)`` is
+    returned.
+    """
+    rest = math.sqrt(s * s + 2.0 * span)
+    if abs(a) * span <= 2.0 ** -60 * rest:
+        return rest
+    p, c = 1.0 - a * s, a * a * span
+    # start where G and G'' share a sign; Newton then moves L in the direction `way`
+    if a < 0.0:  # s outruns the resting map by at most -a span: G > 0 there
+        big_l, way = math.log1p(-a * (rest - a * span - s) / p), -1.0
+    elif p > 0.0:  # s rises towards 1/a and lags the resting map; G(-p - c) = p e**L > 0
+        big_l, way = -p - c, 1.0
+        if a * rest < 1.0:
+            big_l = max(big_l, math.log1p(-a * (rest - s) / p))
+    else:  # s falls towards 1/a; G(0) = -c < 0 and G(-p - c) = p e**L < 0
+        big_l, way = min(0.0, -p - c), -1.0
+    while True:
+        em = math.expm1(big_l)
+        nxt = big_l - (_expm1_tail(big_l) - a * s * em - c) / (p * em - a * s)
+        if not way * (nxt - big_l) > 0.0:
+            break
+        big_l = nxt
+    if p < 0.0:  # s - p expm1(L)/a would cancel as s falls to 1/a
+        return (1.0 - p * math.exp(big_l)) / a
+    s1 = s - p * math.expm1(big_l) / a
+    if big_l > 1.0:  # e**L carries L's rounding, |L| eps: one Newton step in s instead
+        x = -a * (s1 - s)
+        s1 -= (x - math.log1p(x / p) - c) / (-a * (1.0 - 1.0 / (p + x)))
+    return s1
+
+
+def _shot(d: AtomPath, tau: float, big_t: float, side: float) -> float:
     """``g_T`` of the left (``side = -1``) or right (+1) edge of the slit point born at
-    ``tau``: ``dq/dt = 2 - 2 side U' sqrt(q)`` from ``q(tau) = 0``, real.  A shot that
+    ``tau``: ``s = sqrt(q) = |g - U|`` with ``dq/dt = 2 - 2 side U' sqrt(q)`` from
+    ``q(tau) = 0``, mapped exactly piece by piece (:func:`_shot_piece`).  A shot that
     comes back within :data:`EPS_SWALLOW` of the driver means the hull is not a slit."""
-    # q grows like 2 (t - tau) from its birth; below EPS_SWALLOW**2 afterwards it is back
-    returned = lambda t, q: q.real - min(EPS_SWALLOW ** 2, t - tau)
-    q = 0.0
+    s = 0.0
     for lo, hi, g in _segments(d, tau, big_t):
-        c = 2.0 * side * g.line[2]
-        status, _, q, _, _ = _integrate(lambda t, q: 2.0 - c * math.sqrt(max(q.real, 0.0)),
-                                        lo, hi, q, tol, returned)
-        if status != "done":
+        s = _shot_piece(s, side * g.line[2], hi - lo)
+        # q grows like 2 (t - tau) from its birth; below EPS_SWALLOW**2 afterwards it is
+        # back.  s is monotone on a piece, so the piece's end decides.
+        if s * s < min(EPS_SWALLOW ** 2, hi - tau):
             raise NotASlitError("not a slit: lifetime gap inside the welding interval "
                                 f"(the shot from t = {tau} returns to the driver)")
-    return d.u(big_t) + side * math.sqrt(max(q.real, 0.0))
+    return d.u(big_t) + side * s
 
 
 def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TOL) -> Welding:
@@ -689,9 +752,11 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     The slit point born at ``tau`` has the welded preimages ``x_-(tau) < u <
     x_+(tau) = h(x_-(tau))`` (:func:`_shot`); ``a`` and ``b`` are those of ``tau = 0``,
     ``u = U(T)``.  A table of shots brackets the ``tau`` of each ``x``, the Illinois
-    secant refines it, and ``h(x)`` is shot from there.  A shot that returns to the
-    driver, or ``x_-`` not increasing or ``x_+`` not decreasing, is ``NotASlitError``;
-    if every reversal is within ``tol max(1, |x|)``, the welding is unresolved instead.
+    secant refines it, and ``h(x)`` is shot from there.  Shots are exact per driver
+    piece and take no integration step.  A shot that returns to the driver, or ``x_-``
+    not increasing or ``x_+`` not decreasing, is ``NotASlitError``; if every reversal
+    is within ``tol max(1, |x|)``, the welding is unresolved instead (``tol`` sets
+    only this threshold).
     """
     if not isinstance(d, AtomPath):
         raise ValidationError("welding needs an AtomPath driver")
@@ -704,7 +769,7 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     birth = lambda s: max(big_t - s * s, 0.0)
     ss = np.linspace(0.0, math.sqrt(big_t), 9).tolist()
     taus = [birth(s) for s in ss[:-1]] + [0.0]
-    lefts, rights = ([_shot(d, tau, big_t, side, tol) for tau in taus] for side in (-1.0, 1.0))
+    lefts, rights = ([_shot(d, tau, big_t, side) for tau in taus] for side in (-1.0, 1.0))
     # table neighbours moving the wrong way (x_- must fall, x_+ rise as tau falls)
     wrong = [(abs(x1 - x0), x0, t0) for side, xs in ((-1.0, lefts), (1.0, rights))
              for x0, x1, t0 in zip(xs, xs[1:], taus) if side * (x1 - x0) <= 0.0]
@@ -718,7 +783,7 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     pairs = []  # at x spaced evenly over (a, u), 2% of it away from each end
     for x in np.linspace(a + 0.02 * (u - a), u - 0.02 * (u - a), npairs).tolist():
         k = next(i for i in range(len(ss) - 1) if lefts[i + 1] <= x)
-        s = _illinois(lambda s: _shot(d, birth(s), big_t, -1.0, tol) - x, ss[k], ss[k + 1],
+        s = _illinois(lambda s: _shot(d, birth(s), big_t, -1.0) - x, ss[k], ss[k + 1],
                       lefts[k] - x, lefts[k + 1] - x, 1e-15 * ss[-1])
-        pairs.append((x, _shot(d, birth(s), big_t, 1.0, tol)))
+        pairs.append((x, _shot(d, birth(s), big_t, 1.0)))
     return Welding(a=a, b=b, u=u, pairs=tuple(pairs))

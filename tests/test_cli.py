@@ -71,9 +71,9 @@ def readme_command_lines():
 #: A change that moves these bytes updates the digest and names the moved outputs.
 README_SHA256 = {
     "loewner trace --driver const:0 --T 1 --steps 100 --out trace.csv":
-        "7d14745c59a74c930d77e41d7e6deda045733ea1faa6a28127533cca6e1da26b",
+        "81dff051e0b313de233bdd3fe50d3403509395c22363c0cdddaf5b7d4900edfe",
     "loewner welding --driver const:0 --T 1 --pairs 50 --out weld.csv":
-        "98fb62ebce4a4aa48bcac55dc79452667d124f5d8b5e83f8bcb971dc777c7ad8",
+        "870280b4acc40b732491e6a31033d59dc91f2623769fb6f5ee02f7f37bbc2e17",
     'loewner convolve --expr "mono(arcsine:1, arcsine:1)" --probe 2i':
         "daaedad81f42dcec2f75595dbf344f541a43d254b8f6ae297dced27a252bd0fd",
     'loewner convolve --expr "free(sc:1, sc:1)" --grid=-3:3:2001 --eps 1e-4 --out dens.csv':

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewner import (
     Arcsine,
@@ -474,6 +475,55 @@ def forward_oracle(d, z, t):
         return complex(v + d.u(t))
 
 
+def shot_oracle(d, tau, big_t, side):
+    """``U(T) + side s(T)`` of a welding shot, ``ds/dt = 1/s - side U'`` from ``s(tau) = 0``,
+    by ``mpmath.odefun`` at 30 digits.  On the birth piece ``t(s)`` solves
+    ``dt/ds = s/(1 - a s)``, regular at ``s = 0``, and is inverted at the piece's end
+    between the resting map and its shift by ``-a span``; later pieces solve in ``t``."""
+    with mp.workdps(30):
+        edges = [tau] + [k for k in d.knots if tau < k < big_t] + [big_t]
+        a, span = side * line_of(d, edges[0], edges[1]), edges[1] - tau
+        t_of = mp.odefun(lambda s, t: s / (1 - a * s), 0, mp.mpf(tau))
+        rest = mp.sqrt(2 * mp.mpf(span))
+        s = mp.findroot(lambda s: t_of(s) - edges[1], sorted([rest, rest - a * span]),
+                        solver="anderson")
+        for lo, hi in zip(edges[1:], edges[2:]):
+            a = side * line_of(d, lo, hi)
+            s = mp.odefun(lambda t, s: 1 / s - a, lo, s)(hi)
+        return float(d.u(big_t) + side * s)
+
+
+def shot_piece_oracle(s0, a, span):
+    """``s_1`` of ``ds/dt = 1/s - a`` over ``span`` from ``s0``: bisection on the time
+    ``(p_1 - p_0 - log(p_1/p_0))/a**2`` (``p = 1 - a s``) that carrying ``s0`` to ``s_1``
+    takes; ``s`` runs between ``s0`` and the fixed point ``1/a``.  The numerator is about
+    ``a**2`` of its terms, so the working precision grows with ``log(1/|a|)``."""
+    with mp.workdps(40 + 2 * max(0, -math.floor(math.log10(abs(a)))) if a else 40):
+        s0, a, span = mp.mpf(s0), mp.mpf(a), mp.mpf(span)
+        p0 = 1 - a * s0
+        if a == 0 or p0 == 0:
+            return mp.sqrt(s0 ** 2 + 2 * span) if a == 0 else s0
+        rest = mp.sqrt(s0 ** 2 + 2 * span)
+        if a < 0:
+            lo, hi = s0, rest - a * span
+        else:
+            lo, hi = (s0, min(rest, 1 / a)) if p0 > 0 else (1 / a, s0)
+        falling = a > 0 and p0 < 0
+        for _ in range(120):  # 2**-120 of the bracket is far below an ulp of s_1
+            mid = (lo + hi) / 2
+            p1 = 1 - a * mid
+            took = (p1 - p0 - mp.log(p1 / p0)) / a ** 2 if p1 / p0 > 0 else mp.inf
+            if (took < span) != falling:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+#: three sloped pieces; on each, a s of the shots below stays under 1, where dt/ds is regular
+THREE_PIECES = AtomPath([0.0, 0.3, 0.6, 1.0], [0.0, 0.25, -0.2, 0.1])
+
+
 #: a resting piece, then a sloped one
 REST_THEN_SLOPE = AtomPath([0.0, 0.5, 1.0], [0.0, 0.0, 0.75])
 
@@ -500,6 +550,19 @@ class TestOracles:
         z = 0.3 + 1.2j
         fp = flow_forward(REST_THEN_SLOPE, z, 1.0)
         assert fp.alive and abs(fp.value - forward_oracle(REST_THEN_SLOPE, z, 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("tau", [0.0, 0.45])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_shot_over_three_pieces(self, tau, side):
+        got = flows._shot(THREE_PIECES, tau, 1.0, side)
+        assert abs(got - shot_oracle(THREE_PIECES, tau, 1.0, side)) < 1e-13
+
+    @pytest.mark.parametrize("u", [0.0, 0.7])
+    def test_resting_shots_are_closed_form(self, u):
+        d = AtomPath([0.0, 2.0], [u, u])
+        for tau in (0.0, 0.3, 0.999):
+            for side in (-1.0, 1.0):
+                assert flows._shot(d, tau, 1.0, side) == u + side * math.sqrt(2.0 * (1.0 - tau))
 
     @pytest.mark.parametrize("u, big_t", [(0.0, 1.0), (0.7, 0.5)])
     def test_welding_of_a_resting_driver(self, u, big_t):
@@ -619,6 +682,62 @@ class TestRestingPieces:
         assert steps == 0
         assert w == pytest.approx(const_map(0.0, 1.0)(0.3 + 1e-3j), rel=1e-15)
 
+    def test_trace_tip_integrates_nothing(self, monkeypatch):
+        times = [0.0, 0.25, 0.5, 1.0]
+        d = AtomPath([0.0, 2.0], [0.3, 0.3])
+        steps, tr = count_steps(monkeypatch, lambda: trace(d, times))
+        assert steps == 0
+        assert tr.points == tuple(0.3 + 1j * math.sqrt(2.0 * t) for t in times)
+
+
+SLOPES = st.floats(-1e7, 1e7)
+SPANS = st.floats(1e-14, 1.0)
+PIECE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def piece_starts(draw):
+    """``(s0, a, span)``; half the draws put ``s0`` below ``3/|a|``, so for ``a > 0`` on
+    either side of the fixed point ``1/a``."""
+    a = draw(SLOPES)
+    if a != 0.0 and draw(st.booleans()):
+        s0 = min(draw(st.floats(0.0, 3.0)) / abs(a), 10.0)
+    else:
+        s0 = draw(st.floats(0.0, 10.0))
+    return s0, a, draw(SPANS)
+
+
+class TestShotPiece:
+    """The exact map of a welding shot over one driver piece, ``ds/dt = 1/s - a``."""
+
+    @PIECE_SETTINGS
+    @given(piece_starts())
+    def test_solves_the_implicit_equation(self, start):
+        s0, a, span = start
+        s1 = flows._shot_piece(s0, a, span)
+        # s0's rounding carries to s1 with gain (p_1 s0)/(p_0 s1), about 1 near 1/a
+        assert abs(mp.mpf(s1) - shot_piece_oracle(s0, a, span)) <= 4 * math.ulp(max(s0, s1))
+        with mp.workdps(40):  # s1 stays on s0's side of 1/a, or rounds onto it
+            p0, p1 = 1 - mp.mpf(a) * s0, 1 - mp.mpf(a) * s1
+            assert p0 * p1 >= 0 or abs(p1) <= 2.0 ** -52
+
+    @PIECE_SETTINGS
+    @given(st.floats(0.0, 10.0), SPANS)
+    def test_resting_piece_is_the_closed_form(self, s0, span):
+        assert flows._shot_piece(s0, 0.0, span) == math.sqrt(s0 * s0 + 2.0 * span)
+
+    @PIECE_SETTINGS
+    @given(st.floats(0.0, 10.0), SPANS)
+    def test_continuous_as_the_slope_vanishes(self, s0, span):
+        # d(s - s_rest)/dt = -(s - s_rest)/(s s_rest) - a: a moves s by at most |a| span,
+        # and a > 0 holds it below the resting map, a < 0 above
+        rest = math.sqrt(s0 * s0 + 2.0 * span)
+        for a in (1e-2, 1e-6, 1e-10, 1e-14, 1e-20, 1e-100, 5e-324):
+            for sign in (-1.0, 1.0):
+                shift = flows._shot_piece(s0, sign * a, span) - rest
+                assert abs(shift) <= a * span + 4 * math.ulp(rest)
+                assert sign * shift <= 4 * math.ulp(rest)
+
 
 # ---------------------------------------------------------------------------
 # step counts: deterministic, unlike wall time
@@ -640,19 +759,25 @@ def count_steps(monkeypatch, call):
 
 class TestStepCounts:
     """Bounds about 3x above the counts of the q route; the g route took 31,144 (trace),
-    49,506 (welding), 12,537 (lifetimes) and 5,180 (SLE trace) steps."""
+    49,506 (welding), 12,537 (lifetimes) and 5,180 (SLE trace) steps.  Resting trace
+    tips and every welding shot are closed-form, and take none."""
 
     def test_readme_trace(self, monkeypatch, tmp_path, capsys):
         argv = ["trace", "--driver", "const:0", "--T", "1", "--steps", "100",
                 "--out", str(tmp_path / "trace.csv")]
         steps, code = count_steps(monkeypatch, lambda: run(argv))
-        assert code == 0 and steps <= 1200  # 404
+        assert code == 0 and steps == 0
 
     def test_welding_five_pairs(self, monkeypatch, tmp_path, capsys):
         argv = ["welding", "--driver", "const:0", "--T", "1", "--pairs", "5",
                 "--out", str(tmp_path / "weld.csv")]
         steps, code = count_steps(monkeypatch, lambda: run(argv))
-        assert code == 0 and steps <= 300  # 93
+        assert code == 0 and steps == 0
+
+    def test_sle_welding(self, monkeypatch):
+        d = sle_driving(2.0, 1.0 / 64.0, 1.0, 1)
+        steps, w = count_steps(monkeypatch, lambda: welding(d, 1.0, npairs=5))
+        assert steps == 0 and len(w.pairs) == 5
 
     def test_lifetimes(self, monkeypatch):
         # 50 points swallowed on the imaginary axis and 10 that stay alive
