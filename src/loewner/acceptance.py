@@ -73,7 +73,7 @@ def _forward_flow_closed_form() -> CriterionResult:
                            f"max error {worst:.3e} (tol 1e-6), runtime {elapsed:.2f}s (< 2s)")
 
 
-def _lifetime_bisection() -> CriterionResult:
+def _lifetime_of_i() -> CriterionResult:
     fp = flow_forward(constant_driver(0.0), 1j, 1.0)
     err = abs(fp.lifetime - 0.5)
     ok = (not fp.alive) and err < 1e-6
@@ -298,7 +298,7 @@ def _cli_determinism() -> CriterionResult:
 
 CRITERIA = (
     ("forward_flow_closed_form", _forward_flow_closed_form),
-    ("lifetime_bisection", _lifetime_bisection),
+    ("lifetime_bisection", _lifetime_of_i),
     ("reverse_flow_closed_form", _reverse_flow_closed_form),
     ("chain_ode_exactness", _chain_ode_exactness),
     ("loewner_fixed_point", _loewner_fixed_point),

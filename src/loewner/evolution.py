@@ -123,8 +123,8 @@ def sle_driving(kappa: float, dt: float, horizon: float, seed: int) -> AtomPath:
     """
     if kappa < 0:
         raise ValidationError("kappa must be nonnegative")
-    if not (0 < dt <= horizon):
-        raise ValidationError("need 0 < dt <= horizon")
+    if not (0 < dt <= horizon < math.inf):
+        raise ValidationError("need 0 < dt <= horizon < inf")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     n = int(math.ceil(horizon / dt - 1e-12))
@@ -187,6 +187,8 @@ def burgers_residual_of(big_g, ts, zs, step: float = 1e-3) -> float:
     Central differences of width ``step`` in both variables; the time
     derivative falls back to a one-sided difference below ``t = step``.
     """
+    if not (0.0 < step < math.inf):
+        raise ValidationError(f"step must be finite and positive, got {step}")
     worst = 0.0
     for t in ts:
         for z in zs:

@@ -31,7 +31,8 @@ and the crossing of a point the piece swallows is closed-form too.  The pole of
 shot is real, ``s = sqrt(q)`` with ``ds/dt = 1/s - U'`` on each side, and every
 piece maps it exactly (one scalar implicit equation); the trace tip integrates
 ``q`` on sloped pieces only.  Everything else runs in ``g``.  Swallowing means
-``Im g <= EPS_SWALLOW``.
+``Im g <= EPS_SWALLOW``; a forward flow finishes its crossing with ``Im g`` as the
+independent variable (Henon 1982), so a swallowed value lies on that line.
 
 Two kernels.  :func:`_integrate` steps one complex scalar; every single-point
 or event-driven caller uses it (:func:`flow_forward`, :func:`inverse_map`,
@@ -64,13 +65,10 @@ from .errors import (
     ValidationError,
 )
 from .measures import Dirac, Measure, from_dict as measure_from_dict, to_dict as measure_to_dict
-from .transforms import _bisect, _illinois, as_points, cauchy as measure_cauchy, halfplane_sqrt
+from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt
 
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
-
-#: lifetimes found by event search (not on resting pieces) are bisection-refined to this width
-LIFETIME_TOL = 1e-8
 
 #: default per-step integration error target
 DEFAULT_TOL = 1e-10
@@ -94,8 +92,8 @@ class AtomPath:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.size < 2 or times.size != values.size:
             raise ValidationError("AtomPath needs matching times/values arrays")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValidationError("AtomPath times must increase strictly from 0")
+        if not np.all(np.isfinite(times)) or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+            raise ValidationError("AtomPath times must be finite and increase strictly from 0")
         if not np.all(np.isfinite(values)):
             raise ValidationError("AtomPath values must be finite")
         for name, arr in (("times", times), ("values", values)):
@@ -104,6 +102,9 @@ class AtomPath:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "knots", tuple(times.tolist()))
         object.__setattr__(self, "_values", tuple(values.tolist()))
+        object.__setattr__(self, "_slopes", tuple(
+            (u1 - u0) / (t1 - t0) for t0, t1, u0, u1 in
+            zip(self.knots, self.knots[1:], self._values, self._values[1:])))
 
     @property
     def horizon(self) -> float:
@@ -122,8 +123,7 @@ class AtomPath:
         """Transform ``(t, z) -> 1/(z - U(t))`` of the piece holding ``[lo, hi]``, ends
         included; its ``line`` is ``(t_j, u_j, slope)``, ``U(t) = u_j + slope * (t - t_j)``."""
         j = min(max(bisect_right(self.knots, 0.5 * (lo + hi)) - 1, 0), len(self.knots) - 2)
-        tj, uj = self.knots[j], self._values[j]
-        slope = (self._values[j + 1] - uj) / (self.knots[j + 1] - tj)
+        tj, uj, slope = self.knots[j], self._values[j], self._slopes[j]
         g = lambda t, z: 1.0 / (z - (uj + slope * (t - tj)))
         g.line = tj, uj, slope
         return g
@@ -150,8 +150,9 @@ class MeasurePath:
     def __post_init__(self):
         bps = tuple(float(t) for t in self.breakpoints)
         ms = tuple(self.measures)
-        if not bps or bps[0] != 0.0 or any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            raise ValidationError("breakpoints must increase strictly from 0")
+        if (not bps or not all(map(math.isfinite, bps)) or bps[0] != 0.0
+                or any(b2 <= b1 for b1, b2 in zip(bps, bps[1:]))):
+            raise ValidationError("breakpoints must be finite and increase strictly from 0")
         if len(bps) != len(ms):
             raise ValidationError("need exactly one measure per breakpoint")
         object.__setattr__(self, "breakpoints", bps)
@@ -347,12 +348,12 @@ def _integrate(rhs, t0: float, t1: float, y0: complex, tol: float, event=None):
     ``event(t, y)`` must stay nonnegative along the solution; an accepted step
     that would land with ``event < 0`` stops integration at the step start.
 
-    Returns ``(status, t, y, err_acc, h)`` with status ``"done"``, ``"event"``
-    or ``"stall"``; ``h`` is the width of the offending step for ``"event"``.
+    Returns ``(status, t, y, err_acc)`` with status ``"done"``, ``"event"`` or
+    ``"stall"``.
     """
     span = t1 - t0
     if span <= 0:
-        return "done", t0, y0, 0.0, 0.0
+        return "done", t0, y0, 0.0
     t, y = t0, complex(y0)
     k1 = rhs(t, y)
     h = min(span, 1e-2 * max(1.0, abs(y)) / max(abs(k1), 1e-12), 1.0)
@@ -363,7 +364,7 @@ def _integrate(rhs, t0: float, t1: float, y0: complex, tol: float, event=None):
             break
         h = min(h, t1 - t)
         if h < floor:
-            return "stall", t, y, err_acc, h
+            return "stall", t, y, err_acc
         y5, k7, err = _dp_step(rhs, t, y, h, k1)
         scale = tol * max(1.0, abs(y), abs(y5))
         if not math.isfinite(err) or not math.isfinite(abs(y5)):
@@ -371,14 +372,14 @@ def _integrate(rhs, t0: float, t1: float, y0: complex, tol: float, event=None):
             continue
         if err <= scale:
             if event is not None and event(t + h, y5) < 0.0:
-                return "event", t, y, err_acc, h
+                return "event", t, y, err_acc
             t += h
             y = y5
             k1 = k7
             err_acc += err
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
         h *= factor
-    return "done", t, y, err_acc, 0.0
+    return "done", t, y, err_acc
 
 
 def _integrate_lanes(rhs, t0: float, t1: float, y0, tol: float):
@@ -433,25 +434,6 @@ def _integrate_lanes(rhs, t0: float, t1: float, y0, tol: float):
     return done.reshape(shape), y.reshape(shape)
 
 
-def _locate_event(rhs, t0: float, y0: complex, window: float, event, tol: float):
-    """Bisect the event crossing inside ``[t0, t0 + window]``.
-
-    ``event(t0, y0) >= 0`` must hold.  Probe integrations that stall (the
-    vector field blows up past the crossing) count as crossed.  Returns the
-    crossing time and the last state on the safe side.
-    """
-    safe = [0.0, y0]  # offset from t0 and state of the last probe on the safe side
-
-    def inside(mid):
-        status, _, y_mid, _, _ = _integrate(rhs, t0 + safe[0], t0 + mid, safe[1], tol)
-        if status == "done" and event(t0 + mid, y_mid) >= 0.0:
-            safe[:] = mid, y_mid
-            return True
-        return False
-
-    return t0 + _bisect(inside, 0.0, window, LIFETIME_TOL)[0], safe[1]
-
-
 # ---------------------------------------------------------------------------
 # flows
 
@@ -475,6 +457,8 @@ class HullTrace:
 
 
 def _check_horizon(d: Driving, t: float):
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t}")
     if t > d.horizon + 1e-12:
         raise HorizonExceededError(f"horizon exceeded: {t} > {d.horizon}")
 
@@ -483,9 +467,12 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
     """Solve the forward equation ``dg/dt = G_{nu_t}(g)`` from ``g_0 = z``.
 
     The point is swallowed when its imaginary part falls to :data:`EPS_SWALLOW`;
-    the swallowing time is the lifetime, with the state at the crossing as
-    ``value``.  On a resting point-mass piece both are closed-form; elsewhere the
-    crossing is bisection-refined to :data:`LIFETIME_TOL`.  ``err_est``
+    the swallowing time is the lifetime, with the state on the line
+    ``Im g = EPS_SWALLOW`` as ``value``.  On a resting point-mass piece both are
+    closed-form.  Elsewhere the step that would cross the line is redone with
+    ``sigma = -Im g`` as the independent variable (Henon 1982): ``Im g`` falls
+    monotonically, so ``v = Re g + i t`` obeys ``dv/dsigma = -(Re G + i)/Im G`` and
+    one solve up to ``sigma = -EPS_SWALLOW`` ends on the line.  ``err_est``
     accumulates the embedded per-step error estimates.
     """
     z = complex(z)
@@ -511,11 +498,19 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
                 x = q0.imag / (2.0 * EPS_SWALLOW)
                 life = min(max(a + 0.5 * (x * x - EPS_SWALLOW ** 2 - q0.real), a), b)
                 return FlowPoint(complex(u + x, EPS_SWALLOW), False, life, err_acc)
-        status, tc, y, err, h = _integrate(g, a, b, y, tol, event)
+        status, tc, y, err = _integrate(g, a, b, y, tol, event)
         err_acc += err
-        if status == "event":
-            t_cross, y_safe = _locate_event(g, tc, y, min(h, b - tc), event, tol)
-            return FlowPoint(y_safe, False, t_cross, err_acc)
+        if status == "event":  # finish the crossing in sigma = -Im g, state v = Re g + i t
+            def along_im(sigma, v):
+                big_g = g(v.imag, complex(v.real, -sigma))
+                return -(big_g.real + 1j) / big_g.imag
+
+            status, sigma, v, err = _integrate(along_im, -y.imag, -EPS_SWALLOW,
+                                               complex(y.real, tc), tol)
+            err_acc += err
+            if status == "done":
+                return FlowPoint(complex(v.real, EPS_SWALLOW), False, v.imag, err_acc)
+            tc, y = v.imag, complex(v.real, -sigma)
         if status == "stall":
             if y.imag <= 10 * EPS_SWALLOW:
                 return FlowPoint(y, False, tc, err_acc)
@@ -554,7 +549,7 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
             done, y = _integrate_lanes(rhs, lo, hi, y, tol)
             start = None if done.all() else z.flat[int(np.argmin(done))]
         else:
-            status, _, y, _, _ = _integrate(rhs, lo, hi, y, tol)
+            status, _, y, _ = _integrate(rhs, lo, hi, y, tol)
             start = None if status == "done" else z
         if start is not None:
             raise NumericError(f"{what} failed to integrate from z = {start}")
@@ -647,7 +642,7 @@ def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> Hull
                 q -= 2.0 * (hi - lo)
                 continue
             rhs = lambda x, q, slope=g.line[2]: 2.0 * (slope * _root(q) - 1.0)
-            status, _, q, err, _ = _integrate(rhs, lo, hi, q, tol)
+            status, _, q, err = _integrate(rhs, lo, hi, q, tol)
             if status != "done":
                 raise TraceUnresolvedError(f"trace tip solve stalled at t = {t}")
             err_acc += err
@@ -735,15 +730,39 @@ def _shot(d: AtomPath, tau: float, big_t: float, side: float) -> float:
     ``tau``: ``s = sqrt(q) = |g - U|`` with ``dq/dt = 2 - 2 side U' sqrt(q)`` from
     ``q(tau) = 0``, mapped exactly piece by piece (:func:`_shot_piece`).  A shot that
     comes back within :data:`EPS_SWALLOW` of the driver means the hull is not a slit."""
-    s = 0.0
-    for lo, hi, g in _segments(d, tau, big_t):
-        s = _shot_piece(s, side * g.line[2], hi - lo)
+    knots, last = d.knots, len(d.knots) - 2
+    j, lo, s = min(bisect_right(knots, tau) - 1, last), tau, 0.0
+    while lo < big_t:  # piece j holds [lo, hi]; the last one extends past the horizon
+        hi = big_t if j == last else min(knots[j + 1], big_t)
+        s = _shot_piece(s, side * d._slopes[j], hi - lo)
         # q grows like 2 (t - tau) from its birth; below EPS_SWALLOW**2 afterwards it is
         # back.  s is monotone on a piece, so the piece's end decides.
         if s * s < min(EPS_SWALLOW ** 2, hi - tau):
             raise NotASlitError("not a slit: lifetime gap inside the welding interval "
                                 f"(the shot from t = {tau} returns to the driver)")
+        lo, j = hi, j + 1
     return d.u(big_t) + side * s
+
+
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, width: float) -> float:
+    """Root of ``f`` between ``lo`` and ``hi``, where ``f_lo`` and ``f_hi`` differ in sign:
+    regula falsi that halves the value kept at an end the iterates stay away from
+    (Illinois), until ``f`` vanishes or the bracket is ``width`` wide.  Returns the
+    point of smallest ``|f|`` seen."""
+    best, stale = min((abs(f_lo), lo), (abs(f_hi), hi)), 0
+    while abs(hi - lo) > width and best[0] > 0.0:
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not min(lo, hi) < mid < max(lo, hi):
+            break
+        f_mid = f(mid)
+        best = min(best, (abs(f_mid), mid))
+        if (f_mid > 0.0) == (f_hi > 0.0):
+            hi, f_hi, f_lo = mid, f_mid, 0.5 * f_lo if stale == -1 else f_lo
+            stale = -1
+        else:
+            lo, f_lo, f_hi = mid, f_mid, 0.5 * f_hi if stale == 1 else f_hi
+            stale = 1
+    return best[1]
 
 
 def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TOL) -> Welding:

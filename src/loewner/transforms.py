@@ -402,44 +402,6 @@ def cauchy_from_r(r: AnalyticMap, max_iter: int = 100) -> AnalyticMap:
     return AnalyticMap(CAUCHY, fn, mean=r.mean, variance=r.variance)
 
 
-def _bisect(inside, lo: float, hi: float, width: float = 0.0, max_steps: float = math.inf):
-    """Bisect from ``lo``, where ``inside`` holds, towards ``hi``, where it does not,
-    until ``|hi - lo| <= width``, ``max_steps`` halvings, or adjacent floats (where
-    every later step would be a no-op).  Returns the final midpoint and ``lo``."""
-    steps = 0
-    while steps < max_steps and abs(hi - lo) > width:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-        steps += 1
-    return 0.5 * (lo + hi), lo
-
-
-def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, width: float) -> float:
-    """Root of ``f`` between ``lo`` and ``hi``, where ``f_lo`` and ``f_hi`` differ in sign:
-    regula falsi that halves the value kept at an end the iterates stay away from
-    (Illinois), until ``f`` vanishes or the bracket is ``width`` wide.  Returns the
-    point of smallest ``|f|`` seen."""
-    best, stale = min((abs(f_lo), lo), (abs(f_hi), hi)), 0
-    while abs(hi - lo) > width and best[0] > 0.0:
-        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not min(lo, hi) < mid < max(lo, hi):
-            break
-        f_mid = f(mid)
-        best = min(best, (abs(f_mid), mid))
-        if (f_mid > 0.0) == (f_hi > 0.0):
-            hi, f_hi, f_lo = mid, f_mid, 0.5 * f_lo if stale == -1 else f_lo
-            stale = -1
-        else:
-            lo, f_lo, f_hi = mid, f_mid, 0.5 * f_hi if stale == 1 else f_hi
-            stale = 1
-    return best[1]
-
-
 def _refine_atom_location(g, lo: float, hi: float, eps: float) -> float:
     # Re G(x + i eps) changes sign from - to + across a pole on the real line.
     f_lo = g(complex(lo, eps)).real
@@ -447,7 +409,15 @@ def _refine_atom_location(g, lo: float, hi: float, eps: float) -> float:
     if not (f_lo < 0 < f_hi):
         xs = np.linspace(lo, hi, 65)
         return float(xs[int(np.argmax(np.abs(g(xs + 1j * eps))))])
-    return _bisect(lambda x: g(complex(x, eps)).real < 0, lo, hi, max_steps=80)[0]
+    for _ in range(80):  # or until adjacent floats, where every later step is a no-op
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if g(complex(mid, eps)).real < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _atom_mass(g, x0: float, eps: float) -> float:

@@ -277,9 +277,20 @@ class TestExitCodes:
         ["flow", "--driver", '{"kind":"atom-path","times":[0,1],"values":["x",2]}',
          "--z", "2i", "--T", "1"],
         ["selftest", "--criteria", "bogus"],
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "nan"],
+        ["flow", "--driver", "sc-family", "--z", "1i", "--T", "nan"],
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "inf"],
+        ["flow", "--driver", '{"kind":"atom-path","times":[0,Infinity],"values":[0,0]}',
+         "--z", "1i", "--T", "1"],
+        ["trace", "--driver", "const:0", "--T", "nan"],
+        ["trace", "--driver", "sle:6", "--T", "inf"],
+        ["burgers", "--step", "0"],
+        ["burgers", "--step", "nan"],
+        ["burgers", "--step", "inf"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
-        if argv[0] in ("density", "flow"):  # complete commands, so only the spec is wrong
+        # complete commands, so only the spec is wrong
+        if argv[0] in ("density", "flow", "trace", "burgers"):
             argv = argv + ["--out", str(tmp_path / "x.csv")]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

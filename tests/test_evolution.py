@@ -367,3 +367,8 @@ class TestBurgers:
         # a constant point-mass driver does not satisfy the Burgers equation
         res = burgers_residual(D0, [0.5], [1.2j])
         assert res > 1e-2
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValidationError, match="step"):
+            burgers_residual_of(lambda t, z: 1.0 / z, [0.5], [1j], step)

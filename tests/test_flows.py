@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -99,6 +100,21 @@ class TestForward:
             flow_forward(D0, 1.0 - 1j, 1.0)
         with pytest.raises(HorizonExceededError):
             flow_forward(AtomPath([0.0, 1.0], [0.0, 0.0]), 1j, 2.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda t: flow_forward(SemicircleFamily(), 1j, t),
+    lambda t: inverse_map(SemicircleFamily(), t, 1j),
+    lambda t: trace(AtomPath([0.0, 1.0], [0.0, 0.0]), [t]),
+    lambda t: AtomPath([0.0, t], [0.0, 0.0]),
+    lambda t: MeasurePath((0.0, t), (Dirac(0.0), Dirac(1.0))),
+    lambda t: driving_from_dict(json.loads(json.dumps(  # NaN and Infinity in the JSON text
+        {"kind": "atom-path", "times": [0.0, t], "values": [0.0, 0.0]}))),
+], ids=["flow_forward", "inverse_map", "trace", "atom-path", "measure-path", "atom-path-json"])
+def test_non_finite_time_is_a_validation_error(call, t):
+    with pytest.raises(ValidationError, match="finite"):
+        call(t)
 
 
 class TestReverse:
@@ -388,7 +404,7 @@ class TestLanes:
             z = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-3, 0.5))
             for lo, hi, g in _segments(LANE_DRIVERS[0], 0.1, 0.9):
                 rhs_s, calls_s = counted(g)
-                status, _, y_s, _, _ = _integrate(rhs_s, lo, hi, z, 1e-10)
+                status, _, y_s, _ = _integrate(rhs_s, lo, hi, z, 1e-10)
                 rhs_l, calls_l = counted(g)
                 done, y_l = _integrate_lanes(rhs_l, lo, hi, np.array([z]), 1e-10)
                 assert status == "done" and done.all()
@@ -574,7 +590,7 @@ class TestOracles:
     def test_semicircle_forward_is_joukowski(self, monkeypatch):
         # over the semicircle family g_t(z) = z + t/z, so Im g_t = y (1 - t/|z|**2) and
         # a point dies at |z|**2 (1 - EPS_SWALLOW/y); no piece rests, so the crossing
-        # is found by the event bisection
+        # is one solve in sigma = -Im g after the solve in t
         d, big_t = SemicircleFamily(), 1.0
         for z in (2j, 1 + 1j, -1.5 + 0.5j, 0.3 + 1.2j):
             fp = flow_forward(d, z, big_t)
@@ -591,8 +607,20 @@ class TestOracles:
         for z in swallowed:
             fp = flow_forward(d, z, big_t)
             want = abs(z) ** 2 * (1.0 - flows.EPS_SWALLOW / z.imag)
-            assert not fp.alive and abs(fp.lifetime - want) < flows.LIFETIME_TOL
-        assert calls[0] > 2 * len(swallowed)  # one solve per point, the rest are probes
+            assert not fp.alive and fp.value.imag == flows.EPS_SWALLOW
+            assert abs(fp.lifetime - want) < 1e-12
+        assert calls[0] == 2 * len(swallowed)
+
+    def test_sle_swallowed_values_lie_on_the_line(self):
+        # kappa = 6: every piece slopes, so every crossing is solved in sigma = -Im g
+        d = sle_driving(6.0, 1.0 / 64.0, 1.0, 1)
+        starts = [complex(x, y) for x in np.linspace(-1.5, 1.5, 13) for y in (0.05, 0.2, 0.5)]
+        swallowed = [(fp, flow_forward(d, z, 1.0, tol=1e-13)) for z, fp in
+                     ((z, flow_forward(d, z, 1.0)) for z in starts) if not fp.alive]
+        assert len(swallowed) >= 10
+        for fp, fine in swallowed:
+            assert fp.value.imag == fine.value.imag == flows.EPS_SWALLOW
+            assert 0.0 < fp.lifetime <= 1.0 and abs(fp.lifetime - fine.lifetime) < 1e-6
 
     def test_dirac_path_is_its_chain(self, rng):
         # every piece rests, so the reverse flow composes the chain's exact maps
