@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,15 +60,31 @@ def _parse_complex(text: str) -> complex:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         a, b, n = spec.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"grid must look like a:b:n, got {spec!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"grid ends must be finite, got {spec!r}")
+    return np.linspace(a, b, n)
 
 
 def _steps(args) -> int:
     if args.steps < 0:
         raise ValidationError(f"--steps must be nonnegative, got {args.steps}")
     return args.steps
+
+
+def _horizon(args) -> float:
+    if not (math.isfinite(args.T) and args.T >= 0):
+        raise ValidationError(f"--T must be finite and nonnegative, got {args.T}")
+    return args.T
+
+
+def _tolerance(value, name: str) -> float:
+    """``value`` as an integration tolerance: a number in (0, 1e-4], else ``ConfigError``."""
+    if not isinstance(value, (int, float)) or not 0 < value <= 1e-4:
+        raise ConfigError(f"{name}: expected a number in (0, 1e-4], got {value!r}")
+    return float(value)
 
 
 def _json_spec(spec: str):
@@ -156,9 +173,7 @@ def load_config(path) -> RunConfig:
     if "driver" in obj:
         cfg.driver = _validated_driver(obj["driver"])
     if "tolerance" in obj:
-        if not isinstance(obj["tolerance"], (int, float)) or not (0 < obj["tolerance"] <= 1e-4):
-            raise ConfigError("tolerance: expected a number in (0, 1e-4]")
-        cfg.tolerance = float(obj["tolerance"])
+        cfg.tolerance = _tolerance(obj["tolerance"], "tolerance")
     if "seed" in obj:
         if not isinstance(obj["seed"], int):
             raise ConfigError("seed: expected an integer")
@@ -174,6 +189,9 @@ def load_config(path) -> RunConfig:
         a = _require(g, "a", "grid")
         b = _require(g, "b", "grid")
         n = _require(g, "n", "grid")
+        for key, end in (("a", a), ("b", b)):
+            if not isinstance(end, (int, float)) or not math.isfinite(end):
+                raise ConfigError(f"grid.{key}: expected a finite number")
         if not isinstance(n, int) or n < 2 or not a < b:
             raise ConfigError("grid: need numbers a < b and integer n >= 2")
         cfg.grid = (float(a), float(b), n)
@@ -194,7 +212,7 @@ def save_config(cfg: RunConfig, path):
 
 def _merge_config(args):
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    tol = args.tol if getattr(args, "tol", None) is not None else cfg.tolerance
+    tol = cfg.tolerance if getattr(args, "tol", None) is None else _tolerance(args.tol, "--tol")
     seed = args.seed if getattr(args, "seed", None) is not None else cfg.seed
     eps = args.eps if getattr(args, "eps", None) is not None else cfg.eps
     return cfg, tol, seed, eps
@@ -234,10 +252,11 @@ def _write_measure_csv(measure, out, atoms_out):
 
 def _cmd_flow(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
-    d = _resolve_driver(args, cfg, args.T, seed)
+    big_t = _horizon(args)
+    d = _resolve_driver(args, cfg, big_t, seed)
     z = _parse_complex(args.z)
     rows = []
-    for t in np.linspace(0.0, args.T, _steps(args) + 1):
+    for t in np.linspace(0.0, big_t, _steps(args) + 1):
         fp = flow_forward(d, z, float(t), tol)
         rows.append((_fmt(t), _fmt(fp.value.real), _fmt(fp.value.imag),
                      str(int(fp.alive)), _fmt(fp.lifetime), _fmt(fp.err_est)))
@@ -249,8 +268,9 @@ def _cmd_flow(args) -> int:
 
 def _cmd_trace(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
-    d = _resolve_driver(args, cfg, args.T, seed)
-    times = np.linspace(0.0, args.T, _steps(args) + 1)
+    big_t = _horizon(args)
+    d = _resolve_driver(args, cfg, big_t, seed)
+    times = np.linspace(0.0, big_t, _steps(args) + 1)
     result = trace(d, [float(t) for t in times], tol)
     rows = [(_fmt(t), _fmt(p.real), _fmt(p.imag), _fmt(e))
             for t, p, e in zip(result.times, result.points, result.err_est)]
@@ -260,8 +280,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_welding(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
-    d = _resolve_driver(args, cfg, args.T, seed)
-    w = welding(d, args.T, npairs=args.pairs, tol=tol)
+    big_t = _horizon(args)
+    d = _resolve_driver(args, cfg, big_t, seed)
+    w = welding(d, big_t, npairs=args.pairs, tol=tol)
     rows = [(_fmt(x), _fmt(hx)) for x, hx in w.pairs]
     _write_csv(args.out, ("x", "h_x"), rows)
     print(f"a={_fmt(w.a)} b={_fmt(w.b)} u={_fmt(w.u)}")

@@ -23,16 +23,16 @@ on the piece holding ``[lo, hi]`` (the free R-transform).
 
 Point-mass pieces.  A resting piece (``nu = delta_u``) is autonomous: its flow is
 the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+ 2 dt)`` reverse and forward
-(Kager, Nienhuis & Kadanoff 2004).  Every solver applies these exact maps there,
-and the crossing of a point the piece swallows is closed-form too.  The pole of
-``G = 1/(z - U)`` sits on the driver, where the hull grows; in ``q = (g - U)**2``,
-``dq/dt = 2 - 2 U' sqrt(q)`` (root with Im >= 0) is regular (Kennedy 2007), so
-``q`` is used only from the driver: the trace tip and welding shots.  A welding
-shot is real, ``s = sqrt(q)`` with ``ds/dt = 1/s - U'`` on each side, and every
-piece maps it exactly (one scalar implicit equation); the trace tip integrates
-``q`` on sloped pieces only.  Everything else runs in ``g``.  Swallowing means
-``Im g <= EPS_SWALLOW``; a forward flow finishes its crossing with ``Im g`` as the
-independent variable (Henon 1982), so a swallowed value lies on that line.
+(Kager, Nienhuis & Kadanoff 2004).  Every solver applies these exact maps there and
+takes no integration step; the crossing of a point the piece swallows is closed-form
+too.  The pole of ``G = 1/(z - U)`` sits on the driver, where the hull grows; in
+``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` (root with Im >= 0) is regular
+(Kennedy 2007), so ``q`` is used only from the driver: the trace tip and welding
+shots.  A welding shot is real, ``s = sqrt(q)`` with ``ds/dt = 1/s - U'`` on each
+side, and every piece maps it exactly (one scalar implicit equation); the trace tip
+integrates ``q`` on sloped pieces only.  Everything else runs in ``g``.  Swallowing
+means ``Im g <= EPS_SWALLOW``; a forward flow finishes its crossing with ``Im g`` as
+the independent variable (Henon 1982), so a swallowed value lies on that line.
 
 Two kernels.  :func:`_integrate` steps one complex scalar; every single-point
 or event-driven caller uses it (:func:`flow_forward`, :func:`inverse_map`,
@@ -468,16 +468,17 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
 
     The point is swallowed when its imaginary part falls to :data:`EPS_SWALLOW`;
     the swallowing time is the lifetime, with the state on the line
-    ``Im g = EPS_SWALLOW`` as ``value``.  On a resting point-mass piece both are
-    closed-form.  Elsewhere the step that would cross the line is redone with
-    ``sigma = -Im g`` as the independent variable (Henon 1982): ``Im g`` falls
-    monotonically, so ``v = Re g + i t`` obeys ``dv/dsigma = -(Re G + i)/Im G`` and
-    one solve up to ``sigma = -EPS_SWALLOW`` ends on the line.  ``err_est``
-    accumulates the embedded per-step error estimates.
+    ``Im g = EPS_SWALLOW`` as ``value``.  A resting point-mass piece maps every
+    point exactly, and both are closed-form there.  Elsewhere the step that would
+    cross the line is redone with ``sigma = -Im g`` as the independent variable
+    (Henon 1982): ``Im g`` falls monotonically, so ``v = Re g + i t`` obeys
+    ``dv/dsigma = -(Re G + i)/Im G`` and one solve up to ``sigma = -EPS_SWALLOW``
+    ends on the line.  ``err_est`` sums the embedded error estimates of the
+    integration steps taken; exact pieces add 0.
     """
     z = complex(z)
-    if not (z.imag > 0):
-        raise ValidationError("flow_forward needs a start in the open upper half-plane")
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise ValidationError("flow_forward needs a finite start in the open upper half-plane")
     if t < 0:
         raise ValidationError("time must be nonnegative")
     _check_horizon(d, t)
@@ -492,12 +493,13 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
         u = _resting(g)
         if u is not None:  # q = (g - u)**2 moves right at rate 2
             q0 = (y - u) ** 2
-            if _root(q0 + 2.0 * (b - a)).imag <= EPS_SWALLOW:
-                # Im q stays and Im sqrt(q) falls as Re q grows, so sqrt(q) passes
-                # x + i EPS_SWALLOW once; a survivor stays in g for its err_est
-                x = q0.imag / (2.0 * EPS_SWALLOW)
-                life = min(max(a + 0.5 * (x * x - EPS_SWALLOW ** 2 - q0.real), a), b)
-                return FlowPoint(complex(u + x, EPS_SWALLOW), False, life, err_acc)
+            y = u + _root(q0 + 2.0 * (b - a))
+            if y.imag > EPS_SWALLOW:
+                continue
+            # Im q stays and Im sqrt(q) falls as Re q grows: sqrt(q) passes x + i EPS_SWALLOW once
+            x = q0.imag / (2.0 * EPS_SWALLOW)
+            life = min(max(a + 0.5 * (x * x - EPS_SWALLOW ** 2 - q0.real), a), b)
+            return FlowPoint(complex(u + x, EPS_SWALLOW), False, life, err_acc)
         status, tc, y, err = _integrate(g, a, b, y, tol, event)
         err_acc += err
         if status == "event":  # finish the crossing in sigma = -Im g, state v = Re g + i t
@@ -599,8 +601,8 @@ def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
     if t < 0:
         raise ValidationError("time must be nonnegative")
     _check_horizon(d, t)
-    if not (z.imag > 0):
-        raise ValidationError("inverse_map needs a point in the open upper half-plane")
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise ValidationError("inverse_map needs a finite point in the open upper half-plane")
     if t == 0:
         return z
     y = _solve_reverse(d, 0.0, t, z, tol, "inverse map", reflect_about=t)

@@ -447,8 +447,8 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float,
     if g.kind != CAUCHY:
         raise ValidationError("invert_stieltjes expects a cauchy-kind map")
     xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
-        raise ValidationError("grid must be strictly increasing")
+    if xs.ndim != 1 or xs.size < 2 or not np.all(np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
+        raise ValidationError("grid must be finite and strictly increasing")
     if not (1e-8 <= eps <= 1e-2):
         raise ValidationError("eps must lie in [1e-8, 1e-2]")
 

@@ -87,7 +87,7 @@ README_SHA256 = {
     "loewner burgers --t 0.2:1:5 --re=-1:1:5 --im 1 --out burgers.csv":
         "8381d0b9dce5eba65fc2bd9ed7b5f78da4ea47fb5855dead470a62f5b76424a6",
     "loewner flow --driver const:0 --z 2i --T 1 --steps 50 --out flow.csv":
-        "7862bce4d6530f2ff3a973c299d10a493dcc4e578e9f582e73f17a347d79768b",
+        "5263d6fc7ae6407d45f3324a25b7710194a4655ad0ec64317799d1d098fdd557",
 }
 
 
@@ -186,12 +186,13 @@ class TestFlow:
             cfgfile = tmp_path / f"cfg{tol}.json"
             cfgfile.write_text(json.dumps({"tolerance": float(tol)}))
             out = tmp_path / f"flow{tol}.csv"
-            code = run(["flow", "--driver", "const:0", "--z", "2i", "--T", "1",
+            # a sloped driver: resting pieces are exact maps and report err_est 0
+            code = run(["flow", "--driver", "line:0:1", "--z", "2i", "--T", "1",
                         "--steps", "4", "--config", str(cfgfile), "--out", str(out)])
             assert code == 0
             _, rows = read_rows(out)
             errs[tol] = float(rows[-1][5])
-        assert errs["1e-12"] < errs["1e-8"]
+        assert 0.0 < errs["1e-12"] < errs["1e-8"]
 
 
 class TestFamilyAndBurgers:
@@ -287,13 +288,36 @@ class TestExitCodes:
         ["burgers", "--step", "0"],
         ["burgers", "--step", "nan"],
         ["burgers", "--step", "inf"],
+        ["density", "--grid=0:inf:3", "--measure", "sc:1"],
+        ["density", "--grid=nan:1:3", "--measure", "sc:1"],
+        ["density", "--grid=-inf:1:5", "--measure", "sc:1"],
+        ["flow", "--driver", "sle:2", "--z", "1i", "--T", "0.5", "--steps", "2", "--tol", "-1"],
+        ["trace", "--driver", "sle:2", "--T", "0.5", "--steps", "2", "--tol", "-1"],
+        ["family", "--driver", "sle:2", "--t", "0.5", "--z", "1i", "--tol", "-1"],
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "0"],
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "nan"],
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "1"],
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "inf"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong
-        if argv[0] in ("density", "flow", "trace", "burgers"):
+        if argv[0] in ("density", "flow", "trace", "burgers", "family"):
             argv = argv + ["--out", str(tmp_path / "x.csv")]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--driver", "sc-family", "--z", "1i", "--T", "inf"],
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "-1"],
+        ["trace", "--driver", "const:0", "--T", "-1"],
+        ["welding", "--driver", "const:0", "--T", "inf"],
+        ["welding", "--driver", "const:0", "--T", "-1"],
+    ])
+    def test_bad_horizon_is_named_before_use(self, tmp_path, capsys, argv):
+        # checked before the time samples and the const:/line: driver horizon T + 1
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: --T must be finite and nonnegative, "
+                                           f"got {float(argv[-1])}\n")
 
     def test_free_family_at_zero(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
@@ -336,6 +360,14 @@ class TestConfig:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"tollerance": 1e-9}))
         with pytest.raises(ConfigError, match="tollerance"):
+            load_config(p)
+
+    @pytest.mark.parametrize("grid, field", [({"a": "x", "b": 1, "n": 3}, "grid.a"),
+                                             ({"a": 0, "b": math.inf, "n": 3}, "grid.b")])
+    def test_grid_ends_must_be_finite_numbers(self, tmp_path, grid, field):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"grid": grid}))  # math.inf is written as Infinity
+        with pytest.raises(ConfigError, match=field):
             load_config(p)
 
     def test_bad_tolerance(self, tmp_path):

@@ -98,6 +98,11 @@ class TestForward:
     def test_validation(self):
         with pytest.raises(ValidationError):
             flow_forward(D0, 1.0 - 1j, 1.0)
+        # on a resting piece a NaN start would map to a NaN "swallowed" point
+        for z in (complex(math.nan, 1.0), complex(1.0, math.inf)):
+            for call in (lambda: flow_forward(D0, z, 1.0), lambda: inverse_map(D0, 1.0, z)):
+                with pytest.raises(ValidationError, match="finite"):
+                    call()
         with pytest.raises(HorizonExceededError):
             flow_forward(AtomPath([0.0, 1.0], [0.0, 0.0]), 1j, 2.0)
 
@@ -677,14 +682,32 @@ class TestRestingPieces:
             assert abs(fp.lifetime - swallow_oracle(z, [(u, 1.0)])) < 1e-14
 
     def test_swallowed_on_the_second_piece(self):
-        # the first piece is survived and integrated in g: tol = 1e-14 keeps its error
-        # below the bound; each start lands above the second point mass
+        # the first piece is survived through its exact map, so no tolerance enters;
+        # each start lands above the second point mass
         d = two_step_driver(-0.3, 0.4)
         for h in (0.6, 1.0):
             z = const_map(-0.3, 0.5)(complex(0.4, h))
-            fp = flow_forward(d, z, 3.0, tol=1e-14)
+            fp = flow_forward(d, z, 3.0)
             assert not fp.alive and fp.value.imag == flows.EPS_SWALLOW
             assert abs(fp.lifetime - swallow_oracle(z, [(-0.3, 0.5), (0.4, 2.5)])) < 1e-14
+
+    @pytest.mark.parametrize("path", [lambda rng: constant_driver(0.7),
+                                      lambda rng: AtomPath([0.0, 2.0], [0.7, 0.7]), dirac_path],
+                             ids=["dirac", "flat-atom-path", "dirac-path"])
+    def test_survivors_take_the_exact_map(self, monkeypatch, rng, path):
+        d = path(rng)
+        ends = tuple(t for t in d.knots if t < 1.0) + (1.0,)
+        pieces = [(d.measure_at(lo).location if isinstance(d, MeasurePath) else d.u(lo), hi - lo)
+                  for lo, hi in zip(ends, ends[1:])]
+        starts = [2j, 1.5 + 2j, -1 + 1.5j, 3 + 0.5j, -3 + 1e-3j, 0.3 + 3j]
+        steps, points = count_steps(monkeypatch,
+                                    lambda: [flow_forward(d, z, 1.0) for z in starts])
+        assert steps == 0
+        for z, fp in zip(starts, points):
+            want = z
+            for u, span in pieces:
+                want = u + root_upper((want - u) ** 2 + 2.0 * span)
+            assert fp.alive and fp.err_est == 0.0 and fp.value == want
 
     def test_swallowed_lifetimes_integrate_nothing(self, monkeypatch):
         starts = [complex(0.0, y) for y in np.linspace(0.2, 1.4, 50)]
@@ -709,6 +732,10 @@ class TestRestingPieces:
         steps, w = count_steps(monkeypatch, lambda: inverse_map(D0, 1.0, 0.3 + 1e-3j, check=False))
         assert steps == 0
         assert w == pytest.approx(const_map(0.0, 1.0)(0.3 + 1e-3j), rel=1e-15)
+        # the round-trip check flows forward over the same resting piece
+        steps, w = count_steps(monkeypatch, lambda: inverse_map(D0, 1.0, 0.3 + 0.5j))
+        assert steps == 0
+        assert w == pytest.approx(const_map(0.0, 1.0)(0.3 + 0.5j), rel=1e-15)
 
     def test_trace_tip_integrates_nothing(self, monkeypatch):
         times = [0.0, 0.25, 0.5, 1.0]
@@ -788,11 +815,18 @@ def count_steps(monkeypatch, call):
 class TestStepCounts:
     """Bounds about 3x above the counts of the q route; the g route took 31,144 (trace),
     49,506 (welding), 12,537 (lifetimes) and 5,180 (SLE trace) steps.  Resting trace
-    tips and every welding shot are closed-form, and take none."""
+    tips, forward flows over resting pieces and every welding shot are closed-form, and
+    take none."""
 
     def test_readme_trace(self, monkeypatch, tmp_path, capsys):
         argv = ["trace", "--driver", "const:0", "--T", "1", "--steps", "100",
                 "--out", str(tmp_path / "trace.csv")]
+        steps, code = count_steps(monkeypatch, lambda: run(argv))
+        assert code == 0 and steps == 0
+
+    def test_readme_flow(self, monkeypatch, tmp_path, capsys):
+        argv = ["flow", "--driver", "const:0", "--z", "2i", "--T", "1", "--steps", "50",
+                "--out", str(tmp_path / "flow.csv")]
         steps, code = count_steps(monkeypatch, lambda: run(argv))
         assert code == 0 and steps == 0
 
@@ -814,7 +848,7 @@ class TestStepCounts:
         steps, points = count_steps(monkeypatch,
                                     lambda: [flow_forward(D0, z, 1.0) for z in starts])
         assert sum(not fp.alive for fp in points) == 50
-        assert steps <= 6300  # 2,101
+        assert steps == 0
 
     def test_sle_trace(self, monkeypatch):
         d = sle_driving(2.0, 1.0 / 64.0, 1.0, 1)

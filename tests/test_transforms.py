@@ -219,6 +219,9 @@ class TestStieltjesInversion:
         g = cauchy(Semicircle(1.0))
         with pytest.raises(ValidationError):
             invert_stieltjes(g, [0.0, 0.0, 1.0], 1e-4)
+        for grid in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]):
+            with pytest.raises(ValidationError, match="finite"):
+                invert_stieltjes(g, grid, 1e-4)
         with pytest.raises(ValidationError):
             invert_stieltjes(g, np.linspace(-2.2, 2.2, 101), 0.5)
 
