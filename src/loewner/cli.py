@@ -74,10 +74,10 @@ def _steps(args) -> int:
     return args.steps
 
 
-def _horizon(args) -> float:
-    if not (math.isfinite(args.T) and args.T >= 0):
-        raise ValidationError(f"--T must be finite and nonnegative, got {args.T}")
-    return args.T
+def _time(value: float, flag: str) -> float:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{flag} must be finite and nonnegative, got {value}")
+    return value
 
 
 def _tolerance(value, name: str) -> float:
@@ -252,7 +252,7 @@ def _write_measure_csv(measure, out, atoms_out):
 
 def _cmd_flow(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
-    big_t = _horizon(args)
+    big_t = _time(args.T, "--T")
     d = _resolve_driver(args, cfg, big_t, seed)
     z = _parse_complex(args.z)
     rows = []
@@ -268,7 +268,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_trace(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
-    big_t = _horizon(args)
+    big_t = _time(args.T, "--T")
     d = _resolve_driver(args, cfg, big_t, seed)
     times = np.linspace(0.0, big_t, _steps(args) + 1)
     result = trace(d, [float(t) for t in times], tol)
@@ -280,7 +280,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_welding(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
-    big_t = _horizon(args)
+    big_t = _time(args.T, "--T")
     d = _resolve_driver(args, cfg, big_t, seed)
     w = welding(d, big_t, npairs=args.pairs, tol=tol)
     rows = [(_fmt(x), _fmt(hx)) for x, hx in w.pairs]
@@ -294,6 +294,8 @@ def _cmd_convolve(args) -> int:
     amap = parse_expression(args.expr)
     if args.probe:
         z = _parse_complex(args.probe)
+        if not np.isfinite(z):
+            raise ValidationError(f"--probe must be finite, got {args.probe!r}")
         val = amap(z)
         print(f"{amap.kind} {_fmt(val.real)} {_fmt(val.imag)}")
         return 0
@@ -316,7 +318,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_family(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
-    d = _resolve_driver(args, cfg, args.t, seed)
+    d = _resolve_driver(args, cfg, _time(args.t, "--t"), seed)
     maker = {"monotone": monotone_family, "anti-monotone": anti_monotone_family,
              "free": free_family}[args.semantics]
     fam = maker(d, tol)

@@ -26,7 +26,7 @@ from .flows import (
     flow_reverse,
     flow_reverse_anti,
     inverse_map,
-    _check_horizon,
+    _check,
     _segments,
 )
 from .transforms import (
@@ -65,13 +65,11 @@ class EvolutionFamily:
     def eval(self, s: float, t: float, z):
         """Value at ``z``, a complex scalar or ndarray (the reverse flows run
         all points of an array together through the lane kernel)."""
-        if not (0 <= s <= t):
-            raise ValidationError("need 0 <= s <= t")
-        _check_horizon(self.driving, t)
         if self.semantics == MONOTONE:
             return flow_reverse(self.driving, s, t, z, self.tol)
         if self.semantics == ANTI_MONOTONE:
             return flow_reverse_anti(self.driving, s, t, z, self.tol)
+        _check(self.driving, s, t, what="free evolution")
         z = as_points(z)
         if np.any(z == 0):
             raise ValidationError("free evolution needs z != 0 (it runs in w = 1/z)")
@@ -121,8 +119,8 @@ def sle_driving(kappa: float, dt: float, horizon: float, seed: int) -> AtomPath:
     Increments come from a counter-based generator keyed by ``seed``, so the
     path is bit-identical across runs; samples are linearly interpolated.
     """
-    if kappa < 0:
-        raise ValidationError("kappa must be nonnegative")
+    if not 0 <= kappa < math.inf:
+        raise ValidationError(f"kappa must be finite and nonnegative, got {kappa}")
     if not (0 < dt <= horizon < math.inf):
         raise ValidationError("need 0 < dt <= horizon < inf")
     if seed < 0:
@@ -161,7 +159,7 @@ def chain_approximation(d: Driving, dt: float, K: int, shift: str = "left") -> A
         raise ValidationError(f"unknown shift mode {shift!r}")
     if not (dt > 0 and K >= 0):
         raise ValidationError("need dt > 0 and K >= 0")
-    _check_horizon(d, K * dt)
+    _check(d, 0.0, K * dt, what="chain_approximation")
     shifts = []
     for k in range(K):
         if shift == "left":

@@ -298,10 +298,14 @@ class TestExitCodes:
         ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "nan"],
         ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "1"],
         ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "inf"],
+        ["convolve", "--expr", "mono(arcsine:1, arcsine:1)", "--probe=nan+1i"],
+        ["convolve", "--expr", "free(sc:1, sc:1)", "--probe=nan+1i"],
+        ["sle", "--kappa", "nan"],
+        ["burgers", "--im", "inf"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong
-        if argv[0] in ("density", "flow", "trace", "burgers", "family"):
+        if argv[0] in ("density", "flow", "trace", "burgers", "family", "sle"):
             argv = argv + ["--out", str(tmp_path / "x.csv")]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -312,11 +316,14 @@ class TestExitCodes:
         ["trace", "--driver", "const:0", "--T", "-1"],
         ["welding", "--driver", "const:0", "--T", "inf"],
         ["welding", "--driver", "const:0", "--T", "-1"],
+        ["family", "--driver", "const:0", "--z", "1i", "--t", "inf"],
+        ["family", "--driver", "const:0", "--z", "1i", "--t", "nan"],
+        ["family", "--driver", "const:0", "--z", "1i", "--t", "-1"],
     ])
     def test_bad_horizon_is_named_before_use(self, tmp_path, capsys, argv):
         # checked before the time samples and the const:/line: driver horizon T + 1
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err == (f"error: --T must be finite and nonnegative, "
+        assert capsys.readouterr().err == (f"error: {argv[-2]} must be finite and nonnegative, "
                                            f"got {float(argv[-1])}\n")
 
     def test_free_family_at_zero(self, tmp_path, capsys):

@@ -291,6 +291,9 @@ class TestSleDriving:
     def test_validation(self):
         with pytest.raises(ValidationError):
             sle_driving(-1.0, 0.1, 1.0, seed=0)
+        for kappa in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="kappa"):
+                sle_driving(kappa, 0.1, 1.0, seed=0)
         with pytest.raises(ValidationError):
             sle_driving(2.0, 2.0, 1.0, seed=0)
 

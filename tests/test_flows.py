@@ -22,6 +22,7 @@ from loewner import (
     flow_forward,
     flow_reverse,
     flow_reverse_anti,
+    free_family,
     inverse_map,
     sle_driving,
     trace,
@@ -43,6 +44,14 @@ from loewner.errors import (
 from conftest import root_upper
 
 D0 = constant_driver(0.0)
+
+
+#: a resting and a sloped point-mass driver, each with a NaN and two infinite starts, as a
+#: scalar and inside an array
+NON_FINITE_STARTS = [(d, z) for d in (D0, AtomPath([0.0, 1.0], [0.0, 1.0]))
+                     for bad in (complex(math.nan, 1.0), complex(math.inf, 1.0),
+                                 complex(0.5, math.inf))
+                     for z in (bad, np.array([1j, bad]))]
 
 
 def two_step_driver(u0, u1, split=0.5):
@@ -112,11 +121,15 @@ class TestForward:
     lambda t: flow_forward(SemicircleFamily(), 1j, t),
     lambda t: inverse_map(SemicircleFamily(), t, 1j),
     lambda t: trace(AtomPath([0.0, 1.0], [0.0, 0.0]), [t]),
+    lambda t: flow_reverse(SemicircleFamily(), 0.0, t, 1j),
+    lambda t: flow_reverse_anti(SemicircleFamily(), 0.0, t, 1j),
+    lambda t: free_family(SemicircleFamily()).eval(0.0, t, 1j),
     lambda t: AtomPath([0.0, t], [0.0, 0.0]),
     lambda t: MeasurePath((0.0, t), (Dirac(0.0), Dirac(1.0))),
     lambda t: driving_from_dict(json.loads(json.dumps(  # NaN and Infinity in the JSON text
         {"kind": "atom-path", "times": [0.0, t], "values": [0.0, 0.0]}))),
-], ids=["flow_forward", "inverse_map", "trace", "atom-path", "measure-path", "atom-path-json"])
+], ids=["flow_forward", "inverse_map", "trace", "flow_reverse", "flow_reverse_anti", "free-eval",
+        "atom-path", "measure-path", "atom-path-json"])
 def test_non_finite_time_is_a_validation_error(call, t):
     with pytest.raises(ValidationError, match="finite"):
         call(t)
@@ -135,6 +148,11 @@ class TestReverse:
 
     def test_identity_at_equal_times(self):
         assert flow_reverse(D0, 0.7, 0.7, 2j) == 2j
+
+    def test_non_finite_start_is_a_validation_error(self):
+        for d, z in NON_FINITE_STARTS:
+            with pytest.raises(ValidationError, match="finite"):
+                flow_reverse(d, 0.0, 1.0, z)
 
     def test_time_homogeneous_for_constant_driver(self):
         got = flow_reverse(D0, 0.25, 0.75, 1 + 1j)
@@ -190,6 +208,11 @@ class TestReverseAnti:
     def test_identity_at_equal_times(self):
         assert flow_reverse_anti(D0, 0.4, 0.4, 1j) == 1j
 
+    def test_non_finite_start_is_a_validation_error(self):
+        for d, z in NON_FINITE_STARTS:
+            with pytest.raises(ValidationError, match="finite"):
+                flow_reverse_anti(d, 0.0, 1.0, z)
+
     def test_two_step_composition_order(self):
         # anti-monotone runs the early segment outermost; monotone the reverse
         # (1e-8 needs a tighter per-step budget than the default)
@@ -211,6 +234,8 @@ class TestInverse:
 
     def test_identity_at_zero(self):
         assert inverse_map(D0, 0.0, 1 + 1j) == 1 + 1j
+        # no round trip at t = 0: the forward check would swallow a start this low
+        assert inverse_map(D0, 0.0, 1e-7j) == 1e-7j
 
     def test_point_off_the_image_raises(self):
         # the preimage lies 4e-9 from the slit, so the forward check swallows it
