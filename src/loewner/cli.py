@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,8 +52,8 @@ def _write_csv(path: str, header, rows):
 
 
 def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace("i", "j"))
+    try:  # "i" is the unit where no letter follows it, not the "i" of "inf"
+        return complex(re.sub(r"i(?![a-zA-Z])", "j", text))
     except ValueError as exc:
         raise ValidationError(f"cannot parse complex number {text!r}") from exc
 
@@ -279,10 +280,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_welding(args) -> int:
-    cfg, tol, seed, _ = _merge_config(args)
+    cfg, _, seed, _ = _merge_config(args)
     big_t = _time(args.T, "--T")
     d = _resolve_driver(args, cfg, big_t, seed)
-    w = welding(d, big_t, npairs=args.pairs, tol=tol)
+    w = welding(d, big_t, npairs=args.pairs)
     rows = [(_fmt(x), _fmt(hx)) for x, hx in w.pairs]
     _write_csv(args.out, ("x", "h_x"), rows)
     print(f"a={_fmt(w.a)} b={_fmt(w.b)} u={_fmt(w.u)}")
@@ -373,12 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, tol=True, seed=True):
         p.add_argument("--config", help="JSON run configuration file")
-        p.add_argument("--tol", type=float, help="integrator error target (default 1e-10)")
-        p.add_argument("--seed", type=int, help="seed for sampled drivers (default 0)")
-        if out:
-            p.add_argument("--out", required=True, help="output CSV path")
+        if tol:
+            p.add_argument("--tol", type=float, help="integrator error target (default 1e-10)")
+        if seed:
+            p.add_argument("--seed", type=int, help="seed for sampled drivers (default 0)")
+        p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("flow", help="forward flow of one point, sampled in time")
     p.add_argument("--driver", help="const:u | line:a:slope | sle:kappa[:dt] | @file | inline JSON")
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--driver", help="driver spec (atom path)")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--pairs", type=int, default=50)
-    common(p)
+    common(p, tol=False)
     p.set_defaults(handler=_cmd_welding)
 
     p = sub.add_parser("convolve", help="evaluate or materialize a convolution expression")
@@ -419,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="a:b:n inversion grid")
     p.add_argument("--eps", type=float, help="inversion offset (default 1e-4)")
     p.add_argument("--atoms-out")
-    common(p)
+    common(p, tol=False, seed=False)
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("family", help="evaluate an evolution family at probe points")
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--dt", type=float, default=1.0 / 64.0)
     p.add_argument("--T", type=float, default=1.0)
-    common(p)
+    common(p, tol=False)
     p.set_defaults(handler=_cmd_sle)
 
     p = sub.add_parser("burgers", help="inviscid-Burgers residual of 1/f_t on a grid")

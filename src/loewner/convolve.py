@@ -72,8 +72,7 @@ def free_r(ra: AnalyticMap, rb: AnalyticMap) -> AnalyticMap:
     return AnalyticMap(R, lambda w: ra.fn(w) + rb.fn(w), mean=mean, variance=var, domain=dom)
 
 
-def free_subordination(ga: AnalyticMap, gb: AnalyticMap,
-                       tol: float = SUBORDINATION_TOL, max_iter: int = 100) -> AnalyticMap:
+def free_subordination(ga: AnalyticMap, gb: AnalyticMap) -> AnalyticMap:
     """Free convolution via the subordination fixed point.
 
     For each ``z`` the first subordinator ``omega_1(z)`` is the attracting
@@ -81,10 +80,10 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap,
     ``H = F - id``; the result is the Cauchy transform ``z -> G_a(omega_1(z))``.
     All points run together, one lane each.  ``SUBORDINATION_PICARD_STEPS``
     Picard steps, damped by 0.5 once a lane stops contracting, settle every
-    lane whose step falls below ``tol``.  The rest, near the real axis where
-    Picard contracts at a rate close to 1, finish by the lane-wise damped
-    Newton of :mod:`loewner.transforms` on ``w - z - H_b(z + H_a(w)) = 0``
-    from the last Picard iterate, within ``max_iter`` iterations.  So a probe
+    lane whose step falls below ``SUBORDINATION_TOL``.  The rest, near the real
+    axis where Picard contracts at a rate close to 1, finish by the lane-wise
+    damped Newton of :mod:`loewner.transforms` on ``w - z - H_b(z + H_a(w)) = 0``
+    from the last Picard iterate, within ``NEWTON_MAX_ITER`` iterations.  So a probe
     close to the axis converges rather than meeting an iteration cap; only a
     Newton lane that runs out of halvings or iterations raises
     ``NoConvergenceError``, naming its ``z``.
@@ -108,7 +107,7 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap,
             nxt = zl + h_b(zl + h_a(w))
             delta = nxt - w
             size = np.abs(delta)
-            done = size < tol
+            done = size < SUBORDINATION_TOL
             omega[live[done]] = nxt[done]
             if prev is not None:
                 damped |= size >= prev
@@ -119,8 +118,7 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap,
                 break
         if live.size:
             zl = zs[live]
-            omega[live] = _damped_newton(lambda v, k: v - zl[k] - h_b(zl[k] + h_a(v)), w, zl,
-                                         max_iter)
+            omega[live] = _damped_newton(lambda v, k: v - zl[k] - h_b(zl[k] + h_a(v)), w, zl)
         return back(ga.fn(omega))
 
     mean, var = _sum_meta(ga, gb)

@@ -71,9 +71,10 @@ class EvolutionFamily:
             return flow_reverse_anti(self.driving, s, t, z, self.tol)
         _check(self.driving, s, t, what="free evolution")
         z = as_points(z)
-        if np.any(z == 0):
-            raise ValidationError("free evolution needs z != 0 (it runs in w = 1/z)")
-        d, w = self.driving, 1.0 / z
+        with np.errstate(all="ignore"):  # an array warns where 1/z over- or underflows
+            d, w = self.driving, (1.0 / z if np.all(np.isfinite(z) & (z != 0)) else np.nan)
+        if not np.all(np.isfinite(w) & (w != 0)):  # it runs in w = 1/z
+            raise ValidationError("free evolution needs finite z != 0 with finite w = 1/z != 0")
         return sum((d.integral(lo, hi, w) for lo, hi, _ in _segments(d, s, t)), 0.0 * w)
 
     __call__ = eval
@@ -160,14 +161,9 @@ def chain_approximation(d: Driving, dt: float, K: int, shift: str = "left") -> A
     if not (dt > 0 and K >= 0):
         raise ValidationError("need dt > 0 and K >= 0")
     _check(d, 0.0, K * dt, what="chain_approximation")
-    shifts = []
-    for k in range(K):
-        if shift == "left":
-            shifts.append(_driver_value(d, k * dt))
-        elif shift == "right":
-            shifts.append(_driver_value(d, (k + 1) * dt))
-        else:
-            shifts.append(_driver_value(d, (k + 1) * dt) - _driver_value(d, k * dt))
+    us = [_driver_value(d, k * dt) for k in range(K + 1)] if K else []  # U(k dt), k = 0..K
+    shifts = {"left": us[:-1], "right": us[1:],
+              "increment": [hi - lo for lo, hi in zip(us, us[1:])]}[shift]
     radius = math.sqrt(2.0 * dt)
 
     def fn(z):

@@ -76,6 +76,9 @@ DEFAULT_TOL = 1e-10
 #: boundary offsets whose contraction checks a trace tip after a short driver piece
 TRACE_DELTAS = (1e-3, 5e-4, 2.5e-4)
 
+#: welding shots that reverse by at most this times max(1, |x|) are unresolved, not a non-slit
+WELDING_TOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # driving families
@@ -580,18 +583,15 @@ def flow_reverse_anti(d: Driving, s: float, t: float, z: complex,
 
 def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
                 check: bool = True) -> complex:
-    """Inverse ``f_t = g_t^{-1}`` of the forward map, by time-reversed integration.
+    """Inverse ``f_t = g_t^{-1}`` of the forward map: ``phi_{0,t}`` of the anti-monotone family.
 
-    Solves ``dw/dsigma = -G_{nu_{t - sigma}}(w)`` from ``w(0) = z`` and, when
-    ``check`` is set, verifies the round trip ``g_t(f_t(z)) = z`` within 1e-6
-    (raising ``NotInImageError`` otherwise).
+    Solves ``dw/dsigma = -G_{nu_{t - sigma}}(w)`` from ``w(0) = z`` (:func:`flow_reverse_anti`);
+    when ``check`` is set and ``t > 0``, verifies ``g_t(f_t(z)) = z`` within 1e-6, else
+    raises ``NotInImageError``.
     """
     z = complex(z)
-    _check(d, 0.0, t, z, what="inverse_map")
-    if t == 0:  # the identity; the round trip would swallow a start below EPS_SWALLOW
-        return z
-    y = _solve_reverse(d, 0.0, t, z, tol, "inverse map", reflect_about=t)
-    if check:
+    y = flow_reverse_anti(d, 0.0, t, z, tol)
+    if check and t > 0:  # at t = 0 the round trip would swallow a start below EPS_SWALLOW
         back = flow_forward(d, y, t, tol)
         if not back.alive or abs(back.value - z) > 1e-6:
             raise NotInImageError(f"not in image: round trip error at z = {z}")
@@ -750,7 +750,7 @@ def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, width: float) -
     return best[1]
 
 
-def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TOL) -> Welding:
+def welding(d: AtomPath, big_t: float, npairs: int = 50) -> Welding:
     """Conformal welding of the hull at time ``T`` for a point-mass driver.
 
     The slit point born at ``tau`` has the welded preimages ``x_-(tau) < u <
@@ -759,8 +759,7 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     secant refines it, and ``h(x)`` is shot from there.  Shots are exact per driver
     piece and take no integration step.  A shot that returns to the driver, or ``x_-``
     not increasing or ``x_+`` not decreasing, is ``NotASlitError``; if every reversal
-    is within ``tol max(1, |x|)``, the welding is unresolved instead (``tol`` sets
-    only this threshold).
+    is within ``WELDING_TOL max(1, |x|)``, the welding is unresolved instead.
     """
     if not isinstance(d, AtomPath):
         raise ValidationError("welding needs an AtomPath driver")
@@ -778,7 +777,7 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50, tol: float = DEFAULT_TO
     # table neighbours moving the wrong way (x_- must fall, x_+ rise as tau falls)
     wrong = [(abs(x1 - x0), x0, t0) for side, xs in ((-1.0, lefts), (1.0, rights))
              for x0, x1, t0 in zip(xs, xs[1:], taus) if side * (x1 - x0) <= 0.0]
-    if wrong and all(shift <= tol * max(1.0, abs(x)) for shift, x, _ in wrong):
+    if wrong and all(shift <= WELDING_TOL * max(1.0, abs(x)) for shift, x, _ in wrong):
         raise NumericError(f"welding unresolved in double precision: shots from tau <= "
                            f"{max(t for *_, t in wrong):.6g} land within {max(wrong)[0]:.1e} "
                            "of each other")

@@ -61,11 +61,16 @@ F = "f"
 R = "r"
 _KINDS = (CAUCHY, F, R)
 
-#: eps * |G| above this value flags an atom during Stieltjes inversion
+#: Stieltjes inversion flags an atom where eps * |G| exceeds ATOM_THRESHOLD, and fails
+#: where the recovered mass falls below 1 - DEFICIT_TOL
 ATOM_THRESHOLD = 0.1
+DEFICIT_TOL = 1e-3
 
 #: heights used for the large-z moment fit
 ASYMPTOTIC_LEVELS = (50.0, 100.0, 200.0)
+
+#: Newton iterations per lane before :func:`_damped_newton` gives up
+NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -295,7 +300,7 @@ def _no_convergence(why: str, point) -> NoConvergenceError:
     return NoConvergenceError(f"no convergence at {complex(point)}: {why}")
 
 
-def _damped_newton(fun, x0, at, max_iter: int = 100):
+def _damped_newton(fun, x0, at):
     """Solve ``fun(x) = 0`` lane by lane, by Newton with residual-based step halving.
 
     ``at`` is a flat complex array of input points, one lane each; ``x0``
@@ -307,7 +312,7 @@ def _damped_newton(fun, x0, at, max_iter: int = 100):
     (legitimate for holomorphic functions) whose two ends are evaluated in
     one call, so a nested solve inside ``fun`` runs once for both.  Steps that
     increase the residual or push the iterate across the real axis are
-    halved; a lane running out of halvings or iterations raises
+    halved; a lane out of halvings or of ``NEWTON_MAX_ITER`` iterations raises
     ``NoConvergenceError`` naming its input point (the first such lane).
     """
     x = np.array(x0, dtype=complex)
@@ -315,7 +320,7 @@ def _damped_newton(fun, x0, at, max_iter: int = 100):
     fx = fun(x, np.arange(x.size))
     side = np.where(x.imag > 0, 1.0, -1.0)
     live = np.flatnonzero(~(np.abs(fx) <= stop))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not live.size:
             return x
         xl = x[live]
@@ -351,7 +356,7 @@ def _damped_newton(fun, x0, at, max_iter: int = 100):
     return x
 
 
-def invert_cauchy(g: AnalyticMap, w, max_iter: int = 100):
+def invert_cauchy(g: AnalyticMap, w):
     """Right inverse ``V`` of a Cauchy transform: solves ``G(V) = w``.
 
     Seeded at ``mean + 1/w`` (the exact inverse for a point mass); valid for
@@ -364,11 +369,10 @@ def invert_cauchy(g: AnalyticMap, w, max_iter: int = 100):
     ws, back = _lanes(w)
     if np.any(ws == 0):
         raise ValidationError("cannot invert the Cauchy transform at w = 0")
-    return back(_damped_newton(lambda v, k: g.fn(v) - ws[k], (g.mean or 0.0) + 1.0 / ws,
-                               ws, max_iter))
+    return back(_damped_newton(lambda v, k: g.fn(v) - ws[k], (g.mean or 0.0) + 1.0 / ws, ws))
 
 
-def r_transform(g: AnalyticMap, max_iter: int = 100) -> AnalyticMap:
+def r_transform(g: AnalyticMap) -> AnalyticMap:
     """R-transform ``V(w) - 1/w`` where ``V`` right-inverts ``g``.
 
     The returned map is reliable on the image of ``{i y : y >= 0.05}`` under
@@ -380,12 +384,12 @@ def r_transform(g: AnalyticMap, max_iter: int = 100) -> AnalyticMap:
 
     def fn(w):
         ws, back = _lanes(w)
-        return back(invert_cauchy(g, ws, max_iter) - 1.0 / ws)
+        return back(invert_cauchy(g, ws) - 1.0 / ws)
 
     return AnalyticMap(R, fn, mean=g.mean, variance=g.variance, domain=(0.0, 0.5))
 
 
-def cauchy_from_r(r: AnalyticMap, max_iter: int = 100) -> AnalyticMap:
+def cauchy_from_r(r: AnalyticMap) -> AnalyticMap:
     """Cauchy transform recovered from an R-transform.
 
     Solves ``R(w) + 1/w = z`` for ``w = G(z)`` by the same damped Newton used
@@ -396,8 +400,7 @@ def cauchy_from_r(r: AnalyticMap, max_iter: int = 100) -> AnalyticMap:
 
     def fn(z):
         zs, back = _lanes(z)
-        return back(_damped_newton(lambda w, k: r.fn(w) + 1.0 / w - zs[k], 1.0 / zs, zs,
-                                   max_iter))
+        return back(_damped_newton(lambda w, k: r.fn(w) + 1.0 / w - zs[k], 1.0 / zs, zs))
 
     return AnalyticMap(CAUCHY, fn, mean=r.mean, variance=r.variance)
 
@@ -425,19 +428,17 @@ def _atom_mass(g, x0: float, eps: float) -> float:
     return 2.0 * est(eps / 4.0) - est(eps / 2.0)
 
 
-def invert_stieltjes(g: AnalyticMap, grid, eps: float,
-                     atom_threshold: float = ATOM_THRESHOLD,
-                     deficit_tol: float = 1e-3) -> Empirical:
+def invert_stieltjes(g: AnalyticMap, grid, eps: float) -> Empirical:
     """Recover a measure from its Cauchy transform on a grid.
 
     Density estimate ``-(1/pi) Im g(x + i eps)`` Richardson-extrapolated over
     ``eps`` and ``eps/2`` (the smoothing error is linear in ``eps``).  Grid
-    points where ``eps * |g|`` exceeds ``atom_threshold`` flag an atom; each
+    points where ``eps * |g|`` exceeds ``ATOM_THRESHOLD`` flag an atom; each
     atom's location is refined by bisection, its mass by shrinking ``eps``, and
     its Cauchy kernel is subtracted before the density pass so pole tails do
     not leak into the density.
 
-    The recovered mass must reach ``1 - deficit_tol`` (otherwise
+    The recovered mass must reach ``1 - DEFICIT_TOL`` (otherwise
     ``MassDeficitError``); the result is renormalized to total mass one.
     Non-uniform grids are resampled onto a uniform grid of the same size.
 
@@ -456,9 +457,8 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float,
                       dtype=complex)
     g1, g2 = both[:xs.size], both[xs.size:]
 
-    flagged = eps * np.abs(g1) > atom_threshold
     atoms = []
-    idx = np.nonzero(flagged)[0]
+    idx = np.nonzero(eps * np.abs(g1) > ATOM_THRESHOLD)[0]
     if idx.size:
         runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
         for run in runs:
@@ -482,7 +482,7 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float,
         xs = even
 
     total = sum(m for _, m in atoms) + float(np.trapezoid(dens, xs))
-    if not (total >= 1.0 - deficit_tol):  # a NaN total fails too
+    if not (total >= 1.0 - DEFICIT_TOL):  # a NaN total fails too
         raise MassDeficitError(f"mass deficit: recovered {total:.6f} of 1")
 
     return Empirical(
@@ -493,15 +493,15 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float,
     )
 
 
-def asymptotic_moments(f: AnalyticMap, levels=ASYMPTOTIC_LEVELS):
+def asymptotic_moments(f: AnalyticMap):
     """Mean and variance from ``f(iy) ~ iy - mean - variance/(iy)``.
 
-    Least-squares fit over the probe heights; raises ``UnstableFitError`` when
+    Least-squares fit over the heights ``ASYMPTOTIC_LEVELS``; raises ``UnstableFitError`` when
     the per-height estimates disagree by more than 1% of the fitted scale.
     """
     if f.kind != F:
         raise ValidationError("asymptotic_moments expects an f-kind map")
-    ys = np.asarray(levels, dtype=float)
+    ys = np.asarray(ASYMPTOTIC_LEVELS, dtype=float)
     deltas = np.array([complex(f.fn(1j * y)) - 1j * y for y in ys])
     means = -deltas.real
     variances = ys * deltas.imag

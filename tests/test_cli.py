@@ -260,6 +260,18 @@ class TestExitCodes:
         assert run(["trace", "--driver", "const:0"]) == 2
 
     @pytest.mark.parametrize("argv", [
+        ["density", "--measure", "sc:1", "--grid=-2.2:2.2:11", "--tol", "1e-8"],
+        ["density", "--measure", "sc:1", "--grid=-2.2:2.2:11", "--seed", "1"],
+        ["sle", "--tol", "1e-8"],
+        ["welding", "--driver", "const:0", "--T", "1", "--tol", "1e-8"],
+    ], ids=["density-tol", "density-seed", "sle-tol", "welding-tol"])
+    def test_flag_the_subcommand_does_not_take(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["density", "--grid=-1:1:11", "--measure", "dirac:abc"],
         ["density", "--grid=-1:1:11", "--measure", "sc:1:2"],
         ["density", "--grid=-1:1:11", "--measure", "sc:inf"],
@@ -302,13 +314,33 @@ class TestExitCodes:
         ["convolve", "--expr", "free(sc:1, sc:1)", "--probe=nan+1i"],
         ["sle", "--kappa", "nan"],
         ["burgers", "--im", "inf"],
+        ["family", "--driver", "const:0", "--semantics", "free", "--z", "1e308+1e308i",
+         "--t", "1"],
+        ["family", "--driver", "const:0", "--semantics", "free", "--z", "nan+1i", "--t", "1"],
+        ["family", "--driver", "const:0", "--semantics", "free", "--z", "inf", "--t", "1"],
+        ["family", "--driver", "const:0", "--z", "1+infi", "--t", "1"],
+        ["flow", "--driver", "const:0", "--z", "inf", "--T", "1"],
+        ["convolve", "--expr", "free(sc:1, sc:1)", "--probe=inf+1i"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong
+        out = tmp_path / "x.csv"
         if argv[0] in ("density", "flow", "trace", "burgers", "family", "sle"):
-            argv = argv + ["--out", str(tmp_path / "x.csv")]
+            argv = argv + ["--out", str(out)]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "--driver", "const:0", "--semantics", "free", "--z", "inf", "--t", "1"],
+        ["family", "--driver", "const:0", "--z", "1+infi", "--t", "1"],
+        ["flow", "--driver", "const:0", "--z", "inf", "--T", "1"],
+        ["convolve", "--expr", "free(sc:1, sc:1)", "--probe=inf+1i"],
+    ], ids=["family-free", "family", "flow", "convolve"])
+    def test_infinite_point_parses_and_is_not_finite(self, tmp_path, capsys, argv):
+        # only a unit "i" becomes "j", so "inf" parses and meets the finite-value checks
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--driver", "sc-family", "--z", "1i", "--T", "inf"],

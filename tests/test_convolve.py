@@ -22,6 +22,7 @@ from loewner import (
     r_transform,
     shift,
 )
+from loewner import transforms
 from loewner.errors import DomainMismatchError, NoConvergenceError, ValidationError
 
 from conftest import root_upper
@@ -189,10 +190,11 @@ class TestSubordinationNearAxis:
         closed = cauchy(Semicircle(2.0)).fn(self.NEAR)
         assert float(np.max(np.abs(got - closed) / np.abs(closed))) < 1e-11
 
-    def test_newton_failure_names_its_point(self):
+    def test_newton_failure_names_its_point(self, monkeypatch):
         # no Newton iterations allowed: the first lane still moving after
         # Picard fails, and the error names it, not the first lane
-        g = free_subordination(cauchy(Semicircle(1.0)), cauchy(Semicircle(1.0)), max_iter=0)
+        monkeypatch.setattr(transforms, "NEWTON_MAX_ITER", 0)
+        g = free_subordination(cauchy(Semicircle(1.0)), cauchy(Semicircle(1.0)))
         with pytest.raises(NoConvergenceError, match=r"-2\.826"):
             g.fn(self.NEAR)
 

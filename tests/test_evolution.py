@@ -194,6 +194,16 @@ class TestFreeFamily:
         with pytest.raises(ValidationError, match="z != 0"):
             free_family(D0)(0.0, 1.0, z)
 
+    @pytest.mark.parametrize("z", [
+        1e308 + 1e308j, complex("nan+1j"), complex("inf"), 1e-320j,
+        np.array([1j, 1e308 + 1e308j]), np.array([1j, complex("nan+1j")]), np.array([1e-320j]),
+    ], ids=["w-rounds-to-0", "nan", "inf", "w-overflows", "array-w-0", "array-nan",
+            "array-w-inf"])
+    def test_non_finite_z_or_w_is_rejected(self, z):
+        # w = 1/z must be finite and nonzero: 1/z = 0 sits on the driver const:0
+        with pytest.raises(ValidationError, match="finite"):
+            free_family(D0)(0.0, 1.0, z)
+
 
 def semicircle_integral_oracle(lo, hi, w):
     """``Phi(hi) - Phi(lo)`` at 50 digits, ``Phi(tau) = w log(w + S_tau) - S_tau``."""

@@ -31,6 +31,7 @@ from loewner import (
     r_transform,
     shift,
 )
+from loewner import transforms
 from loewner.errors import (
     MassDeficitError,
     NoConvergenceError,
@@ -153,10 +154,12 @@ class TestRTransform:
         with pytest.raises(NoConvergenceError, match=r"-5j"):
             r(np.array([-0.3j, -5j]))
 
-    def test_cauchy_from_r_failure_names_its_point(self):
+    def test_cauchy_from_r_failure_names_its_point(self, monkeypatch):
         # with no iterations allowed only a lane whose seed 1/z already
-        # solves R(w) + 1/w = z passes: 1e8i does, 2i does not
-        back = cauchy_from_r(r_transform(cauchy(Semicircle(1.0))), max_iter=0)
+        # solves R(w) + 1/w = z passes: 1e8i does, 2i does not.  The unit
+        # semicircle's R-transform is w in closed form, so no inner Newton runs.
+        monkeypatch.setattr(transforms, "NEWTON_MAX_ITER", 0)
+        back = cauchy_from_r(AnalyticMap("r", lambda w: w))
         assert back(1e8j) == pytest.approx(-1e-8j, rel=1e-12)
         with pytest.raises(NoConvergenceError, match=r"2j"):
             back(np.array([1e8j, 2j]))
@@ -189,6 +192,17 @@ class TestStieltjesInversion:
         inner = np.abs(xs) <= 1.9
         closed = np.sqrt(4.0 - xs[inner] ** 2) / (2.0 * math.pi)
         assert float(np.max(np.abs(vals[inner] - closed))) < 1e-2
+
+    def test_graded_grid_is_resampled_uniformly(self):
+        # nodes bunch towards 0; the density comes back on a uniform grid of the same size
+        u = np.linspace(-1.0, 1.0, 2201)
+        rec = invert_stieltjes(cauchy(Semicircle(1.0)), 2.2 * np.sign(u) * np.abs(u) ** 1.2, 1e-3)
+        xs = rec.grid()
+        assert (rec.a, rec.b, xs.size) == (-2.2, 2.2, 2201)
+        assert np.allclose(np.diff(xs), 4.4 / 2200, rtol=1e-9, atol=0.0)
+        inner = np.abs(xs) <= 1.8
+        closed = np.sqrt(4.0 - xs[inner] ** 2) / (2.0 * math.pi)
+        assert float(np.max(np.abs(np.asarray(rec.values)[inner] - closed))) < 1e-2
 
     def test_dirac_atom(self):
         rec = invert_stieltjes(cauchy(Dirac(0.0)), np.linspace(-0.5, 0.5, 201), 1e-4)
