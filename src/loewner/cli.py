@@ -297,6 +297,8 @@ def _cmd_convolve(args) -> int:
         z = _parse_complex(args.probe)
         if not np.isfinite(z):
             raise ValidationError(f"--probe must be finite, got {args.probe!r}")
+        if math.hypot(z.real, z.imag) > 2.0 ** 1022:  # past it, 1/z is subnormal
+            raise ValidationError(f"--probe must have |z| <= 2**1022, got {args.probe!r}")
         val = amap(z)
         print(f"{amap.kind} {_fmt(val.real)} {_fmt(val.imag)}")
         return 0
@@ -431,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--z", action="append", required=True, help="probe point (repeatable)")
-    common(p)
+    common(p, tol=False)
+    p.add_argument("--tol", type=float, help="integrator error target (default 1e-10); "
+                   "monotone and anti-monotone families map point-mass pieces exactly, "
+                   "so it reaches only the other pieces")
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("sle", help="sample a Brownian driving path")

@@ -52,7 +52,9 @@ class EvolutionFamily:
     monotone and anti-monotone semantics and the R-transform value
     ``R_{s,t}(z)`` for the free semantics.  Every family here is normal: the
     represented measure ``sigma_{s,t}`` has mean 0 and variance ``t - s``.
-    ``tol`` governs the reverse flows only; the free values are exact.
+    ``tol`` governs only the reverse flows over pieces that are not point masses:
+    point-mass pieces (every piece of an ``AtomPath``, Dirac pieces of a
+    ``MeasurePath``) map exactly, and the free values are exact.
     """
 
     def __init__(self, semantics: str, driving: Driving, tol: float = DEFAULT_TOL):

@@ -1,6 +1,7 @@
 """Caratheodory ODE solvers for the chordal Loewner equations.
 
-Three flows share one adaptive Dormand-Prince 4(5) kernel:
+Three flows, integrated by one adaptive Dormand-Prince 4(5) kernel where a driver
+piece has no exact map:
 
 * forward   ``dg/dt = +G_{nu_t}(g)``   (hull-growing; points can be swallowed)
 * reverse   ``dphi/dt = -G_{nu_t}(phi)``  started at ``phi_{s,s} = z``
@@ -25,25 +26,30 @@ Point-mass pieces.  A resting piece (``nu = delta_u``) is autonomous: its flow i
 the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+ 2 dt)`` reverse and forward
 (Kager, Nienhuis & Kadanoff 2004).  Every solver applies these exact maps there and
 takes no integration step; the crossing of a point the piece swallows is closed-form
-too.  The pole of ``G = 1/(z - U)`` sits on the driver, where the hull grows; in
-``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` (root with Im >= 0) is regular
-(Kennedy 2007), so ``q`` is used only from the driver: the trace tip and welding
-shots.  A welding shot is real, ``s = sqrt(q)`` with ``ds/dt = 1/s - U'`` on each
-side, and every piece maps it exactly (one scalar implicit equation); the trace tip
-integrates ``q`` on sloped pieces only.  Everything else runs in ``g``.  Swallowing
-means ``Im g <= EPS_SWALLOW``; a forward flow finishes its crossing with ``Im g`` as
-the independent variable (Henon 1982), so a swallowed value lies on that line.
+too.  A sloped piece is exact in the reverse direction: in ``x = (y - U) U'``,
+``log1p(x) - x`` grows linearly, and the Wright omega function inverts it, so every
+reverse, anti-monotone and inverse-map solve (and the evolution families over them)
+maps each point-mass piece exactly.  The pole of ``G = 1/(z - U)`` sits on the driver,
+where the hull grows; in ``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` (root with
+Im >= 0) is regular (Kennedy 2007), so ``q`` is used only from the driver: the trace
+tip and welding shots.  A welding shot is real, ``s = sqrt(q)`` with
+``ds/dt = 1/s - U'`` on each side, and every piece maps it exactly (one scalar implicit
+equation); the trace tip integrates ``q`` on sloped pieces only.  Everything else runs
+in ``g``.  Swallowing means ``Im g <= EPS_SWALLOW``; a forward flow finishes its
+crossing with ``Im g`` as the independent variable (Henon 1982), so a swallowed value
+lies on that line.
 
-Two kernels.  :func:`_integrate` steps one complex scalar; every single-point
-or event-driven caller uses it (:func:`flow_forward`, :func:`inverse_map`,
-:func:`trace`, and through them the Burgers residual and the CLI ``flow`` and
-``family`` lines).  :func:`_integrate_lanes` is its lane-wise
-transcription: an ndarray of starts advances together, each lane with its own
-``t``, ``h`` and status.  :func:`flow_reverse` and :func:`flow_reverse_anti`
-pick the kernel by the shape of ``z``, so a whole grid of starts (Stieltjes
-inversion of an evolution family) is one solve.  On one lane numpy's overhead
-swamps the lane kernel: over a 64-piece SLE path at ``z = 2i`` a one-lane solve
-took 10.6 ms against 0.66 ms scalar (2-core x86, Python 3.11, numpy 2.4).
+Two kernels.  :func:`_integrate` steps one complex scalar: forward flows on sloped
+pieces (:func:`flow_forward`, so the round-trip check of :func:`inverse_map`, the
+Burgers residual and the CLI ``flow`` line), the trace tip on sloped pieces, and the
+reverse flows of a scalar start over pieces with no point mass (measure pieces other
+than Dirac, and :class:`SemicircleFamily`).  :func:`_integrate_lanes` is its lane-wise
+transcription for the last of these: an ndarray of starts advances together, each lane
+with its own ``t``, ``h`` and status, so a whole grid of starts (Stieltjes inversion of
+an evolution family) is one solve.  On one lane numpy's overhead swamps array code,
+so the exact maps have a scalar (cmath) route too: over a 64-piece SLE path at
+``z = 2i`` a one-lane kernel solve took 10.6 ms against 0.66 ms scalar (2-core x86,
+Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -438,6 +444,197 @@ def _integrate_lanes(rhs, t0: float, t1: float, y0, tol: float):
 
 
 # ---------------------------------------------------------------------------
+# exact reverse maps of point-mass pieces
+
+#: series of Algorithm 917 (Lawrence, Corless & Jeffrey 2012) for a start of the Wright
+#: omega function ``W = omega(zeta)``, ``W + log W = zeta``, highest power first: about the
+#: lower branch point ``(W + 1)/v`` in ``v = sqrt(2 (zeta + 1 + i pi))``, between the cuts
+#: ``W/v`` in ``v = e**zeta``, and in the "mushroom" about ``zeta = 1`` ``W`` in ``zeta - 1``
+_OMEGA_BRANCH = (-1j / 4320, 1 / 270, 1j / 36, 1 / 3, -1j)
+_OMEGA_BETWEEN = (125 / 24, -8 / 3, 3 / 2, -1.0, 1.0)
+_OMEGA_MUSHROOM = (13 / 61440, -1 / 3072, -1 / 192, 1 / 16, 1 / 2, 1.0)
+
+#: 2/(2n + 3) for n = 9 down to 0: ``log1p(x) - x = -x s + 2 s**3 sum_n s**(2n)/(2n + 3)``
+#: with ``s = x/(2 + x)``, to within 2**-60 of itself for |x| < 1/4
+_LOG1P_TAIL = tuple(2.0 / (2 * n + 3) for n in range(9, -1, -1))
+
+#: below this ``|k|`` a piece's map starts from the branch-point series itself
+_BRANCH_SERIES_K = 2.0 ** -20
+
+
+def _horner(coeffs, v):
+    """The polynomial with ``coeffs`` (highest power first) at a complex scalar or lanes."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * v + c
+    return acc
+
+
+def _log1p_tail(x, left):
+    """``log1p(x) - x`` for a complex scalar or lanes, by its series where the difference
+    would cancel (|x| < 1/4); where ``left`` (``Re(1 + x) < 0``) ``log(-(1 + x)) - x``
+    instead, ``i pi`` less.  Each form keeps the digits of a small imaginary part: the
+    first for ``1 + x`` near the positive half-axis, the second near the negative one."""
+    lanes = isinstance(x, np.ndarray)
+    p = 1.0 + x
+    if not lanes and (left or abs(x) >= 0.25):
+        return cmath.log(-p if left else p) - x
+    s = x / (2.0 + x)
+    series = s * (s * s * _horner(_LOG1P_TAIL, s * s) - x)
+    if not lanes:
+        return series
+    return np.where(np.abs(x) < 0.25, series, np.log(np.where(left, -p, p)) - x)
+
+
+def _branch_series(k):
+    """``omega(k - 1 - i pi) + 1``, the Wright omega function near its lower branch point, by
+    the series of Algorithm 917 in ``v = sqrt(2 k)``, whose cut runs along ``k < 0``."""
+    v = 2.0 * k
+    v = (np.sqrt(v.conjugate()) if isinstance(v, np.ndarray)
+         else cmath.sqrt(v.conjugate())).conjugate()
+    return v * _horner(_OMEGA_BRANCH, v)
+
+
+def _omega_far(t, lg):
+    """Algorithm 917's asymptotic start ``t - lg + lg/t + ...``, ``lg = log t`` (or the log
+    of ``-t`` near a cut), in powers of ``1/t`` so that no power of ``t`` overflows."""
+    u = 1.0 / t
+    return t - lg + u * (lg + u * ((0.5 * lg - 1.0) * lg
+                                   + u * ((lg / 3.0 - 1.5) * lg + 1.0) * lg))
+
+
+def _fsc_step(w, r):
+    """One Fritsch-Shafer-Crowley step for ``W + log W = zeta`` from ``w``, whose residual is
+    ``r = zeta - w - log w``: the new iterate, and whether it is within an ulp, so that a
+    second step would not move it (Algorithm 917's test, divided by ``(w + 1)**6`` so that
+    nothing overflows far out)."""
+    wp1 = w + 1.0
+    q = r / wp1
+    g = 2.0 + 4.0 / 3.0 * q
+    step = q * (g - q / wp1) / (g - 2.0 * q / wp1)
+    # 2 w**2 - 8 w - 1 = (w + 1)**2 (2 - 12/(w + 1) + 9/(w + 1)**2)
+    return w * (1.0 + step), abs(2.0 - (12.0 - 9.0 / wp1) / wp1) * abs(q) ** 4 < 72 * 2.0 ** -52
+
+
+def _wright_omega(zeta: complex, c: complex) -> complex:
+    """The Wright omega function ``W = omega(zeta)``, ``W + log W = zeta``, for
+    ``Im zeta < 0``, given ``zeta`` and ``c = zeta + i pi``: near ``Im zeta = 0`` the caller's
+    ``zeta`` carries the digits of its imaginary part, near the cut ``Im zeta = -pi`` its ``c``.
+    ``-W`` is the root ``p``, ``Im p > 0``, of ``log p - p = c``.
+
+    Algorithm 917 of Lawrence, Corless & Jeffrey (2012): a series start by region of
+    ``zeta``, then Fritsch-Shafer-Crowley steps, a second one only where the first may be
+    an ulp off.  A step from an iterate left of the imaginary axis reads ``c`` and takes
+    ``log W = log(-W) - i pi`` (Algorithm 917 regularizes so near the cut), any other
+    ``zeta``; the starts near either line read the argument that lies close to it.  So a
+    small ``Im W`` keeps its digits.
+    """
+    zr, zi = zeta.real, zeta.imag
+    if -2.0 < zr <= 1.0 and -2.0 * math.pi < zi < -1.0:
+        w = _branch_series(c + 1.0) - 1.0
+    elif zr <= -2.0 and 0.0 < c.imag:
+        v = cmath.exp(zeta) if zi > -0.5 * math.pi else -cmath.exp(c)
+        w = v * _horner(_OMEGA_BETWEEN, v)
+    elif -2.0 < zr and (-1.0 <= zi if zr <= 1.0
+                        else (zr - 1.0) * (zr - 1.0) + zi * zi <= math.pi ** 2):
+        w = _horner(_OMEGA_MUSHROOM, zeta - 1.0)
+    elif zr <= -1.05 and 0.75 * (zr + 1.0) < c.imag:  # the wing below the cut
+        w = _omega_far(c, cmath.log(-c))
+    else:
+        w = _omega_far(zeta, cmath.log(zeta))
+    w, done = _fsc_step(w, c - w - cmath.log(-w) if w.real < 0.0 else zeta - w - cmath.log(w))
+    if not done:
+        w, _ = _fsc_step(w, c - w - cmath.log(-w) if w.real < 0.0 else zeta - w - cmath.log(w))
+    return w
+
+
+def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Lane-wise :func:`_wright_omega`: the same regions, series and steps, each lane taking
+    a second step exactly where a scalar would."""
+    zr, zi = zeta.real, zeta.imag
+    wing = (zr <= -1.05) & (0.75 * (zr + 1.0) < c.imag)
+    with np.errstate(all="ignore"):  # every start is formed on every lane, then picked
+        v = np.where(zi > -0.5 * math.pi, np.exp(zeta), -np.exp(c))
+        w = np.select(
+            [(-2.0 < zr) & (zr <= 1.0) & (-2.0 * math.pi < zi) & (zi < -1.0),
+             (zr <= -2.0) & (0.0 < c.imag),
+             (-2.0 < zr) & np.where(zr <= 1.0, -1.0 <= zi,
+                                    (zr - 1.0) ** 2 + zi * zi <= math.pi ** 2)],
+            [_branch_series(c + 1.0) - 1.0, v * _horner(_OMEGA_BETWEEN, v),
+             _horner(_OMEGA_MUSHROOM, zeta - 1.0)],
+            _omega_far(np.where(wing, c, zeta), np.log(np.where(wing, -c, zeta))))
+        done = np.zeros(zeta.shape, dtype=bool)
+        for _ in range(2):
+            left = w.real < 0.0
+            r = np.where(left, c, zeta) - w - np.log(np.where(left, -w, w))
+            step, converged = _fsc_step(w, r)
+            w, done = np.where(done, w, step), done | converged
+    return w
+
+
+def _slope_map(w, a: float, span: float):
+    """``w`` after ``span`` of ``dw/dtau = -(1 + a w)/w``, ``a > 0``, ``Im w > 0``: a point's
+    offset from a point mass moving at rate ``a``, under the reverse flow.
+
+    With ``x = a w``, ``log1p(x) - x`` grows by ``a**2 span`` (Kager, Nienhuis & Kadanoff
+    2004) to ``k``, and ``Im x`` stays positive, so ``x_1 = -1 - omega(k - 1 - i pi)`` for
+    the Wright omega function (:func:`_wright_omega`).  Left of the stagnation point,
+    ``Re x < -1``, ``k`` is carried ``i pi`` less (:func:`_log1p_tail`), so that near the
+    axis its imaginary part keeps its digits.  One
+    Newton step in ``x`` on ``log1p(x_1) - x_1 = k`` restores the digits ``omega`` leaves
+    near its branch point ``x = 0``; where ``|k| < 2**-20`` the branch-point series is the
+    start instead.
+    """
+    x = a * w
+    left = x.real < -1.0
+    k = _log1p_tail(x, left) + a * a * span
+    if not isinstance(w, np.ndarray):
+        if left:
+            x = -1.0 - _wright_omega(k - 1.0, k - 1.0 + 1j * math.pi)
+        elif abs(k) < _BRANCH_SERIES_K:
+            x = -_branch_series(k)
+        else:
+            x = -1.0 - _wright_omega(k - 1.0 - 1j * math.pi, k - 1.0)
+        return (x + (_log1p_tail(x, left) - k) * (1.0 + x) / x) / a
+    with np.errstate(all="ignore"):  # both starts are formed on every lane, then picked
+        zeta = np.where(left, k - 1.0, k - 1.0 - 1j * math.pi)
+        omega = _wright_omega_lanes(zeta, np.where(left, k - 1.0 + 1j * math.pi, k - 1.0))
+        x = np.where(~left & (np.abs(k) < _BRANCH_SERIES_K), -_branch_series(k), -1.0 - omega)
+        return (x + (_log1p_tail(x, left) - k) * (1.0 + x) / x) / a
+
+
+def _atom_piece(y, line: tuple, lo: float, hi: float, c: float | None):
+    """Exact reverse map of a point-mass piece, ``line = (t_j, u_j, slope)``, over
+    ``[lo, hi]`` in integration time ``tau``, driver time ``tau`` or ``c - tau``.
+
+    A resting piece is the arcsine semigroup, and so is a sloped one whose motion
+    ``|a| span`` is below 2**-60 of the resting value; otherwise :func:`_slope_map`,
+    after the reflection ``w -> -conj(w)`` that makes the rate ``a = dU/dtau`` positive.
+    """
+    tj, uj, slope = line
+    span = hi - lo
+    if slope == 0.0:
+        return uj + _root((y - uj) ** 2 - 2.0 * span)
+    if c is None:
+        u0, u1, a = uj + slope * (lo - tj), uj + slope * (hi - tj), slope
+    else:
+        u0, u1, a = uj + slope * (c - lo - tj), uj + slope * (c - hi - tj), -slope
+    w = y - u0
+    lanes = isinstance(w, np.ndarray)
+    if lanes:
+        with np.errstate(over="ignore", invalid="ignore"):  # far out: then not resting
+            rest = _root(w * w - 2.0 * span)
+    else:
+        rest = _root(w * w - 2.0 * span)
+    size = abs(rest)
+    resting = (abs(a) * span <= 2.0 ** -60 * size) & (size < math.inf)
+    if resting.all() if lanes else resting:
+        return u0 + rest
+    moved = _slope_map(w, a, span) if a > 0.0 else -_slope_map(-w.conjugate(), -a, span).conjugate()
+    return np.where(resting, u0 + rest, u1 + moved) if lanes else u1 + moved
+
+
+# ---------------------------------------------------------------------------
 # flows
 
 @dataclass(frozen=True)
@@ -530,16 +727,18 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
     """Integrate ``dy/dtau = -G_{nu_r}(y)`` over ``[a, b]`` from ``y(a) = z``, in driver
     time ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``.
 
-    A complex ``z`` runs the scalar kernel; an ndarray runs all its starts
-    through the lane kernel.  A resting point-mass piece applies its exact map.
+    Every point-mass piece, resting or sloped, applies its exact map (:func:`_atom_piece`),
+    to a complex ``z`` or to all starts of an ndarray at once, and ``tol`` does not enter.
+    Other pieces are integrated: a complex ``z`` by the scalar kernel, an ndarray by the
+    lane kernel.
     """
     c = reflect_about
     lanes = isinstance(z, np.ndarray)
     y = z
     for lo, hi, g in _segments(d, a, b, c):
-        u = _resting(g)
-        if u is not None:
-            y = u + _root((y - u) ** 2 - 2.0 * (hi - lo))
+        line = getattr(g, "line", None)
+        if line is not None:
+            y = _atom_piece(y, line, lo, hi, c)
             continue
         if c is None:
             rhs = lambda tau, yy: -g(tau, yy)
@@ -663,10 +862,7 @@ def _expm1_tail(x: float) -> float:
     """``expm1(x) - x``, by its series where the difference would cancel (|x| < 1)."""
     if abs(x) >= 1.0:
         return math.expm1(x) - x
-    acc = 0.0
-    for c in _EXPM1_TAIL:
-        acc = acc * x + c
-    return acc * x * x
+    return _horner(_EXPM1_TAIL, x) * x * x
 
 
 def _shot_piece(s: float, a: float, span: float) -> float:

@@ -321,6 +321,11 @@ class TestExitCodes:
         ["family", "--driver", "const:0", "--z", "1+infi", "--t", "1"],
         ["flow", "--driver", "const:0", "--z", "inf", "--T", "1"],
         ["convolve", "--expr", "free(sc:1, sc:1)", "--probe=inf+1i"],
+        # past |z| = 2**1022, 1/z is subnormal
+        ["convolve", "--expr", "free(sc:1, sc:1)", "--probe=1e308+1e308i"],
+        ["convolve", "--expr", "mono(arcsine:1, arcsine:1)", "--probe=1e308+1e308i"],
+        ["convolve", "--expr", "mono(sc:1, arc:1)", "--probe=1e308+1e308i"],
+        ["convolve", "--expr", "anti(sc:1, arc:1)", "--probe=1e308+1e308i"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong
@@ -341,6 +346,20 @@ class TestExitCodes:
         # only a unit "i" becomes "j", so "inf" parses and meets the finite-value checks
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["free(sc:1, sc:1)", "mono(arcsine:1, arcsine:1)",
+                                      "mono(sc:1, arc:1)", "anti(sc:1, arc:1)",
+                                      "free(sc:1, arc:1)"])
+    def test_probe_bound(self, capsys, expr):
+        # just inside |z| <= 2**1022 every expression evaluates, on the axis and off it;
+        # just outside, the bound is named
+        for angle in (0.0, 0.3, math.pi / 4, math.pi / 2, 2.5, 3.1):
+            z = 0.999 * 2.0 ** 1022 * complex(math.cos(angle), math.sin(angle))
+            assert run(["convolve", "--expr", expr, f"--probe={z.real!r}+{z.imag!r}i"]) == 0
+            kind, re_, im_ = capsys.readouterr().out.split()
+            assert math.isfinite(float(re_)) and math.isfinite(float(im_))
+        assert run(["convolve", "--expr", expr, f"--probe={1.001 * 2.0 ** 1022!r}i"]) == 2
+        assert "2**1022" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--driver", "sc-family", "--z", "1i", "--T", "inf"],

@@ -13,6 +13,7 @@ from loewner import (
     MeasurePath,
     Semicircle,
     SemicircleFamily,
+    anti_monotone_family,
     asymptotic_moments,
     cauchy,
     chain_approximation,
@@ -521,6 +522,21 @@ def forward_oracle(d, z, t):
         return complex(v + d.u(t))
 
 
+def reverse_oracle(d, s, t, z, anti=False):
+    """``phi_{s,t}(z)`` of the reverse flow (or the anti-monotone one, which runs the pieces
+    from ``t`` down to ``s``), piece by piece in the frame of the driver:
+    ``w w' = -1 - a w`` with ``a`` the driver's rate in the direction of integration."""
+    with mp.workdps(30):
+        edges = [s] + [k for k in d.knots if s < k < t] + [t]
+        pieces = list(zip(edges, edges[1:]))
+        y = mp.mpc(z)
+        for lo, hi in pieces[::-1] if anti else pieces:
+            a = -line_of(d, lo, hi) if anti else line_of(d, lo, hi)
+            w = taylor_solve(y - d.u(hi if anti else lo), 0, hi - lo, c0=-1, d0=-a)
+            y = w + d.u(lo if anti else hi)
+        return complex(y)
+
+
 def shot_oracle(d, tau, big_t, side):
     """``U(T) + side s(T)`` of a welding shot, ``ds/dt = 1/s - side U'`` from ``s(tau) = 0``,
     by ``mpmath.odefun`` at 30 digits.  On the birth piece ``t(s)`` solves
@@ -819,6 +835,130 @@ class TestShotPiece:
                 assert sign * shift <= 4 * math.ulp(rest)
 
 
+#: three sloped pieces as steep as those of a kappa = 2, dt = 1/64 SLE path (|slope| 9.6-11.5)
+STEEP_PIECES = AtomPath([0.0, 1 / 64, 2 / 64, 3 / 64], [0.0, 0.15, -0.03, 0.13])
+
+#: a start next to the driver whose true image the resting map's Newton start misses: from
+#: there Newton converged to 0.0956 - 0.0075i, below the axis
+FOLD = (-0.1064945412133041 + 0.0004220645311343067j, 8.331882408798553)
+
+
+def piece_oracle(w0, a, span):
+    """``w`` after ``span`` of ``w w' = -1 - a w`` from ``w0``: one reverse-flow piece in the
+    frame of a point mass moving at rate ``a``."""
+    with mp.workdps(30):
+        return complex(taylor_solve(w0, 0, span, c0=-1, d0=-a))
+
+
+class TestSlopedPieces:
+    """A sloped point mass maps exactly under the reverse flows, through the Wright omega
+    function: no integration step, and the 30-digit oracle's value within 1e-12."""
+
+    @pytest.mark.parametrize("d, t, xs", [(THREE_PIECES, 1.0, (-0.1, 0.4)),
+                                          (STEEP_PIECES, 3 / 64, (-0.6, -0.1, 0.05))],
+                             ids=["three-pieces", "steep"])
+    @pytest.mark.parametrize("anti", [False, True], ids=["monotone", "anti-monotone"])
+    def test_matches_the_oracle(self, monkeypatch, d, t, xs, anti):
+        # each path has slopes of both signs, and runs the other way anti-monotone
+        flow = flow_reverse_anti if anti else flow_reverse
+        zs = np.array([complex(x, h) for h in (1e-2, 1e-6) for x in xs])
+        steps, (lanes, points) = count_steps(monkeypatch, lambda: (
+            flow(d, 0.0, t, zs), [flow(d, 0.0, t, complex(z)) for z in zs]))
+        assert steps == 0
+        for z, lane, point in zip(zs, lanes, points):
+            want = reverse_oracle(d, 0.0, t, z, anti)
+            assert abs(point - want) <= 1e-12 * abs(want)
+            assert abs(lane - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("anti", [False, True], ids=["monotone", "anti-monotone"])
+    def test_points_near_the_axis_keep_their_imaginary_digits(self, anti):
+        # the flow is real on the axis off the hull, so Im phi(x + i eps)/eps is phi'(x)
+        # to within eps**2: the same for every tiny eps, on either side of the driver
+        d = sle_driving(2.0, 1.0 / 64.0, 1.0, 3)
+        flow = flow_reverse_anti if anti else flow_reverse
+        for x in (-3.0, 3.0):
+            zs = x + 1j * np.array([1e-20, 1e-100, 1e-300])
+            for got in (flow(d, 0.0, 1.0, zs), [flow(d, 0.0, 1.0, complex(z)) for z in zs]):
+                got = np.asarray(got)
+                assert np.allclose(got.real, got.real[0], rtol=1e-15, atol=0.0)
+                assert np.allclose(got.imag / zs.imag, got.imag[0] / zs.imag[0],
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("w0, a", [
+        FOLD,
+        # next to the stagnation point w = -1/a, where the offset does not move
+        (-1 / FOLD[1] + 1e-9 + 1e-6j, FOLD[1]),
+        (-1 / FOLD[1] - 1e-3 + 1e-3j, FOLD[1]),
+        # slopes down to where the map is the resting one: the branch-point series starts
+        (0.3 + 0.01j, 1e-2), (0.3 + 0.01j, 1e-3), (0.3 + 0.01j, 1e-6), (0.3 + 0.01j, 1e-9),
+        (0.3 + 0.01j, 1e-12),
+        (1e-6j, 12.0), (2.5 + 1e-6j, 12.0), (-2.5 + 1e-6j, 12.0),
+    ])
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["rising", "falling"])
+    def test_single_piece(self, w0, a, side):
+        # a falling driver maps the mirror image w -> -conj(w)
+        w0 = w0 if side > 0 else -w0.conjugate()
+        want = piece_oracle(w0, side * a, 1 / 64)
+        line = (0.0, 0.0, side * a)  # U(tau) = slope tau, so y = w at tau = 0
+        got = flows._atom_piece(w0, line, 0.0, 1 / 64, None) - side * a / 64
+        lane = flows._atom_piece(np.array([w0]), line, 0.0, 1 / 64, None)[0] - side * a / 64
+        assert abs(got - want) <= 1e-12 * abs(want) and abs(lane - want) <= 1e-12 * abs(want)
+
+    def test_fold_lands_above_the_axis(self):
+        w0, a = FOLD
+        got = flows._atom_piece(w0, (0.0, 0.0, a), 0.0, 1 / 64, None) - a / 64
+        assert abs(got - (-0.0621894 + 0.0030947j)) < 1e-7
+
+    @pytest.mark.parametrize("w0", [0.3 + 0.01j, 1e-6j, -2.0 + 1e-3j])
+    def test_negligible_slope_keeps_the_resting_bits(self, w0):
+        rest = flows._atom_piece(w0, (0.0, 0.0, 0.0), 0.0, 1 / 64, None)
+        for a in (1e-300, -1e-300):
+            assert flows._atom_piece(w0, (0.0, 0.0, a), 0.0, 1 / 64, None) == rest
+            lanes = flows._atom_piece(np.array([w0, w0]), (0.0, 0.0, a), 0.0, 1 / 64, None)
+            assert np.all(lanes == flows._atom_piece(np.array([w0, w0]), (0.0, 0.0, 0.0),
+                                                     0.0, 1 / 64, None))
+
+    def test_log1p_tail(self, rng):
+        # by its series below |x| = 1/4, by the log above it, and i pi less left of
+        # 1 + x = 0, where that keeps the digits of a small imaginary part
+        xs = 10 ** rng.uniform(-15, 0.5, 400) * np.exp(1j * rng.uniform(0, math.pi, 400))
+        xs[::4] = rng.uniform(-4, 4, 100) + 1j * 10 ** rng.uniform(-250, -1, 100)
+        left = xs.real < -1.0
+        with mp.workdps(40):
+            want = np.array([complex((mp.log(-1 - mp.mpc(x)) if lf else mp.log1p(mp.mpc(x)))
+                                     - mp.mpc(x)) for x, lf in zip(xs, left)])
+        got = np.array([flows._log1p_tail(complex(x), bool(lf)) for x, lf in zip(xs, left)])
+        for value in (got, flows._log1p_tail(xs, left)):
+            assert float(np.max(np.abs(value - want) / np.abs(want))) < 1e-14
+            assert float(np.max(np.abs(value.imag - want.imag) / np.abs(want.imag))) < 1e-14
+
+
+class TestWrightOmega:
+    """The port of Algorithm 917, ``omega(zeta)`` for ``Im zeta < 0``, given ``zeta`` and
+    ``zeta + i pi``."""
+
+    def test_matches_scipy(self):
+        from scipy.special import wrightomega
+
+        rng = np.random.Generator(np.random.Philox(key=917))
+        n = 4000
+        zeta = np.concatenate([
+            rng.uniform(-40, 40, n) - 1j * rng.uniform(0, 3 * math.pi, n),
+            # just above the cut Im zeta = -pi, Re zeta <= -1
+            -rng.uniform(1, 30, n) + 1j * (-math.pi + 10 ** rng.uniform(-15, -1, n)),
+            # about the branch point -1 - i pi
+            rng.uniform(-3, 1, n) + 1j * (-math.pi + rng.uniform(-0.5, 0.5, n)),
+            10 ** rng.uniform(0, 15, n) * np.exp(-1j * rng.uniform(0, math.pi, n))])
+        want = wrightomega(zeta)
+        c = zeta + 1j * math.pi  # exact where Im zeta is within a factor 2 of -pi
+        got = np.array([flows._wright_omega(complex(z), complex(v)) for z, v in zip(zeta, c)])
+        lanes = flows._wright_omega_lanes(zeta, c)
+        assert float(np.max(np.abs(got - want) / np.abs(want))) < 1e-13
+        assert float(np.max(np.abs(lanes - want) / np.abs(want))) < 1e-13
+        # numpy's complex arithmetic differs from Python's by an ulp here and there
+        assert float(np.max(np.abs(lanes - got) / np.abs(got))) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # step counts: deterministic, unlike wall time
 
@@ -840,8 +980,8 @@ def count_steps(monkeypatch, call):
 class TestStepCounts:
     """Bounds about 3x above the counts of the q route; the g route took 31,144 (trace),
     49,506 (welding), 12,537 (lifetimes) and 5,180 (SLE trace) steps.  Resting trace
-    tips, forward flows over resting pieces and every welding shot are closed-form, and
-    take none."""
+    tips, forward flows over resting pieces, every welding shot and every reverse solve
+    over a point-mass piece are exact, and take none."""
 
     def test_readme_trace(self, monkeypatch, tmp_path, capsys):
         argv = ["trace", "--driver", "const:0", "--T", "1", "--steps", "100",
@@ -880,9 +1020,29 @@ class TestStepCounts:
         steps, _ = count_steps(monkeypatch, lambda: trace(d, list(np.linspace(0.0, 1.0, 11))))
         assert steps <= 4000  # 2,136; 3x would not catch the g route here
 
-    def test_sloped_anti_monotone_solve_is_untouched(self, monkeypatch):
-        # the g route on sloped pieces keeps its steps and its bits
+    def test_sloped_anti_monotone_solve_is_exact(self, monkeypatch):
+        # 64 pieces of an SLE path, each mapped exactly: only rounding parts it from the oracle
         d = sle_driving(2.0, 1.0 / 64.0, 1.0, 3)
         steps, z = count_steps(monkeypatch, lambda: flow_reverse_anti(d, 0.0, 1.0, 0.3 + 0.1j))
-        assert steps == 210
-        assert (z.real.hex(), z.imag.hex()) == ("-0x1.50f0a6a0a8ed6p-3", "0x1.47507344c885cp+0")
+        assert steps == 0
+        want = reverse_oracle(d, 0.0, 1.0, 0.3 + 0.1j, anti=True)
+        assert abs(z - want) <= 1e-12 * abs(want)
+
+    def test_sle_family_integrates_nothing(self, monkeypatch):
+        # per point, as the whole grid, and as the measure that inverts it
+        fam = anti_monotone_family(sle_driving(2.0, 1.0 / 64.0, 1.0, 3))
+        g = fam.cauchy_map(0.0, 1.0)
+        zs = np.linspace(-3.0, 3.0, 20) + 1e-2j
+        steps, _ = count_steps(monkeypatch, lambda: [g(complex(z)) for z in zs])
+        assert steps == 0
+        steps, _ = count_steps(monkeypatch, lambda: g(zs))
+        assert steps == 0
+        steps, rec = count_steps(monkeypatch,
+                                 lambda: fam.measure(0.0, 1.0, np.linspace(-3, 3, 301), 1e-2))
+        assert steps == 0 and rec.values.size == 301
+
+    def test_inverse_map_on_an_atom_path_integrates_nothing(self, monkeypatch):
+        d = sle_driving(2.0, 1.0 / 64.0, 1.0, 1)
+        steps, w = count_steps(monkeypatch,
+                               lambda: inverse_map(d, 1.0, complex(d.u(1.0), 1e-3), check=False))
+        assert steps == 0 and w.imag > 0
