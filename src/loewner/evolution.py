@@ -27,6 +27,7 @@ from .flows import (
     flow_reverse_anti,
     inverse_map,
     _check,
+    _piece_at,
     _segments,
 )
 from .transforms import (
@@ -137,7 +138,7 @@ def sle_driving(kappa: float, dt: float, horizon: float, seed: int) -> AtomPath:
 
 
 def _driver_value(d: Driving, q: float) -> float:
-    line = getattr(d.piece(q, q), "line", None)
+    line = d._lines[_piece_at(d, q)]
     if line is None:
         raise ValidationError("chain approximation needs a point-mass driving family")
     return line[1] + line[2] * (q - line[0])  # U(q) = u_j + slope (q - t_j)

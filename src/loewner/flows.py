@@ -12,51 +12,42 @@ a slit.  Driving families are piecewise structured (piecewise-linear point
 trajectories or piecewise-constant measures) and the integrator never steps
 across a structural breakpoint.
 
-Piece contract: every driver has ``knots`` (its breakpoints) and
-``piece(lo, hi)``, its Cauchy transform ``(t, z) -> G_{nu_t}(z)`` on the one
-piece holding ``[lo, hi]``, continuously extended to both ends.  So the left
-piece holds up to and including a segment's end, the next piece is never
-sampled, and solvers do no driver lookup while stepping.  A piece takes
-scalar ``t`` and ``z``, or ndarrays of the same shape.  A point-mass piece,
-``U(t) = u_j + slope (t - t_j)``, carries ``line = (t_j, u_j, slope)``.  Every
-driver also has ``integral(lo, hi, w)``, the exact ``int_lo^hi G_{nu_tau}(w) dtau``
-on the piece holding ``[lo, hi]`` (the free R-transform).
+Piece contract: every driver has ``knots``, its breakpoints from 0, and one entry of
+``_lines`` per knot.  Piece ``j`` runs from ``knots[j]`` to the next knot (the last one on
+past the horizon), and its line is ``(t_j, u_j, slope)`` for a point mass at
+``U(t) = u_j + slope (t - t_j)``, else ``None``.  :func:`_segments` walks the pieces of a
+window; the exact maps read only the lines, and only an integrated piece builds
+``piece(j)``, its Cauchy transform ``(t, z) -> G_{nu_t}(z)`` continued past both ends (on
+scalars, or ndarrays of one shape).  ``integral(lo, hi, w)`` is the exact
+``int_lo^hi G_{nu_tau}(w) dtau`` on the piece holding ``[lo, hi]`` (the free R-transform).
 
-Point-mass pieces.  A resting piece (``nu = delta_u``) is autonomous: its flow is
-the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+ 2 dt)`` reverse and forward
-(Kager, Nienhuis & Kadanoff 2004).  Every solver applies these exact maps there and
-takes no integration step; the crossing of a point the piece swallows is closed-form
-too.  A sloped piece is exact in the reverse direction: in ``x = (y - U) U'``,
-``log1p(x) - x`` grows linearly, and the Wright omega function inverts it, so every
-reverse, anti-monotone and inverse-map solve (and the evolution families over them)
-maps each point-mass piece exactly.  The pole of ``G = 1/(z - U)`` sits on the driver,
-where the hull grows; in ``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` (root with
-Im >= 0) is regular (Kennedy 2007), so ``q`` is used only from the driver: the trace
-tip and welding shots.  A welding shot is real, ``s = sqrt(q)`` with
-``ds/dt = 1/s - U'`` on each side, and every piece maps it exactly (one scalar implicit
-equation); the trace tip integrates ``q`` on sloped pieces only.  Everything else runs
-in ``g``.  Swallowing means ``Im g <= EPS_SWALLOW``; a forward flow finishes its
-crossing with ``Im g`` as the independent variable (Henon 1982), so a swallowed value
-lies on that line.
+Point-mass pieces.  A resting piece (``nu = delta_u``) is the arcsine semigroup,
+``z -> u + sqrt((z - u)**2 -+ 2 dt)`` reverse and forward (Kager, Nienhuis & Kadanoff
+2004), and the crossing of a point it swallows is closed-form too.  A sloped piece is exact
+in the reverse direction: in ``x = (y - U) U'``, ``log1p(x) - x`` grows linearly, and the
+Wright omega function inverts it.  So no reverse, anti-monotone or inverse-map solve (nor
+an evolution family over them) integrates a point mass.  The pole of ``G = 1/(z - U)`` sits
+on the driver; in ``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` (root with Im >= 0) is
+regular (Kennedy 2007), so ``q`` serves what starts on the driver: the trace tip, which
+integrates ``q`` on sloped pieces, and welding shots ``s = sqrt(q)``, which are real and
+map exactly on every piece (one scalar implicit equation).  Swallowing means
+``Im g <= EPS_SWALLOW``; a forward flow finishes its crossing with ``Im g`` as the
+independent variable (Henon 1982), so a swallowed value lies on that line.
 
-Two kernels.  :func:`_integrate` steps one complex scalar: forward flows on sloped
-pieces (:func:`flow_forward`, so the round-trip check of :func:`inverse_map`, the
-Burgers residual and the CLI ``flow`` line), the trace tip on sloped pieces, and the
-reverse flows of a scalar start over pieces with no point mass (measure pieces other
-than Dirac, and :class:`SemicircleFamily`).  :func:`_integrate_lanes` is its lane-wise
-transcription for the last of these: an ndarray of starts advances together, each lane
-with its own ``t``, ``h`` and status, so a whole grid of starts (Stieltjes inversion of
-an evolution family) is one solve.  On one lane numpy's overhead swamps array code,
-so the exact maps have a scalar (cmath) route too: over a 64-piece SLE path at
-``z = 2i`` a one-lane kernel solve took 10.6 ms against 0.66 ms scalar (2-core x86,
-Python 3.11, numpy 2.4).
+Two kernels.  :func:`_integrate` steps one complex scalar: forward flows and the trace tip
+on sloped pieces, and reverse flows over pieces with no point mass (measures other than
+Dirac, and :class:`SemicircleFamily`).  :func:`_integrate_lanes` is its lane-wise
+transcription for the last: an ndarray of starts advances together, each lane with its own
+``t``, ``h`` and status.  On one lane numpy's overhead swamps array code, so the exact maps
+have a scalar (cmath) route too: over a 64-piece SLE path at ``z = 2i`` a one-lane kernel
+solve took 10.6 ms against 0.66 ms scalar (2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,10 +101,10 @@ class AtomPath:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "knots", tuple(times.tolist()))
-        object.__setattr__(self, "_values", tuple(values.tolist()))
-        object.__setattr__(self, "_slopes", tuple(
-            (u1 - u0) / (t1 - t0) for t0, t1, u0, u1 in
-            zip(self.knots, self.knots[1:], self._values, self._values[1:])))
+        vs = values.tolist()
+        lines = tuple((t0, u0, (u1 - u0) / (t1 - t0)) for t0, t1, u0, u1 in
+                      zip(self.knots, self.knots[1:], vs, vs[1:]))
+        object.__setattr__(self, "_lines", lines + lines[-1:])  # the last runs past the horizon
 
     @property
     def horizon(self) -> float:
@@ -128,20 +119,15 @@ class AtomPath:
     def breakpoints(self, a: float, b: float):
         return [t for t in self.knots if a < t < b]
 
-    def piece(self, lo: float, hi: float):
-        """Transform ``(t, z) -> 1/(z - U(t))`` of the piece holding ``[lo, hi]``, ends
-        included; its ``line`` is ``(t_j, u_j, slope)``, ``U(t) = u_j + slope * (t - t_j)``."""
-        j = min(max(bisect_right(self.knots, 0.5 * (lo + hi)) - 1, 0), len(self.knots) - 2)
-        tj, uj, slope = self.knots[j], self._values[j], self._slopes[j]
-        g = lambda t, z: 1.0 / (z - (uj + slope * (t - tj)))
-        g.line = tj, uj, slope
-        return g
+    def piece(self, j: int):
+        """Transform ``(t, z) -> 1/(z - U(t))`` of piece ``j``, continued past its ends."""
+        tj, uj, slope = self._lines[j]
+        return lambda t, z: 1.0 / (z - (uj + slope * (t - tj)))
 
     def integral(self, lo: float, hi: float, w):
-        g = self.piece(lo, hi)
-        tj, uj, slope = g.line
+        tj, uj, slope = self._lines[_piece_at(self, 0.5 * (lo + hi))]
         if slope == 0.0:
-            return (hi - lo) * g(lo, w)
+            return (hi - lo) * (1.0 / (w - (uj + slope * (lo - tj))))
         # integral of 1/(w - U(tau)); Im w != 0 keeps U off the log's branch cut
         return (np.log(w - (uj + slope * (lo - tj))) - np.log(w - (uj + slope * (hi - tj)))) / slope
 
@@ -176,32 +162,26 @@ class MeasurePath:
         return math.inf
 
     def measure_at(self, t: float) -> Measure:
-        return self.measures[self._index(t)]
-
-    def _index(self, t: float) -> int:
-        return min(max(bisect_right(self.breakpoints, t) - 1, 0), len(self.measures) - 1)
+        return self.measures[_piece_at(self, t)]
 
     def cauchy(self, t: float, z: complex) -> complex:
-        return self._maps[self._index(t)](z)
+        return self._maps[_piece_at(self, t)](z)
 
-    def piece(self, lo: float, hi: float):
-        """Fixed transform ``(t, z) -> G_k(z)`` of the piece holding ``[lo, hi]``, ends
-        included; a Dirac piece's ``line`` is ``(0, location, 0)``, any other's ``None``."""
-        k = self._index(0.5 * (lo + hi))
-        fn = self._maps[k].fn
-        g = lambda t, z: fn(z)
-        g.line = self._lines[k]
-        return g
+    def piece(self, j: int):
+        """Fixed transform ``(t, z) -> G_j(z)`` of piece ``j``."""
+        fn = self._maps[j].fn
+        return lambda t, z: fn(z)
 
     def integral(self, lo: float, hi: float, w):
-        return (hi - lo) * self._maps[self._index(0.5 * (lo + hi))].fn(w)
+        return (hi - lo) * self._maps[_piece_at(self, 0.5 * (lo + hi))].fn(w)
 
 
 @dataclass(frozen=True)
 class SemicircleFamily:
     """Driving ``nu_t`` = semicircle law of variance ``t`` (the fixed point); one piece."""
 
-    knots = ()
+    knots = (0.0,)
+    _lines = (None,)
 
     @property
     def horizon(self) -> float:
@@ -219,7 +199,7 @@ class SemicircleFamily:
         radius = 2.0 * np.sqrt(np.maximum(t, 0.0))
         return np.where(t <= 0.0, 1.0 / z, 2.0 / (z + halfplane_sqrt(z, radius)))
 
-    def piece(self, lo: float, hi: float):
+    def piece(self, j: int):
         return self.cauchy
 
     def integral(self, lo: float, hi: float, w):
@@ -243,27 +223,30 @@ def constant_driver(u: float = 0.0) -> MeasurePath:
     return MeasurePath((0.0,), (Dirac(u),))
 
 
+def _piece_at(d: Driving, t: float) -> int:
+    """Index ``j`` of the piece of ``d`` that holds time ``t``."""
+    return max(bisect_right(d.knots, t) - 1, 0)
+
+
 def _segments(d: Driving, a: float, b: float, reflect_about: float | None = None):
-    """Integration segments ``(lo, hi, g)`` of [a, b] that avoid structural breakpoints.
-
-    ``g(t, z)`` is the driver's Cauchy transform on the segment's piece, in
-    driver time.  With ``reflect_about = c`` the driver is sampled at
-    ``c - tau`` (reverse time), so breakpoints are reflected accordingly.
-    """
-    c = reflect_about
+    """The segments ``(lo, hi, j)`` of ``[a, b]`` between the driver's knots, each within
+    piece ``j``; with ``reflect_about = c`` the driver is sampled at ``c - tau`` (reverse
+    time), and the walk runs down the knots.  One ``bisect``, then ``j`` steps by one."""
+    knots, c = d.knots, reflect_about
     if c is None:
-        pts = [t for t in d.knots if a < t < b]
-    else:
-        pts = sorted(c - t for t in d.knots if c - b < t < c - a and a < c - t < b)
-    knots = [a] + pts + [b]
-    return [(lo, hi, d.piece(lo, hi) if c is None else d.piece(c - hi, c - lo))
-            for lo, hi in zip(knots, knots[1:]) if hi > lo]
-
-
-def _resting(g):
-    """Location ``u`` of a resting point-mass piece (slope 0), else ``None``."""
-    line = getattr(g, "line", None)
-    return line[1] if line is not None and line[2] == 0.0 else None
+        j = bisect_right(knots, a) - 1
+        while a < b:
+            hi = knots[j + 1] if j + 1 < len(knots) and knots[j + 1] < b else b
+            yield a, hi, j
+            a, j = hi, j + 1
+        return
+    j = max(bisect_left(knots, c - a) - 1, 0)  # the piece just below driver time c - a
+    while a < b:
+        hi = c - knots[j] if c - b < knots[j] and c - knots[j] < b else b
+        if hi > a:  # a knot within rounding of c - a leaves its piece no time
+            yield a, hi, j
+            a = hi
+        j -= 1
 
 
 def _root(q):
@@ -471,18 +454,14 @@ def _horner(coeffs, v):
 
 
 def _log1p_tail(x, left):
-    """``log1p(x) - x`` for a complex scalar or lanes, by its series where the difference
-    would cancel (|x| < 1/4); where ``left`` (``Re(1 + x) < 0``) ``log(-(1 + x)) - x``
-    instead, ``i pi`` less.  Each form keeps the digits of a small imaginary part: the
-    first for ``1 + x`` near the positive half-axis, the second near the negative one."""
-    lanes = isinstance(x, np.ndarray)
+    """``log1p(x) - x`` for lanes, by its series where the difference would cancel
+    (|x| < 1/4); where ``left`` (``Re(1 + x) < 0``) ``log(-(1 + x)) - x`` instead, ``i pi``
+    less.  Each form keeps the digits of a small imaginary part: the first for ``1 + x``
+    near the positive half-axis, the second near the negative one.  :func:`_atom_piece`
+    takes the same steps on a complex scalar."""
     p = 1.0 + x
-    if not lanes and (left or abs(x) >= 0.25):
-        return cmath.log(-p if left else p) - x
     s = x / (2.0 + x)
     series = s * (s * s * _horner(_LOG1P_TAIL, s * s) - x)
-    if not lanes:
-        return series
     return np.where(np.abs(x) < 0.25, series, np.log(np.where(left, -p, p)) - x)
 
 
@@ -572,49 +551,43 @@ def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray) -> np.ndarray:
     return w
 
 
-def _slope_map(w, a: float, span: float):
-    """``w`` after ``span`` of ``dw/dtau = -(1 + a w)/w``, ``a > 0``, ``Im w > 0``: a point's
-    offset from a point mass moving at rate ``a``, under the reverse flow.
+#: past this ``|w|`` the resting map factors ``w**2`` out of its root: ``w**2`` would overflow
+_FAR = 1e154
 
-    With ``x = a w``, ``log1p(x) - x`` grows by ``a**2 span`` (Kager, Nienhuis & Kadanoff
-    2004) to ``k``, and ``Im x`` stays positive, so ``x_1 = -1 - omega(k - 1 - i pi)`` for
-    the Wright omega function (:func:`_wright_omega`).  Left of the stagnation point,
-    ``Re x < -1``, ``k`` is carried ``i pi`` less (:func:`_log1p_tail`), so that near the
-    axis its imaginary part keeps its digits.  One
-    Newton step in ``x`` on ``log1p(x_1) - x_1 = k`` restores the digits ``omega`` leaves
-    near its branch point ``x = 0``; where ``|k| < 2**-20`` the branch-point series is the
-    start instead.
-    """
-    x = a * w
-    left = x.real < -1.0
-    k = _log1p_tail(x, left) + a * a * span
-    if not isinstance(w, np.ndarray):
-        if left:
-            x = -1.0 - _wright_omega(k - 1.0, k - 1.0 + 1j * math.pi)
-        elif abs(k) < _BRANCH_SERIES_K:
-            x = -_branch_series(k)
-        else:
-            x = -1.0 - _wright_omega(k - 1.0 - 1j * math.pi, k - 1.0)
-        return (x + (_log1p_tail(x, left) - k) * (1.0 + x) / x) / a
-    with np.errstate(all="ignore"):  # both starts are formed on every lane, then picked
-        zeta = np.where(left, k - 1.0, k - 1.0 - 1j * math.pi)
-        omega = _wright_omega_lanes(zeta, np.where(left, k - 1.0 + 1j * math.pi, k - 1.0))
-        x = np.where(~left & (np.abs(k) < _BRANCH_SERIES_K), -_branch_series(k), -1.0 - omega)
-        return (x + (_log1p_tail(x, left) - k) * (1.0 + x) / x) / a
+
+def _rest(w, d: float):
+    """``sqrt(w**2 + d)``, the root on ``w``'s side, scalar or lanes: a point's offset from a
+    resting point mass after its arcsine map; past ``_FAR``, ``w sqrt(1 + d/w**2)``."""
+    lanes = isinstance(w, np.ndarray)
+    if not ((np.abs(w) >= _FAR).any() if lanes else abs(w) >= _FAR):
+        return _root(w * w + d)
+    with np.errstate(all="ignore"):  # lanes form both roots, then pick
+        far = w * (np.sqrt if lanes else cmath.sqrt)(1.0 + d / w / w)
+        return np.where(np.abs(w) < _FAR, _root(w * w + d), far) if lanes else far
 
 
 def _atom_piece(y, line: tuple, lo: float, hi: float, c: float | None):
     """Exact reverse map of a point-mass piece, ``line = (t_j, u_j, slope)``, over
-    ``[lo, hi]`` in integration time ``tau``, driver time ``tau`` or ``c - tau``.
+    ``[lo, hi]`` in integration time ``tau``, driver time ``tau`` or ``c - tau``, for a
+    complex scalar or lanes ``y``.
 
     A resting piece is the arcsine semigroup, and so is a sloped one whose motion
-    ``|a| span`` is below 2**-60 of the resting value; otherwise :func:`_slope_map`,
-    after the reflection ``w -> -conj(w)`` that makes the rate ``a = dU/dtau`` positive.
+    ``|a| span`` is below 2**-60 of the resting value (a scalar forms that value only
+    where ``|rest| <= |w| + sqrt(2 span)`` lets it pass).  Otherwise the reflection
+    ``w -> -conj(w)`` makes the rate ``a = dU/dtau`` positive, and the offset ``w`` from
+    the driver follows ``dw/dtau = -(1 + a w)/w``: with ``x = a w``, ``log1p(x) - x`` grows
+    by ``a**2 span`` (Kager, Nienhuis & Kadanoff 2004) to ``k``, and ``Im x`` stays
+    positive, so ``x_1 = -1 - omega(k - 1 - i pi)`` for the Wright omega function
+    (:func:`_wright_omega`).  Left of the stagnation point, ``Re x < -1``, ``k`` is carried
+    ``i pi`` less (:func:`_log1p_tail`), so that near the axis its imaginary part keeps its
+    digits.  One Newton step in ``x`` on ``log1p(x_1) - x_1 = k`` restores the digits
+    ``omega`` leaves near its branch point ``x = 0``; where ``|k| < 2**-20`` the
+    branch-point series is the start instead.  A scalar takes these steps inline.
     """
     tj, uj, slope = line
     span = hi - lo
     if slope == 0.0:
-        return uj + _root((y - uj) ** 2 - 2.0 * span)
+        return uj + _rest(y - uj, -2.0 * span)
     if c is None:
         u0, u1, a = uj + slope * (lo - tj), uj + slope * (hi - tj), slope
     else:
@@ -622,16 +595,41 @@ def _atom_piece(y, line: tuple, lo: float, hi: float, c: float | None):
     w = y - u0
     lanes = isinstance(w, np.ndarray)
     if lanes:
-        with np.errstate(over="ignore", invalid="ignore"):  # far out: then not resting
-            rest = _root(w * w - 2.0 * span)
+        rest = _rest(w, -2.0 * span)
+        resting = abs(a) * span <= 2.0 ** -60 * np.abs(rest)
+        if resting.all():
+            return u0 + rest
+    elif abs(a) * span <= 2.0 ** -59 * (abs(w) + math.sqrt(2.0 * span)):
+        rest = _rest(w, -2.0 * span)
+        if abs(a) * span <= 2.0 ** -60 * abs(rest):
+            return u0 + rest
+    flip = a < 0.0
+    if flip:
+        w, a = -w.conjugate(), -a
+    x = a * w
+    left = x.real < -1.0
+    if lanes:
+        k = _log1p_tail(x, left) + a * a * span
+        with np.errstate(all="ignore"):  # both starts are formed on every lane, then picked
+            omega = _wright_omega_lanes(np.where(left, k - 1.0, k - 1.0 - 1j * math.pi),
+                                        np.where(left, k - 1.0 + 1j * math.pi, k - 1.0))
+            x = np.where(~left & (np.abs(k) < _BRANCH_SERIES_K), -_branch_series(k), -1.0 - omega)
+            moved = (x + (_log1p_tail(x, left) - k) * (1.0 + x) / x) / a
+        return np.where(resting, u0 + rest, u1 + (-moved.conjugate() if flip else moved))
+    p, s = 1.0 + x, x / (2.0 + x)
+    k = (cmath.log(-p if left else p) - x if left or abs(x) >= 0.25
+         else s * (s * s * _horner(_LOG1P_TAIL, s * s) - x)) + a * a * span
+    if left:
+        x = -1.0 - _wright_omega(k - 1.0, k - 1.0 + 1j * math.pi)
+    elif abs(k) < _BRANCH_SERIES_K:
+        x = -_branch_series(k)
     else:
-        rest = _root(w * w - 2.0 * span)
-    size = abs(rest)
-    resting = (abs(a) * span <= 2.0 ** -60 * size) & (size < math.inf)
-    if resting.all() if lanes else resting:
-        return u0 + rest
-    moved = _slope_map(w, a, span) if a > 0.0 else -_slope_map(-w.conjugate(), -a, span).conjugate()
-    return np.where(resting, u0 + rest, u1 + moved) if lanes else u1 + moved
+        x = -1.0 - _wright_omega(k - 1.0 - 1j * math.pi, k - 1.0)
+    p, s = 1.0 + x, x / (2.0 + x)
+    tail = (cmath.log(-p if left else p) - x if left or abs(x) >= 0.25
+            else s * (s * s * _horner(_LOG1P_TAIL, s * s) - x))
+    moved = (x + (tail - k) * p / x) / a
+    return u1 - moved.conjugate() if flip else u1 + moved
 
 
 # ---------------------------------------------------------------------------
@@ -691,17 +689,21 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
 
     y, err_acc = z, 0.0
     event = lambda tt, yy: yy.imag - EPS_SWALLOW
-    for a, b, g in _segments(d, 0.0, t):
-        u = _resting(g)
-        if u is not None:  # q = (g - u)**2 moves right at rate 2
-            q0 = (y - u) ** 2
-            y = u + _root(q0 + 2.0 * (b - a))
+    for a, b, j in _segments(d, 0.0, t):
+        line = d._lines[j]
+        if line is not None and line[2] == 0.0:  # q = (g - u)**2 moves right at rate 2
+            u, w = line[1], y - line[1]
+            y = u + _rest(w, 2.0 * (b - a))
             if y.imag > EPS_SWALLOW:
                 continue
-            # Im q stays and Im sqrt(q) falls as Re q grows: sqrt(q) passes x + i EPS_SWALLOW once
-            x = q0.imag / (2.0 * EPS_SWALLOW)
-            life = min(max(a + 0.5 * (x * x - EPS_SWALLOW ** 2 - q0.real), a), b)
-            return FlowPoint(complex(u + x, EPS_SWALLOW), False, life, err_acc)
+            # Im q stays and Im sqrt(q) falls as Re q grows: sqrt(q) passes x + i EPS_SWALLOW
+            # once, after 0.5 (x**2 - EPS_SWALLOW**2 - Re q); factored where q would overflow
+            (re, im), eps = (w.real, w.imag), EPS_SWALLOW
+            x = re * im / eps
+            life = a + (0.5 * (x * x - eps ** 2 - (w * w).real) if abs(w) < _FAR
+                        else 0.5 * (re * (im - eps) / eps) * (re * (im + eps) / eps))
+            return FlowPoint(complex(u + x, EPS_SWALLOW), False, min(max(life, a), b), err_acc)
+        g = d.piece(j)
         status, tc, y, err = _integrate(g, a, b, y, tol, event)
         err_acc += err
         if status == "event":  # finish the crossing in sigma = -Im g, state v = Re g + i t
@@ -727,23 +729,22 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
     """Integrate ``dy/dtau = -G_{nu_r}(y)`` over ``[a, b]`` from ``y(a) = z``, in driver
     time ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``.
 
-    Every point-mass piece, resting or sloped, applies its exact map (:func:`_atom_piece`),
-    to a complex ``z`` or to all starts of an ndarray at once, and ``tol`` does not enter.
-    Other pieces are integrated: a complex ``z`` by the scalar kernel, an ndarray by the
-    lane kernel.
+    The walk (:func:`_segments`) reads the driver's tables.  Every point-mass piece, resting
+    or sloped, maps its line exactly (:func:`_atom_piece`), a complex ``z`` in one scalar
+    call and an ndarray's starts all at once; no function is built and ``tol`` does not
+    enter.  Only the other pieces build ``d.piece(j)`` and integrate it: a complex ``z`` by
+    the scalar kernel, an ndarray by the lane kernel.
     """
     c = reflect_about
     lanes = isinstance(z, np.ndarray)
     y = z
-    for lo, hi, g in _segments(d, a, b, c):
-        line = getattr(g, "line", None)
+    for lo, hi, j in _segments(d, a, b, c):
+        line = d._lines[j]
         if line is not None:
             y = _atom_piece(y, line, lo, hi, c)
             continue
-        if c is None:
-            rhs = lambda tau, yy: -g(tau, yy)
-        else:
-            rhs = lambda tau, yy: -g(c - tau, yy)
+        g = d.piece(j)
+        rhs = (lambda tau, yy: -g(tau, yy)) if c is None else (lambda tau, yy: -g(c - tau, yy))
         if lanes:
             done, y = _integrate_lanes(rhs, lo, hi, y, tol)
             start = None if done.all() else z.flat[int(np.argmin(done))]
@@ -813,7 +814,7 @@ def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> Hull
     pts, errs = [], []
     for t in times:
         _check(d, 0.0, t, what="trace")
-        segs = _segments(d, 0.0, t, reflect_about=t)  # none at t = 0, where q stays 0
+        segs = list(_segments(d, 0.0, t, reflect_about=t))  # none at t = 0, where q stays 0
         if segs and segs[0][1] - segs[0][0] < (10.0 * TRACE_DELTAS[0]) ** 2:
             # no round-trip check: g_t o f_t conditions like 1/delta near the boundary
             v0, v1, v2 = (inverse_map(d, t, complex(d.u(t), delta), tol, check=False)
@@ -821,11 +822,12 @@ def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> Hull
             if abs(v1 - v0) > 1e-12 and abs(v2 - v1) > 0.9 * abs(v1 - v0):
                 raise TraceUnresolvedError(f"trace unresolved at t = {t}")
         q, err_acc = 0j, 0.0
-        for lo, hi, g in segs:  # driver time t - sigma, so dU/dsigma = -slope
-            if g.line[2] == 0.0:  # resting: dq/dsigma = -2
+        for lo, hi, j in segs:  # driver time t - sigma, so dU/dsigma = -slope
+            slope = d._lines[j][2]
+            if slope == 0.0:  # resting: dq/dsigma = -2
                 q -= 2.0 * (hi - lo)
                 continue
-            rhs = lambda x, q, slope=g.line[2]: 2.0 * (slope * _root(q) - 1.0)
+            rhs = lambda x, q, slope=slope: 2.0 * (slope * _root(q) - 1.0)
             status, _, q, err = _integrate(rhs, lo, hi, q, tol)
             if status != "done":
                 raise TraceUnresolvedError(f"trace tip solve stalled at t = {t}")
@@ -911,17 +913,14 @@ def _shot(d: AtomPath, tau: float, big_t: float, side: float) -> float:
     ``tau``: ``s = sqrt(q) = |g - U|`` with ``dq/dt = 2 - 2 side U' sqrt(q)`` from
     ``q(tau) = 0``, mapped exactly piece by piece (:func:`_shot_piece`).  A shot that
     comes back within :data:`EPS_SWALLOW` of the driver means the hull is not a slit."""
-    knots, last = d.knots, len(d.knots) - 2
-    j, lo, s = min(bisect_right(knots, tau) - 1, last), tau, 0.0
-    while lo < big_t:  # piece j holds [lo, hi]; the last one extends past the horizon
-        hi = big_t if j == last else min(knots[j + 1], big_t)
-        s = _shot_piece(s, side * d._slopes[j], hi - lo)
+    s = 0.0
+    for lo, hi, j in _segments(d, tau, big_t):
+        s = _shot_piece(s, side * d._lines[j][2], hi - lo)
         # q grows like 2 (t - tau) from its birth; below EPS_SWALLOW**2 afterwards it is
         # back.  s is monotone on a piece, so the piece's end decides.
         if s * s < min(EPS_SWALLOW ** 2, hi - tau):
             raise NotASlitError("not a slit: lifetime gap inside the welding interval "
                                 f"(the shot from t = {tau} returns to the driver)")
-        lo, j = hi, j + 1
     return d.u(big_t) + side * s
 
 

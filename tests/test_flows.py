@@ -369,8 +369,8 @@ class TestDrivers:
         knots = list(d.knots) or [0.0]
         if d.horizon == math.inf:
             knots.append(knots[-1] + 1.0)
-        for lo, hi in zip(knots, knots[1:]):
-            g = d.piece(lo, hi)
+        for j, (lo, hi) in enumerate(zip(knots, knots[1:])):
+            g = d.piece(j)
             for frac in (0.1, 0.5, 0.9):
                 t = lo + frac * (hi - lo)
                 for z in (2j, 0.3 + 0.1j):
@@ -433,7 +433,8 @@ class TestLanes:
         # on each piece of the Dirac / semicircle / arcsine path
         for _ in range(20):
             z = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-3, 0.5))
-            for lo, hi, g in _segments(LANE_DRIVERS[0], 0.1, 0.9):
+            for lo, hi, j in _segments(LANE_DRIVERS[0], 0.1, 0.9):
+                g = LANE_DRIVERS[0].piece(j)
                 rhs_s, calls_s = counted(g)
                 status, _, y_s, _ = _integrate(rhs_s, lo, hi, z, 1e-10)
                 rhs_l, calls_l = counted(g)
@@ -1046,3 +1047,105 @@ class TestStepCounts:
         steps, w = count_steps(monkeypatch,
                                lambda: inverse_map(d, 1.0, complex(d.u(1.0), 1e-3), check=False))
         assert steps == 0 and w.imag > 0
+
+
+#: windows of THREE_PIECES that meet the knots: both ends on knots, s = t on a knot and
+#: inside a piece, both ends inside one piece, t at the horizon, and two where the
+#: anti-monotone walk's first driver time c - s = (s + t) - s lands exactly on a knot
+#: (0.6, and 0.3 one ulp below t = 0.30000000000000004)
+WALK_WINDOWS = [(0.3, 0.6), (0.0, 0.3), (0.3, 0.3), (0.45, 0.45), (0.35, 0.55), (0.45, 1.0),
+                (0.1, 0.6), (0.2, 0.30000000000000004)]
+
+
+class TestTableWalk:
+    """Solves over point masses walk the driver's tables and build no piece function."""
+
+    @pytest.mark.parametrize("d", [sle_driving(2.0, 1.0 / 64.0, 1.0, 3),
+                                   dirac_path(np.random.Generator(np.random.Philox(key=16)))],
+                             ids=["atom-path", "dirac-path"])
+    def test_point_mass_solves_build_no_piece(self, monkeypatch, d):
+        zs = np.array([0.3 + 1e-2j, -1.0 + 0.5j, 2j])
+        calls = [
+            lambda z: flow_reverse(d, 0.1, 0.9, z),
+            lambda z: flow_reverse_anti(d, 0.1, 0.9, z),
+            lambda z: anti_monotone_family(d).cauchy_map(0.0, 1.0)(z),
+            lambda z: chain_approximation(d, 1.0 / 64.0, 64)(z),
+        ]
+        want = [[call(z) for z in (complex(zs[0]), zs)] for call in calls]
+        inverse = inverse_map(d, 1.0, 0.3 + 1e-2j, check=False)
+
+        def refuse(self, j):
+            raise AssertionError(f"piece {j} was built")
+
+        monkeypatch.setattr(AtomPath, "piece", refuse)
+        monkeypatch.setattr(MeasurePath, "piece", refuse)
+        for call, (scalar, lanes) in zip(calls, want):
+            assert call(complex(zs[0])) == scalar and np.all(call(zs) == lanes)
+        assert inverse_map(d, 1.0, 0.3 + 1e-2j, check=False) == inverse
+
+    @pytest.mark.parametrize("s, t", WALK_WINDOWS)
+    @pytest.mark.parametrize("anti", [False, True], ids=["monotone", "anti-monotone"])
+    def test_window_edges_match_the_oracle(self, s, t, anti):
+        flow = flow_reverse_anti if anti else flow_reverse
+        zs = np.array([0.3 + 1e-2j, -0.4 + 0.5j])
+        lanes = flow(THREE_PIECES, s, t, zs)
+        for z, lane in zip(zs, lanes):
+            point = flow(THREE_PIECES, s, t, complex(z))
+            want = z if s == t else reverse_oracle(THREE_PIECES, s, t, z, anti)
+            assert abs(point - want) <= 1e-12 * abs(want)
+            assert abs(lane - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("s, t, pieces", [(0.1, 0.6, [1, 0]), (0.2, 0.30000000000000004, [0])])
+    def test_first_reflected_piece_ends_on_its_knot(self, s, t, pieces):
+        # (s + t) - s is the knot: the anti-monotone walk starts on the piece below it
+        assert (s + t) - s in THREE_PIECES.knots
+        assert [j for *_, j in _segments(THREE_PIECES, s, t, s + t)] == pieces
+
+
+class TestFarStarts:
+    """Past ``|w| = 1e154`` a resting piece maps ``w sqrt(1 -+ 2 dt/w**2)``, where
+    ``(w - u)**2`` would overflow (it raised ``OverflowError``)."""
+
+    def test_resting_pieces_map_a_far_start(self, tmp_path):
+        fp = flow_forward(D0, 1e200 + 1j, 1.0)
+        assert fp.alive and fp.value == 1e200 + 1j
+        assert flow_reverse(D0, 0.0, 1.0, 1e200 + 1j) == 1e200 + 1j
+        lanes = flow_reverse(D0, 0.0, 1.0, np.array([1e200 + 1j, 2j]))
+        assert lanes[0] == 1e200 + 1j and lanes[1] == flow_reverse(D0, 0.0, 1.0, 2j)
+        out = tmp_path / "f.csv"
+        assert run(["flow", "--driver", "const:0", "--z", "1e200+1i", "--T", "1",
+                    "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().split()[1:]]
+        assert len(rows) == 51
+        assert all(float(row[1]) == 1e200 and row[2:4] == ["1", "1"] for row in rows)
+
+    def test_negligible_slope_keeps_the_resting_map_far_out(self):
+        # the resting value overflowed, so the slope map ran and landed on -1e200
+        for values in ([0.0, 1e-300], [0.0, 1.0]):
+            assert flow_reverse(AtomPath([0.0, 1.0], values), 0.0, 1.0, 1e200 + 1j) == 1e200 + 1j
+
+    @pytest.mark.parametrize("r", [0.5e154, 0.99e154, 1.01e154, 2e154, 1e200, 1e300])
+    def test_either_side_of_the_bound_matches_mpmath(self, r):
+        with mp.workdps(30):
+            for angle in (1e-3, 0.4, 1.5, 2.9):
+                z = r * complex(math.cos(angle), math.sin(angle))
+                for t in (1.0, 1e300, 1e307):
+                    w = mp.mpc(z)
+                    want = complex(mp.sqrt(w * w - 2 * mp.mpf(t)))
+                    want = want if want.imag >= 0 else -want
+                    assert abs(flow_reverse(D0, 0.0, t, z) - want) <= 1e-15 * abs(want)
+                    fp = flow_forward(D0, z, t)
+                    if fp.alive:
+                        want = complex(mp.sqrt(w * w + 2 * mp.mpf(t)))
+                        want = want if want.imag >= 0 else -want
+                        assert abs(fp.value - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("x, y", [(1e153, 2e-6), (1e156, 1.0000001e-6)])
+    def test_swallow_lifetime_either_side_matches_mpmath(self, x, y):
+        # Im q = 2 x y stays, so sqrt(q) crosses Im = eps after (y**2 - eps**2)(x**2/eps**2 + 1)/2
+        eps = flows.EPS_SWALLOW
+        fp = flow_forward(D0, complex(x, y), 1e307)
+        with mp.workdps(30):
+            life = (mp.mpf(y) ** 2 - mp.mpf(eps) ** 2) * (mp.mpf(x) ** 2 / mp.mpf(eps) ** 2 + 1) / 2
+        assert not fp.alive and abs(fp.lifetime - float(life)) <= 1e-12 * float(life)
+        assert fp.value == complex(x * y / eps, eps)
