@@ -242,7 +242,7 @@ def _free_additivity() -> CriterionResult:
     fam = free_family(sle)
     worst_quad = 0.0
     for s, t in ((0.0, 1.0), (0.13, 0.77), (0.5, 0.9)):
-        knots = [s] + sle.breakpoints(s, t) + [t]
+        knots = [s] + [k for k in sle.knots if s < k < t] + [t]
         for z in probes:
             w = 1.0 / z
             oracle = sum(

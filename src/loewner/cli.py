@@ -268,11 +268,11 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    cfg, tol, seed, _ = _merge_config(args)
+    cfg, _, seed, _ = _merge_config(args)
     big_t = _time(args.T, "--T")
     d = _resolve_driver(args, cfg, big_t, seed)
     times = np.linspace(0.0, big_t, _steps(args) + 1)
-    result = trace(d, [float(t) for t in times], tol)
+    result = trace(d, [float(t) for t in times])
     rows = [(_fmt(t), _fmt(p.real), _fmt(p.imag), _fmt(e))
             for t, p, e in zip(result.times, result.points, result.err_est)]
     _write_csv(args.out, ("t", "re", "im", "err_est"), rows)
@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, tol=True, seed=True):
         p.add_argument("--config", help="JSON run configuration file")
         if tol:
-            p.add_argument("--tol", type=float, help="integrator error target (default 1e-10)")
+            p.add_argument("--tol", type=float, help="integrator error target (default 1e-10); "
+                           "point-mass pieces map exactly, so it reaches only the other pieces")
         if seed:
             p.add_argument("--seed", type=int, help="seed for sampled drivers (default 0)")
         p.add_argument("--out", required=True, help="output CSV path")
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--driver", help="driver spec (atom path)")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
-    common(p)
+    common(p, tol=False)
     p.set_defaults(handler=_cmd_trace)
 
     p = sub.add_parser("welding", help="conformal welding of the hull at time T")
@@ -433,10 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--z", action="append", required=True, help="probe point (repeatable)")
-    common(p, tol=False)
-    p.add_argument("--tol", type=float, help="integrator error target (default 1e-10); "
-                   "monotone and anti-monotone families map point-mass pieces exactly, "
-                   "so it reaches only the other pieces")
+    common(p)
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("sle", help="sample a Brownian driving path")

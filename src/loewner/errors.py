@@ -51,7 +51,7 @@ class NotInImageError(NumericError):
 
 
 class TraceUnresolvedError(NumericError):
-    """Trace tip unresolved: the boundary offsets did not contract, or the tip solve stalled."""
+    """Trace tip unresolved: the boundary offsets did not contract."""
 
 
 class NotASlitError(NumericError):

@@ -21,26 +21,24 @@ window; the exact maps read only the lines, and only an integrated piece builds
 scalars, or ndarrays of one shape).  ``integral(lo, hi, w)`` is the exact
 ``int_lo^hi G_{nu_tau}(w) dtau`` on the piece holding ``[lo, hi]`` (the free R-transform).
 
-Point-mass pieces.  A resting piece (``nu = delta_u``) is the arcsine semigroup,
-``z -> u + sqrt((z - u)**2 -+ 2 dt)`` reverse and forward (Kager, Nienhuis & Kadanoff
-2004), and the crossing of a point it swallows is closed-form too.  A sloped piece is exact
-in the reverse direction: in ``x = (y - U) U'``, ``log1p(x) - x`` grows linearly, and the
-Wright omega function inverts it.  So no reverse, anti-monotone or inverse-map solve (nor
-an evolution family over them) integrates a point mass.  The pole of ``G = 1/(z - U)`` sits
-on the driver; in ``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` (root with Im >= 0) is
-regular (Kennedy 2007), so ``q`` serves what starts on the driver: the trace tip, which
-integrates ``q`` on sloped pieces, and welding shots ``s = sqrt(q)``, which are real and
-map exactly on every piece (one scalar implicit equation).  Swallowing means
-``Im g <= EPS_SWALLOW``; a forward flow finishes its crossing with ``Im g`` as the
-independent variable (Henon 1982), so a swallowed value lies on that line.
+Point-mass pieces map exactly in both time directions, so no solve over them integrates.
+A resting piece (``nu = delta_u``) is the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+
+2 dt)`` reverse and forward (Kager, Nienhuis & Kadanoff 2004).  On a sloped piece, in
+``x = (y - U) U'``, ``log1p(x) - x`` moves linearly in time, and the Wright omega function
+inverts it; so a forward crossing of ``Im g = EPS_SWALLOW`` (swallowing) is closed-form too,
+and the trace tip is the anti-monotone map of the boundary point ``U(t)``.  In
+``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` is regular on the driver (Kennedy 2007):
+welding shots ``s = sqrt(q)``, which start there, are real and map exactly on every piece.
+Over an integrated piece a forward flow finishes its crossing with ``Im g`` as the
+independent variable (Henon 1982), so a swallowed value lies on that line too.
 
-Two kernels.  :func:`_integrate` steps one complex scalar: forward flows and the trace tip
-on sloped pieces, and reverse flows over pieces with no point mass (measures other than
-Dirac, and :class:`SemicircleFamily`).  :func:`_integrate_lanes` is its lane-wise
-transcription for the last: an ndarray of starts advances together, each lane with its own
-``t``, ``h`` and status.  On one lane numpy's overhead swamps array code, so the exact maps
-have a scalar (cmath) route too: over a 64-piece SLE path at ``z = 2i`` a one-lane kernel
-solve took 10.6 ms against 0.66 ms scalar (2-core x86, Python 3.11, numpy 2.4).
+Two kernels.  :func:`_integrate` steps one complex scalar: forward and reverse flows over
+pieces with no point mass (measures other than Dirac, and :class:`SemicircleFamily`).
+:func:`_integrate_lanes` is its lane-wise transcription for the reverse flows: an ndarray of
+starts advances together, each lane with its own ``t``, ``h`` and status.  On one lane
+numpy's overhead swamps array code, so the exact maps have a scalar (cmath) route too: over
+a 64-piece SLE path at ``z = 2i`` a one-lane kernel solve took 10.6 ms against 0.66 ms
+scalar (2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -115,14 +113,6 @@ class AtomPath:
 
     def cauchy(self, t: float, z: complex) -> complex:
         return 1.0 / (z - self.u(t))
-
-    def breakpoints(self, a: float, b: float):
-        return [t for t in self.knots if a < t < b]
-
-    def piece(self, j: int):
-        """Transform ``(t, z) -> 1/(z - U(t))`` of piece ``j``, continued past its ends."""
-        tj, uj, slope = self._lines[j]
-        return lambda t, z: 1.0 / (z - (uj + slope * (t - tj)))
 
     def integral(self, lo: float, hi: float, w):
         tj, uj, slope = self._lines[_piece_at(self, 0.5 * (lo + hi))]
@@ -247,11 +237,6 @@ def _segments(d: Driving, a: float, b: float, reflect_about: float | None = None
             yield a, hi, j
             a = hi
         j -= 1
-
-
-def _root(q):
-    """``y - U`` back from ``q = (y - U)**2``: the square root with Im >= 0."""
-    return 1j * (np.sqrt(-q) if isinstance(q, np.ndarray) else cmath.sqrt(-q))
 
 
 def driving_to_dict(d: Driving) -> dict:
@@ -556,24 +541,25 @@ _FAR = 1e154
 
 
 def _rest(w, d: float):
-    """``sqrt(w**2 + d)``, the root on ``w``'s side, scalar or lanes: a point's offset from a
+    """``sqrt(w**2 + d)``, the root with Im >= 0, scalar or lanes: a point's offset from a
     resting point mass after its arcsine map; past ``_FAR``, ``w sqrt(1 + d/w**2)``."""
     lanes = isinstance(w, np.ndarray)
+    sqrt = np.sqrt if lanes else cmath.sqrt
     if not ((np.abs(w) >= _FAR).any() if lanes else abs(w) >= _FAR):
-        return _root(w * w + d)
+        return 1j * sqrt(-(w * w + d))
     with np.errstate(all="ignore"):  # lanes form both roots, then pick
-        far = w * (np.sqrt if lanes else cmath.sqrt)(1.0 + d / w / w)
-        return np.where(np.abs(w) < _FAR, _root(w * w + d), far) if lanes else far
+        far = w * sqrt(1.0 + d / w / w)
+        return np.where(np.abs(w) < _FAR, 1j * sqrt(-(w * w + d)), far) if lanes else far
 
 
 def _atom_piece(y, line: tuple, lo: float, hi: float, c: float | None):
     """Exact reverse map of a point-mass piece, ``line = (t_j, u_j, slope)``, over
     ``[lo, hi]`` in integration time ``tau``, driver time ``tau`` or ``c - tau``, for a
-    complex scalar or lanes ``y``.
+    complex scalar or lanes ``y``; with ``hi < lo`` it runs the piece backwards.
 
     A resting piece is the arcsine semigroup, and so is a sloped one whose motion
-    ``|a| span`` is below 2**-60 of the resting value (a scalar forms that value only
-    where ``|rest| <= |w| + sqrt(2 span)`` lets it pass).  Otherwise the reflection
+    ``|a span|`` is below 2**-60 of the resting value (a scalar forms that value only
+    where ``|rest| <= |w| + sqrt(2 |span|)`` lets it pass).  Otherwise the reflection
     ``w -> -conj(w)`` makes the rate ``a = dU/dtau`` positive, and the offset ``w`` from
     the driver follows ``dw/dtau = -(1 + a w)/w``: with ``x = a w``, ``log1p(x) - x`` grows
     by ``a**2 span`` (Kager, Nienhuis & Kadanoff 2004) to ``k``, and ``Im x`` stays
@@ -596,12 +582,12 @@ def _atom_piece(y, line: tuple, lo: float, hi: float, c: float | None):
     lanes = isinstance(w, np.ndarray)
     if lanes:
         rest = _rest(w, -2.0 * span)
-        resting = abs(a) * span <= 2.0 ** -60 * np.abs(rest)
+        resting = abs(a * span) <= 2.0 ** -60 * np.abs(rest)
         if resting.all():
             return u0 + rest
-    elif abs(a) * span <= 2.0 ** -59 * (abs(w) + math.sqrt(2.0 * span)):
+    elif abs(a * span) <= 2.0 ** -59 * (abs(w) + math.sqrt(abs(2.0 * span))):
         rest = _rest(w, -2.0 * span)
-        if abs(a) * span <= 2.0 ** -60 * abs(rest):
+        if abs(a * span) <= 2.0 ** -60 * abs(rest):
             return u0 + rest
     flip = a < 0.0
     if flip:
@@ -632,6 +618,35 @@ def _atom_piece(y, line: tuple, lo: float, hi: float, c: float | None):
     return u1 - moved.conjugate() if flip else u1 + moved
 
 
+def _crossing(w: complex, slope: float, span: float):
+    """``(tau, x)``: a forward flow over a point-mass piece of rate ``slope`` from the offset
+    ``w`` reaches ``Im = eps = EPS_SWALLOW`` after ``tau <= span`` at real offset ``x``, else
+    ``None``; ``Im w**2`` falls, by at most ``2 tau``.  Resting (or moved < 2**-60 by the
+    slope), ``Im w**2`` stays: a closed form, factored against cancellation and overflow.
+    Else ``x = a w`` (``a = |slope|``, ``w -> -conj(w)`` if ``slope > 0``) keeps ``Im k``,
+    ``k = log1p(x) - x``: ``1 + x* = m (cot p + i)``, ``m = a eps``, ``p = Im k + m``."""
+    re, im, eps = w.real, w.imag, EPS_SWALLOW
+    h = 0.5 * (im - eps) * (im + eps)
+    if h > span:
+        return None
+    r = re / eps
+    tau, x = h * r * r + h, re * im / eps
+    if slope != 0.0 and abs(slope) * tau > 2.0 ** -60 * math.hypot(x, eps):
+        a = abs(slope)
+        x = a * (-w.conjugate() if slope > 0.0 else w)
+        left = x.real < -1.0
+        k = complex(_log1p_tail(x, left))
+        m = a * eps
+        p = k.imag + m
+        if not (-math.pi < p < 0.0 if left else 0.0 < p < math.pi):  # k is i pi less left
+            return None
+        x = complex(m * math.cos(p) / math.sin(p) - 1.0, m)
+        tail = (complex(_log1p_tail(x, False)).real if abs(x) < 0.25
+                else math.log(m / abs(math.sin(p))) - x.real)
+        tau, x = (k.real - tail) / (a * a), (-x.real if slope > 0.0 else x.real) / a
+    return (tau, x) if tau <= span else None
+
+
 # ---------------------------------------------------------------------------
 # flows
 
@@ -647,7 +662,8 @@ class FlowPoint:
 
 @dataclass(frozen=True)
 class HullTrace:
-    """Slit trace: ``points[i]`` is the hull tip at ``times[i]``."""
+    """Slit trace: ``points[i]`` is the hull tip at ``times[i]``.  Every tip is an exact map,
+    so ``err_est`` reads 0; it stays a column of the trace CSV."""
 
     times: tuple
     points: tuple
@@ -672,15 +688,13 @@ def _check(d: Driving, s: float, t: float, z=None, *, what: str):
 def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> FlowPoint:
     """Solve the forward equation ``dg/dt = G_{nu_t}(g)`` from ``g_0 = z``.
 
-    The point is swallowed when its imaginary part falls to :data:`EPS_SWALLOW`;
-    the swallowing time is the lifetime, with the state on the line
-    ``Im g = EPS_SWALLOW`` as ``value``.  A resting point-mass piece maps every
-    point exactly, and both are closed-form there.  Elsewhere the step that would
-    cross the line is redone with ``sigma = -Im g`` as the independent variable
-    (Henon 1982): ``Im g`` falls monotonically, so ``v = Re g + i t`` obeys
-    ``dv/dsigma = -(Re G + i)/Im G`` and one solve up to ``sigma = -EPS_SWALLOW``
-    ends on the line.  ``err_est`` sums the embedded error estimates of the
-    integration steps taken; exact pieces add 0.
+    The point is swallowed when its imaginary part falls to :data:`EPS_SWALLOW`; the
+    swallowing time is the lifetime, with the state on the line ``Im g = EPS_SWALLOW`` as
+    ``value``.  A point-mass piece maps a survivor exactly (:func:`_atom_piece` over the line
+    mirrored in time) and its crossing in closed form (:func:`_crossing`).  Elsewhere the step
+    that would cross the line is redone in ``sigma = -Im g`` (Henon 1982): ``Im g`` falls
+    monotonically, so ``v = Re g + i t`` obeys ``dv/dsigma = -(Re G + i)/Im G`` up to
+    ``sigma = -EPS_SWALLOW``.  ``err_est`` sums the error estimates of the steps taken.
     """
     z = complex(z)
     _check(d, 0.0, t, z, what="flow_forward")
@@ -691,18 +705,16 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
     event = lambda tt, yy: yy.imag - EPS_SWALLOW
     for a, b, j in _segments(d, 0.0, t):
         line = d._lines[j]
-        if line is not None and line[2] == 0.0:  # q = (g - u)**2 moves right at rate 2
-            u, w = line[1], y - line[1]
-            y = u + _rest(w, 2.0 * (b - a))
-            if y.imag > EPS_SWALLOW:
+        if line is not None:
+            tj, u, slope = line
+            crossing = _crossing(y - (u + slope * (a - tj)), slope, b - a)
+            if crossing is None:  # forward in t is reverse in -t
+                y = _atom_piece(y, (-tj, u, -slope), -a, -b, None)
                 continue
-            # Im q stays and Im sqrt(q) falls as Re q grows: sqrt(q) passes x + i EPS_SWALLOW
-            # once, after 0.5 (x**2 - EPS_SWALLOW**2 - Re q); factored where q would overflow
-            (re, im), eps = (w.real, w.imag), EPS_SWALLOW
-            x = re * im / eps
-            life = a + (0.5 * (x * x - eps ** 2 - (w * w).real) if abs(w) < _FAR
-                        else 0.5 * (re * (im - eps) / eps) * (re * (im + eps) / eps))
-            return FlowPoint(complex(u + x, EPS_SWALLOW), False, min(max(life, a), b), err_acc)
+            tau, x = crossing
+            life = min(max(a + tau, a), b)
+            return FlowPoint(complex(u + slope * (life - tj) + x, EPS_SWALLOW), False, life,
+                             err_acc)
         g = d.piece(j)
         status, tc, y, err = _integrate(g, a, b, y, tol, event)
         err_acc += err
@@ -798,43 +810,32 @@ def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
     return y
 
 
-def trace(d: AtomPath, times: Sequence[float], tol: float = DEFAULT_TOL) -> HullTrace:
-    """Hull trace ``gamma(t) = f_t(U(t)) = U(0) + sqrt(q)`` for a point-mass driver.
+def trace(d: AtomPath, times: Sequence[float]) -> HullTrace:
+    """Hull trace ``gamma(t) = f_t(U(t))`` for a point-mass driver.
 
-    The tip solve runs the inverse equation in ``q = (w - U)**2`` from ``q = 0``
-    at ``t`` down to time 0; a resting piece lowers ``q`` by twice its length
-    exactly, a sloped one is integrated, and ``err_est`` is the accumulated error
-    estimate of those integrations.
+    The tip is the anti-monotone map of the boundary point ``U(t)`` down to time 0, one
+    exact map per driver piece (:func:`_atom_piece`), so ``err_est`` reads 0.
     After a linear piece shorter than ``(10 delta_1)**2`` the inverse map at
     ``U(t) + i delta`` over :data:`TRACE_DELTAS` must also contract (a longer
     piece gives ratio 1/4), or ``TraceUnresolvedError`` is raised.
     """
     if not isinstance(d, AtomPath):
         raise ValidationError("trace needs an AtomPath driver")
-    pts, errs = [], []
+    pts = []
     for t in times:
         _check(d, 0.0, t, what="trace")
-        segs = list(_segments(d, 0.0, t, reflect_about=t))  # none at t = 0, where q stays 0
+        segs = list(_segments(d, 0.0, t, reflect_about=t))  # none at t = 0
         if segs and segs[0][1] - segs[0][0] < (10.0 * TRACE_DELTAS[0]) ** 2:
             # no round-trip check: g_t o f_t conditions like 1/delta near the boundary
-            v0, v1, v2 = (inverse_map(d, t, complex(d.u(t), delta), tol, check=False)
+            v0, v1, v2 = (inverse_map(d, t, complex(d.u(t), delta), check=False)
                           for delta in TRACE_DELTAS)
             if abs(v1 - v0) > 1e-12 and abs(v2 - v1) > 0.9 * abs(v1 - v0):
                 raise TraceUnresolvedError(f"trace unresolved at t = {t}")
-        q, err_acc = 0j, 0.0
-        for lo, hi, j in segs:  # driver time t - sigma, so dU/dsigma = -slope
-            slope = d._lines[j][2]
-            if slope == 0.0:  # resting: dq/dsigma = -2
-                q -= 2.0 * (hi - lo)
-                continue
-            rhs = lambda x, q, slope=slope: 2.0 * (slope * _root(q) - 1.0)
-            status, _, q, err = _integrate(rhs, lo, hi, q, tol)
-            if status != "done":
-                raise TraceUnresolvedError(f"trace tip solve stalled at t = {t}")
-            err_acc += err
-        pts.append(d.u(0.0) + _root(q))
-        errs.append(err_acc)
-    return HullTrace(tuple(times), tuple(pts), tuple(errs))
+        y = d.u(t)
+        for lo, hi, j in segs:
+            y = _atom_piece(y, d._lines[j], lo, hi, t)
+        pts.append(complex(y))
+    return HullTrace(tuple(times), tuple(pts), (0.0,) * len(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -186,8 +186,9 @@ class TestFlow:
             cfgfile = tmp_path / f"cfg{tol}.json"
             cfgfile.write_text(json.dumps({"tolerance": float(tol)}))
             out = tmp_path / f"flow{tol}.csv"
-            # a sloped driver: resting pieces are exact maps and report err_est 0
-            code = run(["flow", "--driver", "line:0:1", "--z", "2i", "--T", "1",
+            # a semicircle is integrated; point-mass pieces are exact maps and report 0
+            code = run(["flow", "--driver", '{"kind":"measure-path","breakpoints":[0],'
+                        '"measures":[{"kind":"semicircle","var":1}]}', "--z", "2i", "--T", "1",
                         "--steps", "4", "--config", str(cfgfile), "--out", str(out)])
             assert code == 0
             _, rows = read_rows(out)
@@ -264,7 +265,8 @@ class TestExitCodes:
         ["density", "--measure", "sc:1", "--grid=-2.2:2.2:11", "--seed", "1"],
         ["sle", "--tol", "1e-8"],
         ["welding", "--driver", "const:0", "--T", "1", "--tol", "1e-8"],
-    ], ids=["density-tol", "density-seed", "sle-tol", "welding-tol"])
+        ["trace", "--driver", "const:0", "--T", "1", "--tol", "1e-8"],
+    ], ids=["density-tol", "density-seed", "sle-tol", "welding-tol", "trace-tol"])
     def test_flag_the_subcommand_does_not_take(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         assert run(argv + ["--out", str(out)]) == 2
@@ -304,7 +306,7 @@ class TestExitCodes:
         ["density", "--grid=nan:1:3", "--measure", "sc:1"],
         ["density", "--grid=-inf:1:5", "--measure", "sc:1"],
         ["flow", "--driver", "sle:2", "--z", "1i", "--T", "0.5", "--steps", "2", "--tol", "-1"],
-        ["trace", "--driver", "sle:2", "--T", "0.5", "--steps", "2", "--tol", "-1"],
+        ["burgers", "--t", "0.2:1:2", "--tol", "-1"],
         ["family", "--driver", "sle:2", "--t", "0.5", "--z", "1i", "--tol", "-1"],
         ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "0"],
         ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "nan"],

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -361,10 +362,9 @@ class TestDrivers:
             assert back.cauchy(0.3, 2j) == pytest.approx(d.cauchy(0.3, 2j), abs=1e-12)
 
     @pytest.mark.parametrize("d", [
-        AtomPath([0.0, 0.3, 0.7, 1.0], [0.0, 1.0, -0.5, 0.25]),
         MeasurePath((0.0, 0.4, 0.9), (Dirac(-1.0), Semicircle(0.5), Arcsine(1.0))),
         SemicircleFamily(),
-    ], ids=["atom-path", "measure-path", "semicircle-family"])
+    ], ids=["measure-path", "semicircle-family"])
     def test_piece_matches_cauchy_inside(self, d):
         knots = list(d.knots) or [0.0]
         if d.horizon == math.inf:
@@ -586,6 +586,9 @@ def shot_piece_oracle(s0, a, span):
 #: three sloped pieces; on each, a s of the shots below stays under 1, where dt/ds is regular
 THREE_PIECES = AtomPath([0.0, 0.3, 0.6, 1.0], [0.0, 0.25, -0.2, 0.1])
 
+#: three sloped pieces as steep as those of a kappa = 2, dt = 1/64 SLE path (|slope| 9.6-11.5)
+STEEP_PIECES = AtomPath([0.0, 1 / 64, 2 / 64, 3 / 64], [0.0, 0.15, -0.03, 0.13])
+
 
 #: a resting piece, then a sloped one
 REST_THEN_SLOPE = AtomPath([0.0, 0.5, 1.0], [0.0, 0.0, 0.75])
@@ -600,6 +603,19 @@ class TestOracles:
     def test_trace_tip(self, d, t):
         # the tip solve's error is about 18 tol here
         assert abs(trace(d, [t]).points[0] - tip_oracle(d, t)) < 1e-8
+
+    @pytest.mark.parametrize("d, t", [
+        (AtomPath([0.0, 0.4, 1.0], [0.0, 0.5, -0.2]), 0.7),
+        (AtomPath([0.0, 2.0], [0.0, 2.0]), 1.0),
+        (THREE_PIECES, 0.45), (THREE_PIECES, 1.0), (STEEP_PIECES, 3 / 64),
+        (REST_THEN_SLOPE, 0.75),
+    ], ids=["two-piece-inside", "line-0-1", "three-pieces-inside", "three-pieces-end", "steep",
+            "rest-then-slope"])
+    def test_exact_trace_tip(self, monkeypatch, d, t):
+        # one exact map per piece from the boundary point U(t): only rounding is left
+        steps, tr = count_steps(monkeypatch, lambda: trace(d, [t]))
+        want = tip_oracle(d, t)
+        assert steps == 0 and abs(tr.points[0] - want) <= 1e-13 * abs(want)
 
     def test_swallowed_on_each_piece(self):
         # on the resting piece in q (closed form y**2 / 2), and on the sloped piece in g:
@@ -723,6 +739,13 @@ class TestRestingPieces:
             assert not fp.alive and fp.value.imag == flows.EPS_SWALLOW
             assert abs(fp.lifetime - swallow_oracle(z, [(u, 1.0)])) < 1e-14
 
+    def test_lifetime_just_above_the_line(self):
+        # 0.5 (x**2 - eps**2 - Re w**2) with x = Re w Im w / eps cancelled to 1.5e-9 here
+        z = 1 + 1.0000001e-6j
+        fp = flow_forward(D0, z, 10.0)
+        want = swallow_oracle(z, [(0.0, 10.0)])
+        assert not fp.alive and abs(fp.lifetime - want) <= 1e-15 * want
+
     def test_swallowed_on_the_second_piece(self):
         # the first piece is survived through its exact map, so no tolerance enters;
         # each start lands above the second point mass
@@ -836,9 +859,6 @@ class TestShotPiece:
                 assert sign * shift <= 4 * math.ulp(rest)
 
 
-#: three sloped pieces as steep as those of a kappa = 2, dt = 1/64 SLE path (|slope| 9.6-11.5)
-STEEP_PIECES = AtomPath([0.0, 1 / 64, 2 / 64, 3 / 64], [0.0, 0.15, -0.03, 0.13])
-
 #: a start next to the driver whose true image the resting map's Newton start misses: from
 #: there Newton converged to 0.0956 - 0.0075i, below the axis
 FOLD = (-0.1064945412133041 + 0.0004220645311343067j, 8.331882408798553)
@@ -934,6 +954,69 @@ class TestSlopedPieces:
             assert float(np.max(np.abs(value.imag - want.imag) / np.abs(want.imag))) < 1e-14
 
 
+def crossing_oracle(z, s, guess):
+    """``(lifetime, value)`` of ``z`` under the forward flow of ``U(t) = s t``: Newton steps
+    from ``guess`` on ``Im w = EPS_SWALLOW`` along ``w w' = 1 - s w``, which ``taylor_solve``
+    runs forward or backward at 30 digits; ``d Im w/dt = -Im w/|w|**2``."""
+    with mp.workdps(30):
+        tau = mp.mpf(guess)
+        w = taylor_solve(z, 0, tau, c0=1, d0=-s)
+        for _ in range(3):
+            step = (w.imag - flows.EPS_SWALLOW) * abs(w) ** 2 / w.imag
+            w = taylor_solve(w, 0, abs(step), c0=1 if step > 0 else -1, d0=-s if step > 0 else s)
+            tau += step
+        return float(tau), complex(w + s * tau)
+
+
+class TestForwardPieces:
+    """A point-mass piece maps a forward flow exactly too: survivors through the reverse map
+    run backwards, and a crossing of ``Im g = EPS_SWALLOW`` in closed form."""
+
+    @pytest.mark.parametrize("d, t, starts", [
+        (THREE_PIECES, 1.0, (-0.5 + 0.4j, 0.3 + 1.2j, 1.5 + 0.1j)),
+        (STEEP_PIECES, 3 / 64, (-0.6 + 0.05j, 0.05 + 0.2j, 2j)),
+        (REST_THEN_SLOPE, 1.0, (-1.0 + 0.3j, 0.3 + 1.2j)),
+    ], ids=["three-pieces", "steep", "rest-then-slope"])
+    def test_survivors_match_the_oracle(self, monkeypatch, d, t, starts):
+        steps, points = count_steps(monkeypatch, lambda: [flow_forward(d, z, t) for z in starts])
+        assert steps == 0
+        for z, fp in zip(starts, points):
+            want = forward_oracle(d, z, t)
+            assert fp.alive and fp.err_est == 0.0 and abs(fp.value - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("slope", [4.0, -4.0], ids=["rising", "falling"])
+    @pytest.mark.parametrize("x, angle, life_tol, value_tol", [
+        (50.0, 0.0, 1e-13, 1e-12), (-50.0, math.pi, 1e-13, 1e-12),
+        # next to the slit a change of Im k moves the crossing point by 1/(|slope| eps)
+        # times as much: one ulp of Im x = 0.55 at the start moves it by 8e-12 here, and a
+        # one-ulp change of the start by up to 1.5e-12
+        (0.1, 0.0, 1e-12, 2e-11),
+        # 1 + x = 1e-5 + 4e-6 i: a log of 1 + x formed from x would lose 11 digits of its
+        # modulus, where m (cot p + i) keeps them all
+        (-0.99999, 0.38, 1e-13, 1e-12),
+    ], ids=["far-right", "far-left", "next-to-the-slit", "next-to-the-stagnation-point"])
+    def test_crossing_matches_the_oracle(self, slope, x, angle, life_tol, value_tol):
+        # the start lies 0.01 before a crossing at x/|slope| from the driver, on the side
+        # where the reflected frame x = |slope| w has Re x = x, at arg(1 + x) = angle
+        a, eps = abs(slope), flows.EPS_SWALLOW
+        w = complex(x / a if slope < 0 else -x / a, eps)
+        assert abs(cmath.phase(1 + x + 1j * a * eps) - angle) < 1e-2
+        with mp.workdps(30):
+            z = complex(taylor_solve(w, 0, 0.01, c0=-1, d0=slope))
+        life, value = crossing_oracle(z, slope, 0.01)
+        fp = flow_forward(AtomPath([0.0, 1.0], [0.0, slope]), z, 1.0)
+        assert not fp.alive and fp.value.imag == eps and fp.err_est == 0.0
+        assert abs(fp.lifetime - life) < life_tol
+        assert abs(fp.value - value) < value_tol
+
+    @pytest.mark.parametrize("slope", [1e-300, -1e-300])
+    def test_negligible_slope_keeps_the_resting_crossing(self, slope):
+        # x = |slope| w would underflow: the crossing is the resting one
+        for z in (1e-7 + 1.2j, -3e-7 + 0.9j):
+            fp = flow_forward(AtomPath([0.0, 1.0], [0.0, slope]), z, 1.0)
+            assert not fp.alive and fp == flow_forward(AtomPath([0.0, 1.0], [0.0, 0.0]), z, 1.0)
+
+
 class TestWrightOmega:
     """The port of Algorithm 917, ``omega(zeta)`` for ``Im zeta < 0``, given ``zeta`` and
     ``zeta + i pi``."""
@@ -979,10 +1062,10 @@ def count_steps(monkeypatch, call):
 
 
 class TestStepCounts:
-    """Bounds about 3x above the counts of the q route; the g route took 31,144 (trace),
-    49,506 (welding), 12,537 (lifetimes) and 5,180 (SLE trace) steps.  Resting trace
-    tips, forward flows over resting pieces, every welding shot and every reverse solve
-    over a point-mass piece are exact, and take none."""
+    """Every solve over a point-mass piece is an exact map and takes no step: trace tips,
+    forward and reverse flows, welding shots and inverse maps.  Integrating the g equation
+    once took 31,144 (trace), 49,506 (welding), 12,537 (lifetimes) and 5,180 (SLE trace)
+    steps, and the q equation 2,136 on the SLE trace."""
 
     def test_readme_trace(self, monkeypatch, tmp_path, capsys):
         argv = ["trace", "--driver", "const:0", "--T", "1", "--steps", "100",
@@ -1019,7 +1102,7 @@ class TestStepCounts:
     def test_sle_trace(self, monkeypatch):
         d = sle_driving(2.0, 1.0 / 64.0, 1.0, 1)
         steps, _ = count_steps(monkeypatch, lambda: trace(d, list(np.linspace(0.0, 1.0, 11))))
-        assert steps <= 4000  # 2,136; 3x would not catch the g route here
+        assert steps == 0
 
     def test_sloped_anti_monotone_solve_is_exact(self, monkeypatch):
         # 64 pieces of an SLE path, each mapped exactly: only rounding parts it from the oracle
@@ -1047,6 +1130,40 @@ class TestStepCounts:
         steps, w = count_steps(monkeypatch,
                                lambda: inverse_map(d, 1.0, complex(d.u(1.0), 1e-3), check=False))
         assert steps == 0 and w.imag > 0
+
+
+class TestPointMassesIntegrateNothing:
+    """With ``_dp_step`` refusing, every solve over an SLE path (slopes of both signs) and a
+    64-piece Dirac path (resting pieces) still runs: forward flows alive and swallowed,
+    traces, round-tripped inverse maps and weldings."""
+
+    @pytest.mark.parametrize("d", [sle_driving(2.0, 1.0 / 64.0, 1.0, 3),
+                                   dirac_path(np.random.Generator(np.random.Philox(key=17)))],
+                             ids=["atom-path", "dirac-path"])
+    def test_no_step_is_taken(self, monkeypatch, d):
+        atoms = isinstance(d, AtomPath)
+        # points of an SLE slit are swallowed when its tip passes them
+        starts = ([complex(p) for p in trace(d, list(np.linspace(0.1, 0.9, 9))).points]
+                  if atoms else [complex(x, 0.02) for x in np.linspace(-0.8, 0.8, 17)])
+        starts += [complex(x, y) for x in np.linspace(-1.5, 1.5, 7) for y in (0.2, 1.0)]
+
+        def refuse(*args):
+            raise AssertionError("a Dormand-Prince step was taken")
+
+        monkeypatch.setattr(flows, "_dp_step", refuse)
+        points = [flow_forward(d, z, 1.0) for z in starts]
+        swallowed = [fp for fp in points if not fp.alive]
+        assert len(swallowed) >= 5 and len(swallowed) < len(points)
+        assert all(fp.err_est == 0.0 for fp in points)
+        assert all(fp.value.imag == flows.EPS_SWALLOW for fp in swallowed)
+        slopes = {d._lines[flows._piece_at(d, fp.lifetime)][2] for fp in swallowed}
+        assert min(slopes) < 0.0 < max(slopes) if atoms else slopes == {0.0}
+        for z in (0.3 + 0.5j, 2j):
+            assert inverse_map(d, 1.0, z, check=True).imag > z.imag
+        if atoms:
+            tr = trace(d, list(np.linspace(0.0, 1.0, 11)))
+            assert tr.err_est == (0.0,) * 11
+            assert len(welding(d, 1.0, npairs=5).pairs) == 5
 
 
 #: windows of THREE_PIECES that meet the knots: both ends on knots, s = t on a knot and
@@ -1077,7 +1194,7 @@ class TestTableWalk:
         def refuse(self, j):
             raise AssertionError(f"piece {j} was built")
 
-        monkeypatch.setattr(AtomPath, "piece", refuse)
+        assert not hasattr(AtomPath, "piece")  # no solve over an AtomPath integrates
         monkeypatch.setattr(MeasurePath, "piece", refuse)
         for call, (scalar, lanes) in zip(calls, want):
             assert call(complex(zs[0])) == scalar and np.all(call(zs) == lanes)
