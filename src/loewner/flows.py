@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import Dirac, Measure, from_dict as measure_from_dict, to_dict as measure_to_dict
-from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt
+from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt, illinois
 
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
@@ -426,6 +426,9 @@ _OMEGA_MUSHROOM = (13 / 61440, -1 / 3072, -1 / 192, 1 / 16, 1 / 2, 1.0)
 #: with ``s = x/(2 + x)``, to within 2**-60 of itself for |x| < 1/4
 _LOG1P_TAIL = tuple(2.0 / (2 * n + 3) for n in range(9, -1, -1))
 
+#: ``(phi - sin phi)/phi**3`` in ``phi**2``, highest power first, within 2**-60 for phi < 1/4
+_PHI_SIN = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(5, -1, -1))
+
 #: below this ``|k|`` a piece's map starts from the branch-point series itself
 _BRANCH_SERIES_K = 2.0 ** -20
 
@@ -624,7 +627,9 @@ def _crossing(w: complex, slope: float, span: float):
     ``None``; ``Im w**2`` falls, by at most ``2 tau``.  Resting (or moved < 2**-60 by the
     slope), ``Im w**2`` stays: a closed form, factored against cancellation and overflow.
     Else ``x = a w`` (``a = |slope|``, ``w -> -conj(w)`` if ``slope > 0``) keeps ``Im k``,
-    ``k = log1p(x) - x``: ``1 + x* = m (cot p + i)``, ``m = a eps``, ``p = Im k + m``."""
+    ``k = log1p(x) - x``: ``1 + x* = m (cot p + i)``, ``m = a eps``, ``p = Im k + m``, and
+    ``a**2 tau = Re(k - k*)``; a short crossing (``|u| < 1/4``, ``u = (1 + x)/(1 + x*) - 1``)
+    takes ``Re(log1p(u) - u - u x*)``: ``arg(1 + x*) = arg(1 + x) - phi``, ``phi = Im x - m``."""
     re, im, eps = w.real, w.imag, EPS_SWALLOW
     h = 0.5 * (im - eps) * (im + eps)
     if h > span:
@@ -640,10 +645,19 @@ def _crossing(w: complex, slope: float, span: float):
         p = k.imag + m
         if not (-math.pi < p < 0.0 if left else 0.0 < p < math.pi):  # k is i pi less left
             return None
-        x = complex(m * math.cos(p) / math.sin(p) - 1.0, m)
-        tail = (complex(_log1p_tail(x, False)).real if abs(x) < 0.25
-                else math.log(m / abs(math.sin(p))) - x.real)
-        tau, x = (k.real - tail) / (a * a), (-x.real if slope > 0.0 else x.real) / a
+        phi, u = a * (im - eps), 1.0  # arg(1 + x) - arg(1 + x*), in (0, pi)
+        if phi < 0.25:
+            e = complex(-2.0 * math.sin(0.5 * phi) ** 2, math.sin(phi))  # expm1(i phi)
+            r = (phi ** 3 * _horner(_PHI_SIN, phi * phi) + (x * e.conjugate()).imag) / m
+            u = e * (1.0 + r) + r  # r = |1 + x|/|1 + x*| - 1
+        if abs(u) < 0.25:
+            x = (x - u) / (1.0 + u)
+            tau = complex(_log1p_tail(u, False)).real - (u * x).real
+        else:
+            x = complex(m * math.cos(p) / math.sin(p) - 1.0, m)
+            tau = k.real - (complex(_log1p_tail(x, False)).real if abs(x) < 0.25
+                            else math.log(m / abs(math.sin(p))) - x.real)
+        tau, x = tau / (a * a), (-x.real if slope > 0.0 else x.real) / a
     return (tau, x) if tau <= span else None
 
 
@@ -925,27 +939,6 @@ def _shot(d: AtomPath, tau: float, big_t: float, side: float) -> float:
     return d.u(big_t) + side * s
 
 
-def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, width: float) -> float:
-    """Root of ``f`` between ``lo`` and ``hi``, where ``f_lo`` and ``f_hi`` differ in sign:
-    regula falsi that halves the value kept at an end the iterates stay away from
-    (Illinois), until ``f`` vanishes or the bracket is ``width`` wide.  Returns the
-    point of smallest ``|f|`` seen."""
-    best, stale = min((abs(f_lo), lo), (abs(f_hi), hi)), 0
-    while abs(hi - lo) > width and best[0] > 0.0:
-        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not min(lo, hi) < mid < max(lo, hi):
-            break
-        f_mid = f(mid)
-        best = min(best, (abs(f_mid), mid))
-        if (f_mid > 0.0) == (f_hi > 0.0):
-            hi, f_hi, f_lo = mid, f_mid, 0.5 * f_lo if stale == -1 else f_lo
-            stale = -1
-        else:
-            lo, f_lo, f_hi = mid, f_mid, 0.5 * f_hi if stale == 1 else f_hi
-            stale = 1
-    return best[1]
-
-
 def welding(d: AtomPath, big_t: float, npairs: int = 50) -> Welding:
     """Conformal welding of the hull at time ``T`` for a point-mass driver.
 
@@ -983,7 +976,7 @@ def welding(d: AtomPath, big_t: float, npairs: int = 50) -> Welding:
     pairs = []  # at x spaced evenly over (a, u), 2% of it away from each end
     for x in np.linspace(a + 0.02 * (u - a), u - 0.02 * (u - a), npairs).tolist():
         k = next(i for i in range(len(ss) - 1) if lefts[i + 1] <= x)
-        s = _illinois(lambda s: _shot(d, birth(s), big_t, -1.0) - x, ss[k], ss[k + 1],
-                      lefts[k] - x, lefts[k + 1] - x, 1e-15 * ss[-1])
+        s = illinois(lambda s: _shot(d, birth(s), big_t, -1.0) - x, ss[k], ss[k + 1],
+                     lefts[k] - x, lefts[k + 1] - x, 1e-15 * ss[-1])
         pairs.append((x, _shot(d, birth(s), big_t, 1.0)))
     return Welding(a=a, b=b, u=u, pairs=tuple(pairs))

@@ -1009,6 +1009,36 @@ class TestForwardPieces:
         assert abs(fp.lifetime - life) < life_tol
         assert abs(fp.value - value) < value_tol
 
+    @pytest.mark.parametrize("z, slope", [
+        (1 + 1.0000001e-6j, 1.0),  # 1 + x* lies next to the stagnation point
+        # reflected, |x| = 200 on either side: arg(1 + x*) next to 0 and next to pi
+        (50 + 1.0000001e-6j, 4.0), (-50 + 1.0000001e-6j, 4.0),
+        (50 + 1.0000001e-6j, -4.0), (-50 + 1.0000001e-6j, -4.0),
+    ])
+    def test_short_crossing_keeps_its_digits(self, z, slope):
+        # the start lies 1e-13 above the line: the two k agree to 5-8 digits, which their
+        # difference would lose; the resting lifetime seeds the oracle
+        eps = flows.EPS_SWALLOW
+        guess = 0.5 * (z.imag - eps) * (z.imag + eps) * (1.0 + (z.real / eps) ** 2)
+        life, value = crossing_oracle(z, slope, guess)
+        fp = flow_forward(AtomPath([0.0, 1.0], [0.0, slope]), z, 1.0)
+        assert not fp.alive and fp.value.imag == eps
+        assert abs(fp.lifetime - life) <= 1e-13 * life
+        assert abs(fp.value - value) <= 1e-13 * abs(value)
+
+    @pytest.mark.parametrize("z, slope, t", [
+        (0.1127 + 2.84e-6j, -2.29e-17, 0.00666), (0.0019 + 0.0342j, 8.25e-20, 0.00114),
+        (2.768 + 1.0007e-6j, -7.04e-15, 0.0129), (0.7238 + 1.235e-6j, -1.64e-16, 0.39),
+    ])
+    def test_tiny_slope_crosses_where_the_resting_piece_does(self, z, slope, t):
+        # the slope moves the point by less than 1e-12 of itself, so the resting map decides;
+        # a difference of the two k formed at |x| < 1e-13 would keep no digit of the lifetime
+        fp = flow_forward(AtomPath([0.0, t], [0.0, slope * t]), z, t)
+        rest = flow_forward(AtomPath([0.0, t], [0.0, 0.0]), z, t)
+        assert fp.alive == rest.alive
+        assert abs(fp.lifetime - rest.lifetime) <= 1e-12 * rest.lifetime or fp.alive
+        assert abs(fp.value - rest.value) <= 1e-12 * abs(rest.value)
+
     @pytest.mark.parametrize("slope", [1e-300, -1e-300])
     def test_negligible_slope_keeps_the_resting_crossing(self, slope):
         # x = |slope| w would underflow: the crossing is the resting one
