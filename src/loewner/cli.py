@@ -66,6 +66,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid must look like a:b:n, got {spec!r}") from exc
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError(f"grid ends must be finite, got {spec!r}")
+    if n < 1:
+        raise ValidationError(f"grid needs n >= 1 points, got {spec!r}")
     return np.linspace(a, b, n)
 
 

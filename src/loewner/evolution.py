@@ -27,7 +27,7 @@ from .flows import (
     flow_reverse_anti,
     inverse_map,
     _check,
-    _piece_at,
+    _driver_at,
     _segments,
 )
 from .transforms import (
@@ -72,7 +72,7 @@ class EvolutionFamily:
             return flow_reverse(self.driving, s, t, z, self.tol)
         if self.semantics == ANTI_MONOTONE:
             return flow_reverse_anti(self.driving, s, t, z, self.tol)
-        _check(self.driving, s, t, what="free evolution")
+        _check(self.driving, s, t, what="free evolution", tol=self.tol)
         z = as_points(z)
         with np.errstate(all="ignore"):  # an array warns where 1/z over- or underflows
             d, w = self.driving, (1.0 / z if np.all(np.isfinite(z) & (z != 0)) else np.nan)
@@ -137,13 +137,6 @@ def sle_driving(kappa: float, dt: float, horizon: float, seed: int) -> AtomPath:
     return AtomPath(times, values)
 
 
-def _driver_value(d: Driving, q: float) -> float:
-    line = d._lines[_piece_at(d, q)]
-    if line is None:
-        raise ValidationError("chain approximation needs a point-mass driving family")
-    return line[1] + line[2] * (q - line[0])  # U(q) = u_j + slope (q - t_j)
-
-
 def chain_approximation(d: Driving, dt: float, K: int, shift: str = "left") -> AnalyticMap:
     """Symbolic convolution-chain approximation of the reverse flow at ``K dt``.
 
@@ -164,7 +157,9 @@ def chain_approximation(d: Driving, dt: float, K: int, shift: str = "left") -> A
     if not (dt > 0 and K >= 0):
         raise ValidationError("need dt > 0 and K >= 0")
     _check(d, 0.0, K * dt, what="chain_approximation")
-    us = [_driver_value(d, k * dt) for k in range(K + 1)] if K else []  # U(k dt), k = 0..K
+    us = [_driver_at(d, k * dt) for k in range(K + 1)] if K else []  # U(k dt), k = 0..K
+    if None in us:
+        raise ValidationError("chain approximation needs a point-mass driving family")
     shifts = {"left": us[:-1], "right": us[1:],
               "increment": [hi - lo for lo, hi in zip(us, us[1:])]}[shift]
     radius = math.sqrt(2.0 * dt)

@@ -15,11 +15,13 @@ across a structural breakpoint.
 Piece contract: every driver has ``knots``, its breakpoints from 0, and one entry of
 ``_lines`` per knot.  Piece ``j`` runs from ``knots[j]`` to the next knot (the last one on
 past the horizon), and its line is ``(t_j, u_j, slope)`` for a point mass at
-``U(t) = u_j + slope (t - t_j)``, else ``None``.  :func:`_segments` walks the pieces of a
-window; the exact maps read only the lines, and only an integrated piece builds
-``piece(j)``, its Cauchy transform ``(t, z) -> G_{nu_t}(z)`` continued past both ends (on
-scalars, or ndarrays of one shape).  ``integral(lo, hi, w)`` is the exact
-``int_lo^hi G_{nu_tau}(w) dtau`` on the piece holding ``[lo, hi]`` (the free R-transform).
+``U(t) = u_j + slope (t - t_j)``, else ``None``; an ``AtomPath``'s entry past its last knot
+is anchored at that knot, so ``u(t)``, which reads the lines too, gives ``U(T)`` exactly.
+:func:`_segments` walks the pieces of a window; the exact maps read only the lines, and
+only an integrated piece builds ``piece(j)``, its Cauchy transform
+``(t, z) -> G_{nu_t}(z)`` continued past both ends (on scalars, or ndarrays of one shape).
+``integral(lo, hi, w)`` is the exact ``int_lo^hi G_{nu_tau}(w) dtau`` on the piece holding
+``[lo, hi]`` (the free R-transform).
 
 Point-mass pieces map exactly in both time directions, so no solve over them integrates.
 A resting piece (``nu = delta_u``) is the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+
@@ -102,14 +104,15 @@ class AtomPath:
         vs = values.tolist()
         lines = tuple((t0, u0, (u1 - u0) / (t1 - t0)) for t0, t1, u0, u1 in
                       zip(self.knots, self.knots[1:], vs, vs[1:]))
-        object.__setattr__(self, "_lines", lines + lines[-1:])  # the last runs past the horizon
+        # the last line runs on past the horizon, anchored at it so that U(T) is exact
+        object.__setattr__(self, "_lines", lines + ((self.knots[-1], vs[-1], lines[-1][2]),))
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
 
     def u(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values))
+        return float(_driver_at(self, t))
 
     def cauchy(self, t: float, z: complex) -> complex:
         return 1.0 / (z - self.u(t))
@@ -216,6 +219,12 @@ def constant_driver(u: float = 0.0) -> MeasurePath:
 def _piece_at(d: Driving, t: float) -> int:
     """Index ``j`` of the piece of ``d`` that holds time ``t``."""
     return max(bisect_right(d.knots, t) - 1, 0)
+
+
+def _driver_at(d: Driving, t: float) -> float | None:
+    """``U(t)`` on the line of the piece holding ``t`` (end pieces extend); ``None`` if no line."""
+    line = d._lines[_piece_at(d, t)]
+    return None if line is None else line[1] + line[2] * (t - line[0])
 
 
 def _segments(d: Driving, a: float, b: float, reflect_about: float | None = None):
@@ -625,7 +634,8 @@ def _crossing(w: complex, slope: float, span: float):
     """``(tau, x)``: a forward flow over a point-mass piece of rate ``slope`` from the offset
     ``w`` reaches ``Im = eps = EPS_SWALLOW`` after ``tau <= span`` at real offset ``x``, else
     ``None``; ``Im w**2`` falls, by at most ``2 tau``.  Resting (or moved < 2**-60 by the
-    slope), ``Im w**2`` stays: a closed form, factored against cancellation and overflow.
+    slope over ``min(tau, span)``: a far start's ``tau`` may overflow), ``Im w**2`` stays: a
+    closed form, factored against cancellation and overflow.
     Else ``x = a w`` (``a = |slope|``, ``w -> -conj(w)`` if ``slope > 0``) keeps ``Im k``,
     ``k = log1p(x) - x``: ``1 + x* = m (cot p + i)``, ``m = a eps``, ``p = Im k + m``, and
     ``a**2 tau = Re(k - k*)``; a short crossing (``|u| < 1/4``, ``u = (1 + x)/(1 + x*) - 1``)
@@ -636,7 +646,7 @@ def _crossing(w: complex, slope: float, span: float):
         return None
     r = re / eps
     tau, x = h * r * r + h, re * im / eps
-    if slope != 0.0 and abs(slope) * tau > 2.0 ** -60 * math.hypot(x, eps):
+    if slope != 0.0 and abs(slope) * min(tau, span) > 2.0 ** -60 * math.hypot(x, eps):
         a = abs(slope)
         x = a * (-w.conjugate() if slope > 0.0 else w)
         left = x.real < -1.0
@@ -684,13 +694,16 @@ class HullTrace:
     err_est: tuple
 
 
-def _check(d: Driving, s: float, t: float, z=None, *, what: str):
+def _check(d: Driving, s: float, t: float, z=None, *, what: str, tol: float | None = None):
     """The domain of every solve ``phi_{s,t}``: finite times ``0 <= s <= t`` within the horizon
-    of ``d``, and starts ``z`` (complex or ndarray) finite in the open upper half-plane."""
+    of ``d``, a finite positive tolerance ``tol`` where the solve takes one, and starts ``z``
+    (complex or ndarray) finite in the open upper half-plane."""
     if not 0.0 <= s <= t < math.inf:
         raise ValidationError(f"{what} needs finite times 0 <= s <= t, got s = {s}, t = {t}")
     if t > d.horizon + 1e-12:
         raise HorizonExceededError(f"horizon exceeded: {t} > {d.horizon}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValidationError(f"{what} needs a finite tolerance tol > 0, got {tol}")
     if z is None:
         return
     # np.all on a Python bool costs about 5 us, a scalar solve as little as 12 us
@@ -704,14 +717,14 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
 
     The point is swallowed when its imaginary part falls to :data:`EPS_SWALLOW`; the
     swallowing time is the lifetime, with the state on the line ``Im g = EPS_SWALLOW`` as
-    ``value``.  A point-mass piece maps a survivor exactly (:func:`_atom_piece` over the line
-    mirrored in time) and its crossing in closed form (:func:`_crossing`).  Elsewhere the step
+    ``value``.  A point-mass piece maps a survivor exactly (:func:`_atom_piece` in time ``-t``,
+    reflected about 0) and its crossing in closed form (:func:`_crossing`).  Elsewhere the step
     that would cross the line is redone in ``sigma = -Im g`` (Henon 1982): ``Im g`` falls
     monotonically, so ``v = Re g + i t`` obeys ``dv/dsigma = -(Re G + i)/Im G`` up to
     ``sigma = -EPS_SWALLOW``.  ``err_est`` sums the error estimates of the steps taken.
     """
     z = complex(z)
-    _check(d, 0.0, t, z, what="flow_forward")
+    _check(d, 0.0, t, z, what="flow_forward", tol=tol)
     if z.imag <= EPS_SWALLOW:
         return FlowPoint(z, False, 0.0, 0.0)
 
@@ -722,8 +735,8 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
         if line is not None:
             tj, u, slope = line
             crossing = _crossing(y - (u + slope * (a - tj)), slope, b - a)
-            if crossing is None:  # forward in t is reverse in -t
-                y = _atom_piece(y, (-tj, u, -slope), -a, -b, None)
+            if crossing is None:  # forward in t is reverse in -t: driver time 0 - (-t)
+                y = _atom_piece(y, line, -a, -b, 0.0)
                 continue
             tau, x = crossing
             life = min(max(a + tau, a), b)
@@ -790,7 +803,7 @@ def flow_reverse(d: Driving, s: float, t: float, z: complex, tol: float = DEFAUL
     solved together by the lane kernel; every start must be finite, with ``Im z > 0``.
     """
     z = as_points(z)
-    _check(d, s, t, z, what="flow_reverse")
+    _check(d, s, t, z, what="flow_reverse", tol=tol)
     return _solve_reverse(d, s, t, z, tol, "reverse flow")
 
 
@@ -802,7 +815,7 @@ def flow_reverse_anti(d: Driving, s: float, t: float, z: complex,
     of the equation.  ``z`` may be an ndarray of starts, each finite, with ``Im z > 0``.
     """
     z = as_points(z)
-    _check(d, s, t, z, what="flow_reverse_anti")
+    _check(d, s, t, z, what="flow_reverse_anti", tol=tol)
     # substitute tau = s + t - sigma so integration runs forward in tau
     return _solve_reverse(d, s, t, z, tol, "anti-monotone flow", reflect_about=s + t)
 
@@ -827,8 +840,8 @@ def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
 def trace(d: AtomPath, times: Sequence[float]) -> HullTrace:
     """Hull trace ``gamma(t) = f_t(U(t))`` for a point-mass driver.
 
-    The tip is the anti-monotone map of the boundary point ``U(t)`` down to time 0, one
-    exact map per driver piece (:func:`_atom_piece`), so ``err_est`` reads 0.
+    The tip is the anti-monotone reverse solve of the boundary point ``U(t)`` down to time
+    0 (:func:`_solve_reverse`), one exact map per driver piece, so ``err_est`` reads 0.
     After a linear piece shorter than ``(10 delta_1)**2`` the inverse map at
     ``U(t) + i delta`` over :data:`TRACE_DELTAS` must also contract (a longer
     piece gives ratio 1/4), or ``TraceUnresolvedError`` is raised.
@@ -838,17 +851,15 @@ def trace(d: AtomPath, times: Sequence[float]) -> HullTrace:
     pts = []
     for t in times:
         _check(d, 0.0, t, what="trace")
-        segs = list(_segments(d, 0.0, t, reflect_about=t))  # none at t = 0
-        if segs and segs[0][1] - segs[0][0] < (10.0 * TRACE_DELTAS[0]) ** 2:
+        first = next(_segments(d, 0.0, t, reflect_about=t), None)  # none at t = 0
+        if first and first[1] - first[0] < (10.0 * TRACE_DELTAS[0]) ** 2:
             # no round-trip check: g_t o f_t conditions like 1/delta near the boundary
             v0, v1, v2 = (inverse_map(d, t, complex(d.u(t), delta), check=False)
                           for delta in TRACE_DELTAS)
             if abs(v1 - v0) > 1e-12 and abs(v2 - v1) > 0.9 * abs(v1 - v0):
                 raise TraceUnresolvedError(f"trace unresolved at t = {t}")
-        y = d.u(t)
-        for lo, hi, j in segs:
-            y = _atom_piece(y, d._lines[j], lo, hi, t)
-        pts.append(complex(y))
+        pts.append(complex(_solve_reverse(d, 0.0, t, d.u(t), DEFAULT_TOL, "trace",
+                                          reflect_about=t)))
     return HullTrace(tuple(times), tuple(pts), (0.0,) * len(pts))
 
 

@@ -281,41 +281,37 @@ def moments(m: Measure, n: int) -> MomentSequence:
     return MomentSequence(tuple(vals))
 
 
-def shift(m: Measure, a: float) -> Measure:
-    """Pushforward under ``x -> x + a`` (exact on every variant)."""
+def _affine(m: Measure, lam: float, a: float) -> Measure:
+    """Pushforward under ``x -> lam * x + a`` for ``lam > 0``; named families scale their
+    variance by ``lam**2``."""
     if isinstance(m, Dirac):
-        return Dirac(m.location + a)
+        return Dirac(lam * m.location + a)
     if isinstance(m, _CenteredLaw):
-        return type(m)(m.var, m.center + a)
+        return type(m)(lam * lam * m.var, lam * m.center + a)
     if isinstance(m, Empirical):
         return Empirical(
-            atoms=tuple((x + a, w) for x, w in m.atoms),
-            a=None if m.a is None else m.a + a,
-            b=None if m.b is None else m.b + a,
-            values=m.values,
+            atoms=tuple((lam * x + a, w) for x, w in m.atoms),
+            a=None if m.a is None else lam * m.a + a,
+            b=None if m.b is None else lam * m.b + a,
+            values=None if m.values is None else np.asarray(m.values) / lam,
         )
     raise ValidationError(f"not a measure: {m!r}")
+
+
+def shift(m: Measure, a: float) -> Measure:
+    """Pushforward under ``x -> x + a`` (exact on every variant: ``1 * x`` is ``x``)."""
+    return _affine(m, 1.0, a)
 
 
 def dilate(m: Measure, lam: float) -> Measure:
     """Pushforward under ``x -> lam * x`` for ``lam > 0``.
 
-    Named families scale their variance by ``lam**2``.
+    Named families scale their variance by ``lam**2``.  The offset is ``-0.0``, the
+    additive identity, so a signed zero keeps its sign.
     """
     if not (lam > 0):
         raise ValidationError("dilation factor must be positive")
-    if isinstance(m, Dirac):
-        return Dirac(lam * m.location)
-    if isinstance(m, _CenteredLaw):
-        return type(m)(lam * lam * m.var, lam * m.center)
-    if isinstance(m, Empirical):
-        return Empirical(
-            atoms=tuple((lam * x, w) for x, w in m.atoms),
-            a=None if m.a is None else lam * m.a,
-            b=None if m.b is None else lam * m.b,
-            values=None if m.values is None else np.asarray(m.values) / lam,
-        )
-    raise ValidationError(f"not a measure: {m!r}")
+    return _affine(m, lam, -0.0)
 
 
 def support(m: Measure):

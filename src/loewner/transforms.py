@@ -446,7 +446,8 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float) -> Empirical:
     pass so pole tails do not leak into the density.
 
     The recovered mass must reach ``1 - DEFICIT_TOL`` (otherwise
-    ``MassDeficitError``); the result is renormalized to total mass one.
+    ``MassDeficitError``, also raised for an atom with no positive mass: a pole
+    just off the grid's end); the result is renormalized to total mass one.
     Non-uniform grids are resampled onto a uniform grid of the same size.
 
     ``g.fn`` must accept a complex ndarray: the whole grid, at both heights,
@@ -472,7 +473,11 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float) -> Empirical:
             x0 = _refine_atom_location(g.fn, float(xs[lo]), float(xs[hi]),
                                        float(g1[lo].real), float(g1[hi].real), eps)
             est = lambda e: -e * g.fn(complex(x0, e)).imag  # mass, Richardson over eps
-            atoms.append((x0, 2.0 * est(eps / 4.0) - est(eps / 2.0)))
+            mass = 2.0 * est(eps / 4.0) - est(eps / 2.0)
+            if not mass > 0.0:  # the fallback put a pole just off the grid on its end node
+                raise MassDeficitError(f"atom at {x0:.6g} has mass {mass:.3g}: a pole lies "
+                                       "just off the grid's end")
+            atoms.append((x0, mass))
         for x0, mass in atoms:
             g1 -= mass / (xs + 1j * eps - x0)
             g2 -= mass / (xs + 1j * eps / 2.0 - x0)

@@ -328,6 +328,13 @@ class TestExitCodes:
         ["convolve", "--expr", "mono(arcsine:1, arcsine:1)", "--probe=1e308+1e308i"],
         ["convolve", "--expr", "mono(sc:1, arc:1)", "--probe=1e308+1e308i"],
         ["convolve", "--expr", "anti(sc:1, arc:1)", "--probe=1e308+1e308i"],
+        # a:b:n specs need an integer n >= 1
+        ["density", "--measure", "sc:1", "--grid=-2:2:-5"],
+        ["convolve", "--expr", "mono(arc:1, arc:1)", "--grid=-2:2:-3", "--eps", "1e-3",
+         "--out", os.devnull],
+        ["burgers", "--t", "0:1:-2"],
+        ["burgers", "--re=-1:1:-1"],
+        ["burgers", "--t", "0:1:0", "--driver", "const:0"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong

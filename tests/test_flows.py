@@ -1,6 +1,9 @@
 import cmath
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +19,7 @@ from loewner import (
     SemicircleFamily,
     anti_monotone_family,
     asymptotic_moments,
+    burgers_residual,
     cauchy,
     chain_approximation,
     constant_driver,
@@ -26,6 +30,7 @@ from loewner import (
     flow_reverse_anti,
     free_family,
     inverse_map,
+    monotone_family,
     sle_driving,
     trace,
     welding,
@@ -229,6 +234,60 @@ class TestReverseAnti:
         assert abs(flow_reverse_anti(d, 0.0, 1.0, 2j) - flow_reverse(d, 0.0, 1.0, 2j)) > 1e-6
 
 
+#: each solve that takes a tolerance, on a start and on lanes, and the public calls that
+#: pass one on
+TOL_CALLS = {
+    "forward": lambda d, tol: flow_forward(d, 1 + 1j, 1.0, tol),
+    "reverse": lambda d, tol: flow_reverse(d, 0.0, 1.0, 2j, tol),
+    "anti": lambda d, tol: flow_reverse_anti(d, 0.0, 1.0, 2j, tol),
+    "lanes": lambda d, tol: flow_reverse(d, 0.0, 1.0, np.array([2j, 1 + 1j]), tol),
+    "anti-lanes": lambda d, tol: flow_reverse_anti(d, 0.0, 1.0, np.array([2j, 1 + 1j]), tol),
+    "inverse": lambda d, tol: inverse_map(d, 1.0, 2j, tol),
+    "family": lambda d, tol: monotone_family(d, tol)(0.0, 1.0, 2j),
+    "anti-family": lambda d, tol: anti_monotone_family(d, tol)(0.0, 1.0, 2j),
+    "free-family": lambda d, tol: free_family(d, tol)(0.0, 1.0, 2j),
+    "burgers": lambda d, tol: burgers_residual(d, [0.5], [1j], tol=tol),
+}
+BAD_TOLS = (math.nan, -1.0, 0.0, math.inf)
+
+
+def bad_tolerance_errors(d):
+    """The error each call in ``TOL_CALLS`` raises at each bad ``tol`` (``None`` if none)."""
+    errors = []
+    for call in TOL_CALLS.values():
+        for tol in BAD_TOLS:
+            try:
+                call(d, tol)
+                errors.append(None)
+            except Exception as exc:
+                errors.append(f"{type(exc).__name__}: {exc}")
+    return errors
+
+
+class TestTolerance:
+    """``tol`` must be finite and positive, on integrated and exact drivers alike."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
+    def test_bad_tolerance_is_a_validation_error(self, call, tol):
+        with pytest.raises(ValidationError, match="finite tolerance"):
+            call(AtomPath([0.0, 2.0], [0.0, 1.0]), tol)
+
+    def test_bad_tolerance_on_an_integrated_driver_does_not_hang(self):
+        # a NaN tolerance left an integrated solve stepping forever (an oscillating step,
+        # or a NaN one on lanes): run it in a subprocess whose timeout fails the test
+        tests, src = Path(__file__).resolve().parent, Path(flows.__file__).resolve().parents[1]
+        script = ("import sys; sys.path[:0] = sys.argv[1:]; from test_flows import *; "
+                  "print(*bad_tolerance_errors(SemicircleFamily()), sep='\\n')")
+        done = subprocess.run([sys.executable, "-c", script, str(tests), str(src)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == len(TOL_CALLS) * len(BAD_TOLS)
+        assert all(line.startswith("ValidationError: ") and "finite tolerance tol > 0" in line
+                   for line in lines)
+
+
 class TestInverse:
     def test_constant_driver(self):
         got = inverse_map(D0, 1.0, 1j * math.sqrt(2.0))
@@ -331,6 +390,12 @@ class TestDrivers:
             AtomPath([0.0, 0.0], [0.0, 0.0])  # strictly increasing
         with pytest.raises(ValidationError):
             AtomPath([0.0, 1.0], [0.0, math.nan])
+
+    def test_u_reads_the_line_table(self):
+        # exact at the knots and at the horizon; past either end the end piece extends
+        d = AtomPath([0.0, 1.0, 3.0], [0.5, 1.5, -0.5])
+        assert [d.u(t) for t in (0.0, 0.25, 1.0, 2.0, 3.0)] == [0.5, 0.75, 1.5, 0.5, -0.5]
+        assert (d.u(-1.0), d.u(4.0)) == (-0.5, -1.5)
 
     def test_measure_path_validation(self):
         with pytest.raises(ValidationError):
@@ -1265,6 +1330,19 @@ class TestFarStarts:
         rows = [line.split(",") for line in out.read_text().split()[1:]]
         assert len(rows) == 51
         assert all(float(row[1]) == 1e200 and row[2:4] == ["1", "1"] for row in rows)
+
+    def test_far_start_over_a_tiny_slope_survives(self, tmp_path):
+        # the resting lifetime overflows to inf, so a slope judged over it was not negligible
+        # and the sloped crossing divided by |slope|**2 = 0; over the span it is negligible
+        z = -1e190 + 2e-6j
+        fp = flow_forward(AtomPath([0.0, 0.5], [0.0, 1e-214]), z, 0.5)
+        assert fp.alive and fp.value == z
+        assert fp == flow_forward(AtomPath([0.0, 0.5], [0.0, 0.0]), z, 0.5)
+        out = tmp_path / "f.csv"
+        assert run(["flow", "--driver", '{"kind":"atom-path","times":[0,0.5],"values":[0,1e-214]}',
+                    "--z=-1e190+2e-6i", "--T", "0.5", "--steps", "1", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().split()[1:]]
+        assert [(float(r[1]), float(r[2]), r[3]) for r in rows] == [(-1e190, 2e-6, "1")] * 2
 
     def test_negligible_slope_keeps_the_resting_map_far_out(self):
         # the resting value overflowed, so the slope map ran and landed on -1e200

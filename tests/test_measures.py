@@ -123,6 +123,13 @@ class TestShiftDilate:
         with pytest.raises(ValidationError):
             dilate(Semicircle(1.0), 0.0)
 
+    def test_dilate_keeps_a_signed_zero(self):
+        # the dilation is the affine pushforward with offset -0.0, the additive identity
+        assert math.copysign(1.0, dilate(Dirac(-0.0), 2.0).location) == -1.0
+        assert math.copysign(1.0, dilate(Arcsine(1.0, -0.0), 0.5).center) == -1.0
+        emp = dilate(Empirical(atoms=((-0.0, 0.5),), a=-0.0, b=1.0, values=[0.5, 0.5]), 3.0)
+        assert math.copysign(1.0, emp.atoms[0][0]) == math.copysign(1.0, emp.a) == -1.0
+
 
 class TestSupport:
     def test_named_families(self):

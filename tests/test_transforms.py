@@ -263,6 +263,18 @@ def seed_refine_atom_location(g, lo, hi, eps):
 
 
 class TestAtomRefinement:
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["left", "right"])
+    def test_atom_just_off_the_grid_is_a_mass_deficit(self, monkeypatch, side):
+        # the run of flagged nodes ends at the grid's end with no sign change, so the
+        # argmax |g| fallback puts the atom on the end node, where its Richardson mass is
+        # negative: a pole just off the grid is out of reach, not a negative atom
+        xs = np.linspace(-1.0, 1.0, 201)
+        monkeypatch.setattr(transforms, "illinois", lambda *args: pytest.fail("secant ran"))
+        for x in (1.0005, 1.002):
+            g = cauchy(Empirical(atoms=((side * x, 0.4),), a=-0.5, b=0.5, values=np.full(3, 0.6)))
+            with pytest.raises(MassDeficitError, match="just off the grid's end"):
+                invert_stieltjes(g, xs, 1e-3)
+
     def test_bisection_stops_when_the_midpoint_stops_moving(self):
         emp = Empirical(atoms=((-1.2341, 0.3), (0.7113, 0.7)))
         g = cauchy(emp)
