@@ -238,16 +238,17 @@ def _resolve_grid(args, cfg):
     raise ValidationError("no grid given (use --grid a:b:n or a config file)")
 
 
-def _write_measure_csv(measure, out, atoms_out):
+def _materialize(g, args, cfg, eps) -> int:
+    """Invert the Cauchy transform ``g`` on the resolved grid; write the density and atoms CSVs."""
+    measure = invert_stieltjes(g, _resolve_grid(args, cfg), eps)
     rows = []
     if measure.values is not None:
-        xs = measure.grid()
-        rows = [(_fmt(x), _fmt(v)) for x, v in zip(xs, measure.values)]
-    _write_csv(out, ("x", "density"), rows)
+        rows = [(_fmt(x), _fmt(v)) for x, v in zip(measure.grid(), measure.values)]
+    _write_csv(args.out, ("x", "density"), rows)
     if measure.atoms:
-        path = atoms_out or (str(out) + ".atoms.csv")
-        _write_csv(path, ("location", "mass"),
+        _write_csv(args.atoms_out or f"{args.out}.atoms.csv", ("location", "mass"),
                    [(_fmt(x), _fmt(m)) for x, m in measure.atoms])
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +307,12 @@ def _cmd_convolve(args) -> int:
         return 0
     if not args.out:
         raise ValidationError("materializing needs --out (or use --probe)")
-    grid = _resolve_grid(args, cfg)
-    measure = invert_stieltjes(to_cauchy(amap), grid, eps)
-    _write_measure_csv(measure, args.out, args.atoms_out)
-    return 0
+    return _materialize(to_cauchy(amap), args, cfg, eps)
 
 
 def _cmd_density(args) -> int:
     cfg, _, _, eps = _merge_config(args)
-    m = _parse_measure(args.measure)
-    grid = _resolve_grid(args, cfg)
-    measure = invert_stieltjes(cauchy(m), grid, eps)
-    _write_measure_csv(measure, args.out, args.atoms_out)
-    return 0
+    return _materialize(cauchy(_parse_measure(args.measure)), args, cfg, eps)
 
 
 def _cmd_family(args) -> int:
@@ -348,11 +342,10 @@ def _cmd_sle(args) -> int:
 def _cmd_burgers(args) -> int:
     cfg, tol, seed, _ = _merge_config(args)
     ts = _parse_grid(args.t)
-    if args.driver:
-        # the residual differentiates in t, so pad the horizon past the grid
-        d = _parse_driver(args.driver, float(ts[-1]) + 0.01, seed)
-    else:
-        d = SemicircleFamily()
+    if cfg.driver is None:  # --driver still wins; without it, the semicircle family
+        cfg.driver = SemicircleFamily()
+    # the residual differentiates in t, so pad the horizon past the grid
+    d = _resolve_driver(args, cfg, float(ts[-1]) + 0.01, seed)
     res = _parse_grid(args.re)
     zs = [complex(r, args.im) for r in res]
     rows = []

@@ -79,11 +79,14 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap) -> AnalyticMap:
     (Denjoy-Wolff) fixed point of ``w -> z + H_b(z + H_a(w))`` with
     ``H = F - id``; the result is the Cauchy transform ``z -> G_a(omega_1(z))``.
     All points run together, one lane each.  ``SUBORDINATION_PICARD_STEPS``
-    Picard steps, damped by 0.5 once a lane stops contracting, settle every
-    lane whose step falls below ``SUBORDINATION_TOL``.  The rest, near the real
-    axis where Picard contracts at a rate close to 1, finish by the lane-wise
-    damped Newton of :mod:`loewner.transforms` on ``w - z - H_b(z + H_a(w)) = 0``
-    from the last Picard iterate, within ``NEWTON_MAX_ITER`` iterations.  So a probe
+    plain Picard steps settle every lane whose step falls below
+    ``SUBORDINATION_TOL``: the map sends the upper half-plane into itself, and
+    its iterates reach the Denjoy-Wolff point from any start there (Belinschi
+    and Bercovici, J. Anal. Math. 101, 2007), so they are not damped.  The
+    rest, near the real axis where Picard contracts at a rate close to 1,
+    finish by the lane-wise damped Newton of :mod:`loewner.transforms` on
+    ``w - z - H_b(z + H_a(w)) = 0`` from the last Picard iterate, within
+    ``NEWTON_MAX_ITER`` iterations.  So a probe
     close to the axis converges rather than meeting an iteration cap; only a
     Newton lane that runs out of halvings or iterations raises
     ``NoConvergenceError``, naming its ``z``.
@@ -100,20 +103,13 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap) -> AnalyticMap:
     def fn(z):
         zs, back = _lanes(z)
         omega = np.empty_like(zs)
-        live = np.arange(zs.size)
-        w, prev, damped = zs, None, np.zeros(zs.size, dtype=bool)
+        live, w = np.arange(zs.size), zs
         for _ in range(SUBORDINATION_PICARD_STEPS):
             zl = zs[live]
             nxt = zl + h_b(zl + h_a(w))
-            delta = nxt - w
-            size = np.abs(delta)
-            done = size < SUBORDINATION_TOL
+            done = np.abs(nxt - w) < SUBORDINATION_TOL
             omega[live[done]] = nxt[done]
-            if prev is not None:
-                damped |= size >= prev
-            w = np.where(damped, w + 0.5 * delta, nxt)
-            keep = ~done
-            live, w, prev, damped = live[keep], w[keep], size[keep], damped[keep]
+            live, w = live[~done], nxt[~done]
             if not live.size:
                 break
         if live.size:

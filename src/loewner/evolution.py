@@ -203,8 +203,6 @@ def burgers_residual(d: Driving, ts, zs, step: float = 1e-3,
     """
 
     def big_g(t: float, z: complex) -> complex:
-        if t <= 0.0:
-            return 1.0 / complex(z)
-        return 1.0 / inverse_map(d, t, z, tol)
+        return 1.0 / inverse_map(d, t, z, tol)  # f_0 is the identity, exactly
 
     return burgers_residual_of(big_g, ts, zs, step)

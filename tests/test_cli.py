@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import pytest
 import loewner
 from loewner.cli import RunConfig, load_config, run, save_config
 from loewner.errors import ConfigError
-from loewner.flows import AtomPath
+from loewner.evolution import sle_driving
+from loewner.flows import AtomPath, SemicircleFamily, flow_forward
 
 
 def read_rows(path):
@@ -77,7 +79,7 @@ README_SHA256 = {
     'loewner convolve --expr "mono(arcsine:1, arcsine:1)" --probe 2i':
         "daaedad81f42dcec2f75595dbf344f541a43d254b8f6ae297dced27a252bd0fd",
     'loewner convolve --expr "free(sc:1, sc:1)" --grid=-3:3:2001 --eps 1e-4 --out dens.csv':
-        "d7c587ea99ec574500d7ee29e9c00ac4ae2b9d33b6f4e11fd0e57b13059fe69a",
+        "fee42dcd2a4deea464bcba2b423d3d27fec0d3fe14583b954d597c6a3225277a",
     "loewner density --measure semicircle:1 --grid=-2.2:2.2:2201 --eps 1e-4 --out sc.csv":
         "ad216ecc5274ff75bb6424d906468f97de77417d060fab91a6947cca5b9f6e63",
     "loewner family --driver const:0 --semantics free --s 0 --t 1 --z 0.5i --out fam.csv":
@@ -335,6 +337,9 @@ class TestExitCodes:
         ["burgers", "--t", "0:1:-2"],
         ["burgers", "--re=-1:1:-1"],
         ["burgers", "--t", "0:1:0", "--driver", "const:0"],
+        ["flow", "--driver", "const:0", "--z", "1+2x", "--T", "1"],
+        ["density", "--measure", "sc:1", "--grid=1:2"],
+        ["burgers", "--t=-0.5:1:3"],  # f_t has no negative times
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong
@@ -386,12 +391,109 @@ class TestExitCodes:
         assert capsys.readouterr().err == (f"error: {argv[-2]} must be finite and nonnegative, "
                                            f"got {float(argv[-1])}\n")
 
+    def test_convolve_needs_a_probe_or_an_out(self, capsys):
+        assert run(["convolve", "--expr", "free(sc:1, sc:1)", "--grid=-3:3:11"]) == 2
+        assert capsys.readouterr().err == "error: materializing needs --out (or use --probe)\n"
+
     def test_free_family_at_zero(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
         assert run(["family", "--driver", "const:0", "--semantics", "free", "--s", "0",
                     "--t", "1", "--z", "0", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestMain:
+    @pytest.mark.parametrize("argv, code", [
+        (["sle", "--seed", "7"], 0),
+        (["density", "--measure", "sc:1", "--grid=1:2"], 2),
+        (["convolve", "--expr", "free(sc:1, sc:1)", "--grid=-2.5:2.5:2001", "--eps", "1e-4"], 3),
+    ], ids=["ok", "validation", "numeric"])
+    def test_module_exits_with_the_code(self, tmp_path, argv, code):
+        # python -m loewner calls main(), which hands run()'s code to sys.exit
+        src = str(Path(loewner.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "loewner", *argv,
+                               "--out", str(tmp_path / "x.csv")],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == code, done.stderr.decode()
+
+
+class TestDriverSpecs:
+    @pytest.mark.parametrize("spec, driver", [
+        ("line:0.5:-1", AtomPath([0.0, 2.0], [0.5, -1.5])),  # its horizon is --T + 1
+        ("sle:2", sle_driving(2.0, 1.0 / 64.0, 1.0, 3)),
+        ("sle:2:0.125", sle_driving(2.0, 0.125, 1.0, 3)),
+        ("sc-family", SemicircleFamily()),
+        ("semicircle-family", SemicircleFamily()),
+    ])
+    def test_spec_builds_its_driver(self, tmp_path, spec, driver):
+        out = tmp_path / "flow.csv"
+        assert run(["flow", "--driver", spec, "--z", "1+2i", "--T", "1", "--steps", "4",
+                    "--seed", "3", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        want = flow_forward(driver, 1 + 2j, 1.0)
+        assert complex(float(rows[-1][1]), float(rows[-1][2])) == want.value
+        assert rows[-1][3] == "1" and want.alive
+
+
+class TestConfigRoutes:
+    """Every subcommand that reads a driver or a grid takes it from ``--config``
+    as from its flag, and names it when neither gives one."""
+
+    DRIVER = {"kind": "atom-path", "times": [0, 2], "values": [0, 2]}
+    DRIVER_ARGV = {
+        "flow": ["flow", "--z", "1+2i", "--T", "1", "--steps", "4"],
+        "trace": ["trace", "--T", "1", "--steps", "4"],
+        "welding": ["welding", "--T", "0.5", "--pairs", "3"],
+        "family": ["family", "--t", "1", "--z", "1+2i", "--z=-1+0.5i"],
+        "burgers": ["burgers", "--t", "0.2:1:2", "--re=-1:1:2", "--im", "1"],
+    }
+    GRID = {"a": -2.2, "b": 2.2, "n": 221}
+    GRID_ARGV = {
+        "density": ["density", "--measure", "sc:1"],
+        "convolve": ["convolve", "--expr", "free(sc:0.5, sc:0.5)"],
+    }
+
+    @staticmethod
+    def outputs(capsys, where, argv):
+        where.mkdir()
+        assert run(argv + ["--out", str(where / "out.csv")]) == 0
+        return capsys.readouterr().out, [p.read_bytes() for p in sorted(where.iterdir())]
+
+    @pytest.mark.parametrize("command", DRIVER_ARGV)
+    def test_driver_from_config(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"driver": self.DRIVER}))
+        argv = self.DRIVER_ARGV[command]
+        flagged = self.outputs(capsys, tmp_path / "flag",
+                               argv + ["--driver", json.dumps(self.DRIVER)])
+        configured = self.outputs(capsys, tmp_path / "config", argv + ["--config", str(cfg)])
+        assert configured == flagged
+
+    @pytest.mark.parametrize("command", GRID_ARGV)
+    def test_grid_and_eps_from_config(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": self.GRID, "eps": 1e-3}))
+        argv = self.GRID_ARGV[command]
+        flagged = self.outputs(capsys, tmp_path / "flag",
+                               argv + ["--grid=-2.2:2.2:221", "--eps", "1e-3"])
+        configured = self.outputs(capsys, tmp_path / "config", argv + ["--config", str(cfg)])
+        assert configured == flagged
+
+    @pytest.mark.parametrize("config", [None, {"seed": 1}], ids=["no-config", "config"])
+    @pytest.mark.parametrize("command", ["flow", "trace", "welding", "family", *GRID_ARGV])
+    def test_missing_driver_or_grid_is_named(self, tmp_path, capsys, command, config):
+        argv = {**self.DRIVER_ARGV, **self.GRID_ARGV}[command] + ["--out", str(tmp_path / "x.csv")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 2
+        what = "grid" if command in self.GRID_ARGV else "driver"
+        assert capsys.readouterr().err.startswith(f"error: no {what} given")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestNegativeCounts:
@@ -436,6 +538,29 @@ class TestConfig:
         p.write_text(json.dumps({"grid": grid}))  # math.inf is written as Infinity
         with pytest.raises(ConfigError, match=field):
             load_config(p)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config: cannot read"),
+        ("{", "config: invalid JSON"),
+        ("[1, 2]", "config: expected a JSON object"),
+        ('{"seed": 1.5}', "seed: expected an integer"),
+        ('{"eps": 0.5}', "eps: expected a number"),
+        ('{"grid": [0, 1, 3]}', "grid: expected an object"),
+        ('{"grid": {"a": 0, "b": 1}}', "grid.n: missing"),
+        ('{"grid": {"a": 0, "b": 1, "n": 1}}', "grid: need numbers a < b and integer n >= 2"),
+        ('{"grid": {"a": 1, "b": 0, "n": 3}}', "grid: need numbers a < b and integer n >= 2"),
+    ], ids=["unreadable", "invalid-json", "not-an-object", "seed", "eps", "grid-type",
+            "grid-key", "grid-n", "grid-order"])
+    def test_bad_config_is_named(self, tmp_path, capsys, text, message):
+        p = tmp_path / "cfg.json"  # not written: unreadable
+        if text is not None:
+            p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(p)
+        # the CLI reports it as a validation error
+        assert run(["density", "--measure", "sc:1", "--grid=-2.2:2.2:11", "--config", str(p),
+                    "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_bad_tolerance(self, tmp_path):
         p = tmp_path / "bad.json"

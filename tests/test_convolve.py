@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -197,6 +198,23 @@ class TestSubordinationNearAxis:
         g = free_subordination(cauchy(Semicircle(1.0)), cauchy(Semicircle(1.0)))
         with pytest.raises(NoConvergenceError, match=r"-2\.826"):
             g.fn(self.NEAR)
+
+    def test_bernoulli_and_semicircle_just_above_the_axis(self):
+        # Picard leaves this lane to Newton, and damping the Picard steps made
+        # that Newton stall.  The R-transform route stalls here too, so the
+        # oracle is the subordination pair: F_a(w1) = F_b(w2) = F with
+        # w1 + w2 = z + F, both in the upper half-plane.  For the Bernoulli law
+        # F_a(w) = w - 1/w, so w1 solves w^2 - F w - 1 = 0.
+        ga = cauchy(Empirical(atoms=((-1.0, 0.5), (1.0, 0.5))))
+        gb = cauchy(Semicircle(1.0))
+        z = 0.025 + 1e-6j
+        g = free_subordination(ga, gb)(z)
+        f = 1.0 / g
+        root = cmath.sqrt(f * f + 4.0)
+        pairs = [(w1, z + f - w1) for w1 in ((f + root) / 2.0, (f - root) / 2.0)]
+        held = [w1 for w1, w2 in pairs if w1.imag > 0 and w2.imag > 0
+                and abs(gb(w2) - ga(w1)) < 1e-10 * abs(ga(w1))]
+        assert len(held) == 1
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_covering_grid_is_semicircle_of_variance_two(self, eps):

@@ -91,6 +91,17 @@ class TestForward:
         fp = flow_forward(D0, 1 + 1j, 0.0)
         assert fp.value == 1 + 1j and fp.alive and fp.lifetime == math.inf
 
+    def test_start_on_or_below_the_swallowing_line(self, tmp_path):
+        # such a start is swallowed at time 0, where it stands, before any piece is read
+        for z in (0.3 + 1e-7j, complex(0.3, flows.EPS_SWALLOW)):
+            for d in (D0, AtomPath([0.0, 1.0], [0.0, 1.0]), SemicircleFamily()):
+                assert flow_forward(d, z, 1.0) == flows.FlowPoint(z, False, 0.0, 0.0)
+        out = tmp_path / "f.csv"
+        assert run(["flow", "--driver", "const:0", "--z", "0.3+1e-7i", "--T", "1",
+                    "--out", str(out)]) == 0
+        assert out.read_text() == ("t,re,im,alive,lifetime,err_est\n"
+                                   "0,0.29999999999999999,9.9999999999999995e-08,0,0,0\n")
+
     def test_lifetime_of_i(self):
         fp = flow_forward(D0, 1j, 1.0)
         assert not fp.alive

@@ -223,7 +223,8 @@ class TestMomentSequence:
 class TestSerialization:
     def test_round_trip(self):
         zoo = [Dirac(0.5), Semicircle(1.0), shift(Arcsine(2.0), -1.0),
-               gaussian_empirical(mass=0.7, atoms=((1.0, 0.3),))]
+               gaussian_empirical(mass=0.7, atoms=((1.0, 0.3),)),
+               Empirical(atoms=((-1.0, 0.25), (0.5, 0.75)))]  # atoms only
         for m in zoo:
             back = from_dict(to_dict(m))
             assert list(moments(back, 4)) == pytest.approx(list(moments(m, 4)), abs=1e-12)
