@@ -12,14 +12,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance
 from .convolve import parse_expression
-from .errors import NumericError, ValidationError, ConfigError
+from .errors import NumericError, ValidationError
 from .evolution import (
     anti_monotone_family,
     burgers_residual,
@@ -28,10 +27,10 @@ from .evolution import (
     sle_driving,
 )
 from .flows import (
+    DEFAULT_TOL,
     AtomPath,
     SemicircleFamily,
     driving_from_dict,
-    driving_to_dict,
     flow_forward,
     trace,
     welding,
@@ -83,11 +82,10 @@ def _time(value: float, flag: str) -> float:
     return value
 
 
-def _tolerance(value, name: str) -> float:
-    """``value`` as an integration tolerance: a number in (0, 1e-4], else ``ConfigError``."""
-    if not isinstance(value, (int, float)) or not 0 < value <= 1e-4:
-        raise ConfigError(f"{name}: expected a number in (0, 1e-4], got {value!r}")
-    return float(value)
+def _tol(args) -> float:
+    if not 0 < args.tol <= 1e-4:
+        raise ValidationError(f"--tol: expected a number in (0, 1e-4], got {args.tol!r}")
+    return args.tol
 
 
 def _json_spec(spec: str):
@@ -107,9 +105,11 @@ def _parse_measure(spec: str):
     return measure_from_spec(name, param)
 
 
-def _parse_driver(spec: str, horizon: float, seed: int):
+def _driver(args, horizon: float):
+    if not (spec := args.driver):
+        raise ValidationError("no driver given (use --driver)")
     if (obj := _json_spec(spec)) is not None:
-        return _validated_driver(obj)
+        return driving_from_dict(obj)
     if spec in ("semicircle-family", "sc-family"):
         return SemicircleFamily()
     name, _, rest = spec.partition(":")
@@ -124,123 +124,15 @@ def _parse_driver(spec: str, horizon: float, seed: int):
         return AtomPath(np.array([0.0, end]), np.array([params[0], params[0] + params[1] * end]))
     if name == "sle" and len(params) <= 2:
         dt = params[1] if len(params) > 1 else 1.0 / 64.0
-        return sle_driving(params[0], dt, horizon, seed)
+        return sle_driving(params[0], dt, horizon, args.seed)
     raise ValidationError(f"cannot parse driver spec {spec!r}")
 
 
-# ---------------------------------------------------------------------------
-# configuration files
-
-@dataclass
-class RunConfig:
-    """Validated run description shared by the subcommands."""
-
-    driver: object | None = None
-    tolerance: float = 1e-10
-    seed: int = 0
-    eps: float = 1e-4
-    grid: tuple | None = None
-
-
-def _require(obj: dict, key: str, prefix: str):
-    if key not in obj:
-        raise ConfigError(f"{prefix}.{key}: missing")
-    return obj[key]
-
-
-def _validated_driver(obj):
-    try:
-        return driving_from_dict(obj)
-    except ValidationError as exc:  # the library's messages name the field path
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config(path) -> RunConfig:
-    """Load and validate a JSON run configuration.
-
-    Schema violations raise ``ConfigError`` naming the offending field path,
-    e.g. ``driver.times``.
-    """
-    try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("config: expected a JSON object")
-    cfg = RunConfig()
-    for key in obj:
-        if key not in ("driver", "tolerance", "seed", "eps", "grid"):
-            raise ConfigError(f"{key}: unknown field")
-    if "driver" in obj:
-        cfg.driver = _validated_driver(obj["driver"])
-    if "tolerance" in obj:
-        cfg.tolerance = _tolerance(obj["tolerance"], "tolerance")
-    if "seed" in obj:
-        if not isinstance(obj["seed"], int):
-            raise ConfigError("seed: expected an integer")
-        cfg.seed = obj["seed"]
-    if "eps" in obj:
-        if not isinstance(obj["eps"], (int, float)) or not (1e-8 <= obj["eps"] <= 1e-2):
-            raise ConfigError("eps: expected a number in [1e-8, 1e-2]")
-        cfg.eps = float(obj["eps"])
-    if "grid" in obj:
-        g = obj["grid"]
-        if not isinstance(g, dict):
-            raise ConfigError("grid: expected an object")
-        a = _require(g, "a", "grid")
-        b = _require(g, "b", "grid")
-        n = _require(g, "n", "grid")
-        for key, end in (("a", a), ("b", b)):
-            if not isinstance(end, (int, float)) or not math.isfinite(end):
-                raise ConfigError(f"grid.{key}: expected a finite number")
-        if not isinstance(n, int) or n < 2 or not a < b:
-            raise ConfigError("grid: need numbers a < b and integer n >= 2")
-        cfg.grid = (float(a), float(b), n)
-    return cfg
-
-
-def save_config(cfg: RunConfig, path):
-    """Write a configuration in the canonical byte-stable form."""
-    obj = {"tolerance": cfg.tolerance, "seed": cfg.seed, "eps": cfg.eps}
-    if cfg.driver is not None:
-        obj["driver"] = driving_to_dict(cfg.driver)
-    if cfg.grid is not None:
-        obj["grid"] = {"a": cfg.grid[0], "b": cfg.grid[1], "n": cfg.grid[2]}
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _merge_config(args):
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    tol = cfg.tolerance if getattr(args, "tol", None) is None else _tolerance(args.tol, "--tol")
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.seed
-    eps = args.eps if getattr(args, "eps", None) is not None else cfg.eps
-    return cfg, tol, seed, eps
-
-
-def _resolve_driver(args, cfg, horizon, seed):
-    if getattr(args, "driver", None):
-        return _parse_driver(args.driver, horizon, seed)
-    if cfg.driver is not None:
-        return cfg.driver
-    raise ValidationError("no driver given (use --driver or a config file)")
-
-
-def _resolve_grid(args, cfg):
-    if getattr(args, "grid", None):
-        return _parse_grid(args.grid)
-    if cfg.grid is not None:
-        a, b, n = cfg.grid
-        return np.linspace(a, b, n)
-    raise ValidationError("no grid given (use --grid a:b:n or a config file)")
-
-
-def _materialize(g, args, cfg, eps) -> int:
-    """Invert the Cauchy transform ``g`` on the resolved grid; write the density and atoms CSVs."""
-    measure = invert_stieltjes(g, _resolve_grid(args, cfg), eps)
+def _materialize(g, args) -> int:
+    """Invert the Cauchy transform ``g`` on ``--grid``; write the density and atoms CSVs."""
+    if not args.grid:
+        raise ValidationError("no grid given (use --grid a:b:n)")
+    measure = invert_stieltjes(g, _parse_grid(args.grid), args.eps)
     rows = []
     if measure.values is not None:
         rows = [(_fmt(x), _fmt(v)) for x, v in zip(measure.grid(), measure.values)]
@@ -255,9 +147,9 @@ def _materialize(g, args, cfg, eps) -> int:
 # subcommands
 
 def _cmd_flow(args) -> int:
-    cfg, tol, seed, _ = _merge_config(args)
+    tol = _tol(args)
     big_t = _time(args.T, "--T")
-    d = _resolve_driver(args, cfg, big_t, seed)
+    d = _driver(args, big_t)
     z = _parse_complex(args.z)
     rows = []
     for t in np.linspace(0.0, big_t, _steps(args) + 1):
@@ -271,9 +163,8 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    cfg, _, seed, _ = _merge_config(args)
     big_t = _time(args.T, "--T")
-    d = _resolve_driver(args, cfg, big_t, seed)
+    d = _driver(args, big_t)
     times = np.linspace(0.0, big_t, _steps(args) + 1)
     result = trace(d, [float(t) for t in times])
     rows = [(_fmt(t), _fmt(p.real), _fmt(p.imag), _fmt(e))
@@ -283,9 +174,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_welding(args) -> int:
-    cfg, _, seed, _ = _merge_config(args)
     big_t = _time(args.T, "--T")
-    d = _resolve_driver(args, cfg, big_t, seed)
+    d = _driver(args, big_t)
     w = welding(d, big_t, npairs=args.pairs)
     rows = [(_fmt(x), _fmt(hx)) for x, hx in w.pairs]
     _write_csv(args.out, ("x", "h_x"), rows)
@@ -294,7 +184,6 @@ def _cmd_welding(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    cfg, _, _, eps = _merge_config(args)
     amap = parse_expression(args.expr)
     if args.probe:
         z = _parse_complex(args.probe)
@@ -307,52 +196,53 @@ def _cmd_convolve(args) -> int:
         return 0
     if not args.out:
         raise ValidationError("materializing needs --out (or use --probe)")
-    return _materialize(to_cauchy(amap), args, cfg, eps)
+    return _materialize(to_cauchy(amap), args)
 
 
 def _cmd_density(args) -> int:
-    cfg, _, _, eps = _merge_config(args)
-    return _materialize(cauchy(_parse_measure(args.measure)), args, cfg, eps)
+    return _materialize(cauchy(_parse_measure(args.measure)), args)
 
 
 def _cmd_family(args) -> int:
-    cfg, tol, seed, _ = _merge_config(args)
-    d = _resolve_driver(args, cfg, _time(args.t, "--t"), seed)
+    tol = _tol(args)
+    s, t = _time(args.s, "--s"), _time(args.t, "--t")
+    if s > t:
+        raise ValidationError(f"--s must not exceed --t, got --s {s} and --t {t}")
+    d = _driver(args, t)
     maker = {"monotone": monotone_family, "anti-monotone": anti_monotone_family,
              "free": free_family}[args.semantics]
     fam = maker(d, tol)
     rows = []
     for ztext in args.z:
         z = _parse_complex(ztext)
-        val = fam(args.s, args.t, z)
-        rows.append((_fmt(args.s), _fmt(args.t), _fmt(z.real), _fmt(z.imag),
+        val = fam(s, t, z)
+        rows.append((_fmt(s), _fmt(t), _fmt(z.real), _fmt(z.imag),
                      _fmt(val.real), _fmt(val.imag)))
     _write_csv(args.out, ("s", "t", "z_re", "z_im", "val_re", "val_im"), rows)
     return 0
 
 
 def _cmd_sle(args) -> int:
-    cfg, _, seed, _ = _merge_config(args)
-    path = sle_driving(args.kappa, args.dt, args.T, seed)
+    path = sle_driving(args.kappa, args.dt, args.T, args.seed)
     rows = [(_fmt(t), _fmt(u)) for t, u in zip(path.times, path.values)]
     _write_csv(args.out, ("t", "u"), rows)
     return 0
 
 
 def _cmd_burgers(args) -> int:
-    cfg, tol, seed, _ = _merge_config(args)
-    ts = _parse_grid(args.t)
-    if cfg.driver is None:  # --driver still wins; without it, the semicircle family
-        cfg.driver = SemicircleFamily()
+    tol = _tol(args)
+    ts = [_time(float(t), "--t") for t in _parse_grid(args.t)]
+    if not (math.isfinite(args.im) and args.im > 0):
+        raise ValidationError(f"--im must be finite and positive, got {args.im}")
     # the residual differentiates in t, so pad the horizon past the grid
-    d = _resolve_driver(args, cfg, float(ts[-1]) + 0.01, seed)
+    d = _driver(args, ts[-1] + 0.01)
     res = _parse_grid(args.re)
     zs = [complex(r, args.im) for r in res]
     rows = []
     worst = 0.0
     for t in ts:
         for z in zs:
-            r = burgers_residual(d, [float(t)], [z], step=args.step, tol=tol)
+            r = burgers_residual(d, [t], [z], step=args.step, tol=tol)
             worst = max(worst, r)
             rows.append((_fmt(t), _fmt(z.real), _fmt(z.imag), _fmt(r)))
     _write_csv(args.out, ("t", "re", "im", "residual"), rows)
@@ -372,12 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, tol=True, seed=True):
-        p.add_argument("--config", help="JSON run configuration file")
         if tol:
-            p.add_argument("--tol", type=float, help="integrator error target (default 1e-10); "
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help="integrator error target (default %(default)g); "
                            "point-mass pieces map exactly, so it reaches only the other pieces")
         if seed:
-            p.add_argument("--seed", type=int, help="seed for sampled drivers (default 0)")
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for sampled drivers (default %(default)s)")
         p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("flow", help="forward flow of one point, sampled in time")
@@ -407,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='e.g. "mono(arcsine:1, arcsine:1)" or "free(sc:1, sc:1)"')
     p.add_argument("--probe", help="complex probe point; prints the transform value")
     p.add_argument("--grid", help="a:b:n inversion grid (writes density CSV)")
-    p.add_argument("--eps", type=float, help="inversion offset (default 1e-4)")
+    p.add_argument("--eps", type=float, default=1e-4, help="inversion offset (default %(default)g)")
     p.add_argument("--atoms-out", help="atoms CSV path (default <out>.atoms.csv)")
-    p.add_argument("--config", help="JSON run configuration file")
     p.add_argument("--out", help="density CSV path (required with --grid)")
     p.set_defaults(handler=_cmd_convolve)
 
@@ -417,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True,
                    help="dirac:a | semicircle:v (sc:v) | arcsine:v (arc:v) | @file | inline JSON")
     p.add_argument("--grid", help="a:b:n inversion grid")
-    p.add_argument("--eps", type=float, help="inversion offset (default 1e-4)")
+    p.add_argument("--eps", type=float, default=1e-4, help="inversion offset (default %(default)g)")
     p.add_argument("--atoms-out")
     common(p, tol=False, seed=False)
     p.set_defaults(handler=_cmd_density)
@@ -440,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sle)
 
     p = sub.add_parser("burgers", help="inviscid-Burgers residual of 1/f_t on a grid")
-    p.add_argument("--driver", help="driver spec (default: semicircle family)")
+    p.add_argument("--driver", default="sc-family", help="driver spec (default %(default)s)")
     p.add_argument("--t", default="0.2:1:5", help="time grid a:b:n")
     p.add_argument("--re", default="-1:1:5", help="real-part grid a:b:n")
     p.add_argument("--im", type=float, default=1.0, help="imaginary height of the z grid")

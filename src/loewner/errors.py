@@ -26,10 +26,6 @@ class DomainMismatchError(ValidationError):
     """Two transforms have no common evaluation domain."""
 
 
-class ConfigError(ValidationError):
-    """Configuration violates the schema; the message names the field path."""
-
-
 class NumericError(LoewnerError):
     """A numeric routine failed to reach its target accuracy."""
 

@@ -127,11 +127,14 @@ def sle_driving(kappa: float, dt: float, horizon: float, seed: int) -> AtomPath:
         raise ValidationError(f"kappa must be finite and nonnegative, got {kappa}")
     if not (0 < dt <= horizon < math.inf):
         raise ValidationError("need 0 < dt <= horizon < inf")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    n = int(math.ceil(horizon / dt - 1e-12))
+    if not 0 <= seed < 2 ** 128:  # a Philox key is 128 bits
+        raise ValidationError(f"seed must be in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    steps = rng.standard_normal(n) * math.sqrt(0.5 * kappa * dt)
+    try:
+        n = int(math.ceil(horizon / dt - 1e-12))
+        steps = rng.standard_normal(n) * math.sqrt(0.5 * kappa * dt)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValidationError(f"dt = {dt} needs more steps than can be drawn") from None
     values = np.concatenate([[0.0], np.cumsum(steps)])
     times = dt * np.arange(n + 1)
     return AtomPath(times, values)

@@ -1,8 +1,6 @@
 import hashlib
-import json
 import math
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -12,8 +10,7 @@ import numpy as np
 import pytest
 
 import loewner
-from loewner.cli import RunConfig, load_config, run, save_config
-from loewner.errors import ConfigError
+from loewner.cli import run
 from loewner.evolution import sle_driving
 from loewner.flows import AtomPath, SemicircleFamily, flow_forward
 
@@ -185,13 +182,11 @@ class TestFlow:
     def test_tolerance_propagates_to_err_est(self, tmp_path):
         errs = {}
         for tol in ("1e-8", "1e-12"):
-            cfgfile = tmp_path / f"cfg{tol}.json"
-            cfgfile.write_text(json.dumps({"tolerance": float(tol)}))
             out = tmp_path / f"flow{tol}.csv"
             # a semicircle is integrated; point-mass pieces are exact maps and report 0
             code = run(["flow", "--driver", '{"kind":"measure-path","breakpoints":[0],'
                         '"measures":[{"kind":"semicircle","var":1}]}', "--z", "2i", "--T", "1",
-                        "--steps", "4", "--config", str(cfgfile), "--out", str(out)])
+                        "--steps", "4", "--tol", tol, "--out", str(out)])
             assert code == 0
             _, rows = read_rows(out)
             errs[tol] = float(rows[-1][5])
@@ -268,7 +263,8 @@ class TestExitCodes:
         ["sle", "--tol", "1e-8"],
         ["welding", "--driver", "const:0", "--T", "1", "--tol", "1e-8"],
         ["trace", "--driver", "const:0", "--T", "1", "--tol", "1e-8"],
-    ], ids=["density-tol", "density-seed", "sle-tol", "welding-tol", "trace-tol"])
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "1", "--config", "c.json"],
+    ], ids=["density-tol", "density-seed", "sle-tol", "welding-tol", "trace-tol", "flow-config"])
     def test_flag_the_subcommand_does_not_take(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         assert run(argv + ["--out", str(out)]) == 2
@@ -340,6 +336,8 @@ class TestExitCodes:
         ["flow", "--driver", "const:0", "--z", "1+2x", "--T", "1"],
         ["density", "--measure", "sc:1", "--grid=1:2"],
         ["burgers", "--t=-0.5:1:3"],  # f_t has no negative times
+        ["burgers", "--t", "0.2:1:2", "--im", "-1"],
+        ["family", "--driver", "const:0", "--s", "2", "--t", "1", "--z", "1i"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong
@@ -348,6 +346,24 @@ class TestExitCodes:
             argv = argv + ["--out", str(out)]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["burgers", "--t=-0.5:1:3"], "--t"),
+        (["burgers", "--t", "0.2:1:2", "--im", "-1"], "--im"),
+        (["family", "--driver", "const:0", "--s", "2", "--t", "1", "--z", "1i"], "--s"),
+        # a Philox key is 128 bits; numpy refuses these step counts before allocating
+        (["sle", "--seed", str(2 ** 200)], "seed"),
+        (["sle", "--dt", "1e-300"], "dt"),
+        (["sle", "--dt", "1e-14"], "dt"),
+        (["flow", "--driver", "sle:2:1e-300", "--z", "1i", "--T", "1"], "dt"),
+    ], ids=["burgers-t", "burgers-im", "family-s", "sle-seed", "sle-dt", "sle-dt-alloc",
+            "flow-sle-dt"])
+    def test_error_names_the_input(self, tmp_path, capsys, argv, name):
+        # the flag or the parameter, not the library function that refuses it
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -437,59 +453,67 @@ class TestDriverSpecs:
         assert complex(float(rows[-1][1]), float(rows[-1][2])) == want.value
         assert rows[-1][3] == "1" and want.alive
 
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--z", "1+2i", "--T", "1", "--steps", "4"],
+        ["trace", "--T", "1", "--steps", "4"],
+        ["welding", "--T", "0.5", "--pairs", "3"],
+        ["family", "--t", "1", "--z", "1+2i", "--z=-1+0.5i"],
+        ["burgers", "--t", "0.2:1:2", "--re=-1:1:2"],
+    ], ids=lambda argv: argv[0])
+    def test_json_file_reads_as_inline(self, tmp_path, capsys, argv):
+        spec = '{"kind":"atom-path","times":[0,2],"values":[0,2]}'
+        (tmp_path / "driver.json").write_text(spec)
+        outputs = []
+        for name, driver in (("file", f"@{tmp_path / 'driver.json'}"), ("inline", spec)):
+            out = tmp_path / f"{name}.csv"
+            assert run(argv + ["--driver", driver, "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+class TestDefaults:
+    """Each default lives in the parser alone: omitting a flag writes the same
+    bytes as passing its default, and another value writes other bytes."""
+
+    @pytest.mark.parametrize("argv, defaults, other", [
+        (["flow", "--driver", '{"kind":"measure-path","breakpoints":[0],'
+          '"measures":[{"kind":"semicircle","var":1}]}', "--z", "2i", "--T", "1", "--steps", "4"],
+         ["--tol", "1e-10", "--seed", "0"], ["--tol", "1e-8"]),
+        (["flow", "--driver", "sle:2", "--z", "1+2i", "--T", "1", "--steps", "4"],
+         ["--tol", "1e-10", "--seed", "0"], ["--seed", "1"]),
+        (["density", "--measure", "sc:1", "--grid=-2.2:2.2:221"], ["--eps", "1e-4"],
+         ["--eps", "1e-3"]),
+        (["burgers", "--t", "0.2:1:2", "--re=-1:1:2"], ["--driver", "sc-family"],
+         ["--driver", "const:0"]),
+    ], ids=["flow-tol", "flow-seed", "density", "burgers"])
+    def test_omitted_equals_explicit(self, tmp_path, capsys, argv, defaults, other):
+        outputs = []
+        for name, extra in (("omitted", []), ("explicit", defaults), ("other", other)):
+            out = tmp_path / f"{name}.csv"
+            assert run(argv + extra + ["--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1] != outputs[2]
+
 
 class TestConfigRoutes:
-    """Every subcommand that reads a driver or a grid takes it from ``--config``
-    as from its flag, and names it when neither gives one."""
+    """A subcommand that reads a driver or a grid takes it from its flag alone
+    (there is no run-configuration file), and names it when the flag is missing."""
 
-    DRIVER = {"kind": "atom-path", "times": [0, 2], "values": [0, 2]}
     DRIVER_ARGV = {
         "flow": ["flow", "--z", "1+2i", "--T", "1", "--steps", "4"],
         "trace": ["trace", "--T", "1", "--steps", "4"],
         "welding": ["welding", "--T", "0.5", "--pairs", "3"],
         "family": ["family", "--t", "1", "--z", "1+2i", "--z=-1+0.5i"],
-        "burgers": ["burgers", "--t", "0.2:1:2", "--re=-1:1:2", "--im", "1"],
     }
-    GRID = {"a": -2.2, "b": 2.2, "n": 221}
     GRID_ARGV = {
         "density": ["density", "--measure", "sc:1"],
         "convolve": ["convolve", "--expr", "free(sc:0.5, sc:0.5)"],
     }
 
-    @staticmethod
-    def outputs(capsys, where, argv):
-        where.mkdir()
-        assert run(argv + ["--out", str(where / "out.csv")]) == 0
-        return capsys.readouterr().out, [p.read_bytes() for p in sorted(where.iterdir())]
-
-    @pytest.mark.parametrize("command", DRIVER_ARGV)
-    def test_driver_from_config(self, tmp_path, capsys, command):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"driver": self.DRIVER}))
-        argv = self.DRIVER_ARGV[command]
-        flagged = self.outputs(capsys, tmp_path / "flag",
-                               argv + ["--driver", json.dumps(self.DRIVER)])
-        configured = self.outputs(capsys, tmp_path / "config", argv + ["--config", str(cfg)])
-        assert configured == flagged
-
-    @pytest.mark.parametrize("command", GRID_ARGV)
-    def test_grid_and_eps_from_config(self, tmp_path, capsys, command):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": self.GRID, "eps": 1e-3}))
-        argv = self.GRID_ARGV[command]
-        flagged = self.outputs(capsys, tmp_path / "flag",
-                               argv + ["--grid=-2.2:2.2:221", "--eps", "1e-3"])
-        configured = self.outputs(capsys, tmp_path / "config", argv + ["--config", str(cfg)])
-        assert configured == flagged
-
-    @pytest.mark.parametrize("config", [None, {"seed": 1}], ids=["no-config", "config"])
-    @pytest.mark.parametrize("command", ["flow", "trace", "welding", "family", *GRID_ARGV])
-    def test_missing_driver_or_grid_is_named(self, tmp_path, capsys, command, config):
+    @pytest.mark.parametrize("command", [*DRIVER_ARGV, *GRID_ARGV],
+                             ids=lambda command: f"{command}-no-config")
+    def test_missing_driver_or_grid_is_named(self, tmp_path, capsys, command):
         argv = {**self.DRIVER_ARGV, **self.GRID_ARGV}[command] + ["--out", str(tmp_path / "x.csv")]
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            argv += ["--config", str(cfg)]
         assert run(argv) == 2
         what = "grid" if command in self.GRID_ARGV else "driver"
         assert capsys.readouterr().err.startswith(f"error: no {what} given")
@@ -508,62 +532,3 @@ class TestNegativeCounts:
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
-
-
-class TestConfig:
-    def test_save_load_round_trip(self, tmp_path):
-        cfg = RunConfig(driver=AtomPath([0.0, 1.0], [0.0, 0.5]), tolerance=1e-9,
-                        seed=3, eps=1e-4, grid=(-2.0, 2.0, 401))
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_config(cfg, p1)
-        save_config(load_config(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_missing_field_names_path(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"driver": {"kind": "atom-path", "values": [0.0, 0.0]}}))
-        with pytest.raises(ConfigError, match="driver.times"):
-            load_config(p)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"tollerance": 1e-9}))
-        with pytest.raises(ConfigError, match="tollerance"):
-            load_config(p)
-
-    @pytest.mark.parametrize("grid, field", [({"a": "x", "b": 1, "n": 3}, "grid.a"),
-                                             ({"a": 0, "b": math.inf, "n": 3}, "grid.b")])
-    def test_grid_ends_must_be_finite_numbers(self, tmp_path, grid, field):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"grid": grid}))  # math.inf is written as Infinity
-        with pytest.raises(ConfigError, match=field):
-            load_config(p)
-
-    @pytest.mark.parametrize("text, message", [
-        (None, "config: cannot read"),
-        ("{", "config: invalid JSON"),
-        ("[1, 2]", "config: expected a JSON object"),
-        ('{"seed": 1.5}', "seed: expected an integer"),
-        ('{"eps": 0.5}', "eps: expected a number"),
-        ('{"grid": [0, 1, 3]}', "grid: expected an object"),
-        ('{"grid": {"a": 0, "b": 1}}', "grid.n: missing"),
-        ('{"grid": {"a": 0, "b": 1, "n": 1}}', "grid: need numbers a < b and integer n >= 2"),
-        ('{"grid": {"a": 1, "b": 0, "n": 3}}', "grid: need numbers a < b and integer n >= 2"),
-    ], ids=["unreadable", "invalid-json", "not-an-object", "seed", "eps", "grid-type",
-            "grid-key", "grid-n", "grid-order"])
-    def test_bad_config_is_named(self, tmp_path, capsys, text, message):
-        p = tmp_path / "cfg.json"  # not written: unreadable
-        if text is not None:
-            p.write_text(text)
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            load_config(p)
-        # the CLI reports it as a validation error
-        assert run(["density", "--measure", "sc:1", "--grid=-2.2:2.2:11", "--config", str(p),
-                    "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
-
-    def test_bad_tolerance(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"tolerance": 5.0}))
-        with pytest.raises(ConfigError, match="tolerance"):
-            load_config(p)
