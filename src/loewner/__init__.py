@@ -4,7 +4,7 @@ The package realizes the dictionary between the chordal Loewner differential
 equations on the upper half-plane and the free, monotone, and anti-monotone
 convolutions of probability measures on the real line:
 
-* :mod:`loewner.measures` -- measures, moments, supports, affine maps
+* :mod:`loewner.measures` -- measures, densities, mean and variance
 * :mod:`loewner.transforms` -- Cauchy/F/R transforms, Stieltjes inversion
 * :mod:`loewner.convolve` -- the three convolutions and subordination
 * :mod:`loewner.flows` -- forward/reverse/anti-monotone flows, traces, welding
@@ -19,14 +19,9 @@ from .measures import (
     Dirac,
     Empirical,
     Measure,
-    MomentSequence,
     Semicircle,
     density_at,
-    dilate,
     mean_variance,
-    moments,
-    shift,
-    support,
 )
 from .transforms import (
     AnalyticMap,
@@ -39,7 +34,6 @@ from .transforms import (
     halfplane_sqrt,
     invert_cauchy,
     invert_stieltjes,
-    pointwise,
     r_transform,
 )
 from .convolve import (
@@ -60,7 +54,6 @@ from .flows import (
     Welding,
     constant_driver,
     driving_from_dict,
-    driving_to_dict,
     flow_forward,
     flow_reverse,
     flow_reverse_anti,
@@ -83,17 +76,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "Arcsine", "Dirac", "Empirical", "Measure", "MomentSequence", "Semicircle",
-    "density_at", "dilate", "mean_variance", "moments", "shift", "support",
+    "Arcsine", "Dirac", "Empirical", "Measure", "Semicircle", "density_at",
+    "mean_variance",
     "AnalyticMap", "asymptotic_moments", "as_cauchy", "as_f", "cauchy",
     "cauchy_from_r", "f_transform", "halfplane_sqrt", "invert_cauchy",
-    "invert_stieltjes", "pointwise", "r_transform",
+    "invert_stieltjes", "r_transform",
     "anti_monotone", "free_r", "free_subordination", "materialize", "monotone",
     "parse_expression",
     "AtomPath", "Driving", "FlowPoint", "HullTrace", "MeasurePath",
     "SemicircleFamily", "Welding", "constant_driver", "driving_from_dict",
-    "driving_to_dict", "flow_forward", "flow_reverse", "flow_reverse_anti",
-    "inverse_map", "trace", "welding",
+    "flow_forward", "flow_reverse", "flow_reverse_anti", "inverse_map", "trace",
+    "welding",
     "EvolutionFamily", "anti_monotone_family", "burgers_residual",
     "burgers_residual_of", "chain_approximation", "free_family",
     "monotone_family", "sle_driving",

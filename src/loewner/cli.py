@@ -234,8 +234,10 @@ def _cmd_burgers(args) -> int:
     ts = [_time(float(t), "--t") for t in _parse_grid(args.t)]
     if not (math.isfinite(args.im) and args.im > 0):
         raise ValidationError(f"--im must be finite and positive, got {args.im}")
-    # the residual differentiates in t, so pad the horizon past the grid
-    d = _driver(args, ts[-1] + 0.01)
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ValidationError(f"--step must be finite and positive, got {args.step}")
+    # the residual differentiates in t, so it reads the driver up to the latest t plus a step
+    d = _driver(args, max(ts) + args.step)
     res = _parse_grid(args.re)
     zs = [complex(r, args.im) for r in res]
     rows = []

@@ -61,7 +61,7 @@ from .errors import (
     TraceUnresolvedError,
     ValidationError,
 )
-from .measures import Dirac, Measure, from_dict as measure_from_dict, to_dict as measure_to_dict
+from .measures import Dirac, from_dict as measure_from_dict
 from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt, illinois
 
 #: a forward-flow point with Im below this is considered swallowed
@@ -154,9 +154,6 @@ class MeasurePath:
     def horizon(self) -> float:
         return math.inf
 
-    def measure_at(self, t: float) -> Measure:
-        return self.measures[_piece_at(self, t)]
-
     def cauchy(self, t: float, z: complex) -> complex:
         return self._maps[_piece_at(self, t)](z)
 
@@ -248,18 +245,6 @@ def _segments(d: Driving, a: float, b: float, reflect_about: float | None = None
         j -= 1
 
 
-def driving_to_dict(d: Driving) -> dict:
-    if isinstance(d, AtomPath):
-        return {"kind": "atom-path", "times": [float(t) for t in d.times],
-                "values": [float(v) for v in d.values]}
-    if isinstance(d, MeasurePath):
-        return {"kind": "measure-path", "breakpoints": list(d.breakpoints),
-                "measures": [measure_to_dict(m) for m in d.measures]}
-    if isinstance(d, SemicircleFamily):
-        return {"kind": "semicircle-family"}
-    raise ValidationError(f"not a driving family: {d!r}")
-
-
 def _field(obj: dict, key: str, convert, what: str = "a list of numbers"):
     """Field ``key`` of a driver description through ``convert``, or ``ValidationError``."""
     try:
@@ -270,8 +255,11 @@ def _field(obj: dict, key: str, convert, what: str = "a list of numbers"):
 
 
 def driving_from_dict(obj: dict) -> Driving:
-    """Inverse of :func:`driving_to_dict`; an unknown kind and a missing or
-    malformed field raise ``ValidationError`` naming the field."""
+    """The driver a JSON description names: ``{"kind": "atom-path", "times": [...],
+    "values": [...]}``, ``{"kind": "measure-path", "breakpoints": [...], "measures":
+    [...]}`` (each measure as :func:`~loewner.measures.from_dict` reads it) or
+    ``{"kind": "semicircle-family"}``.  An unknown kind and a missing or malformed
+    field raise ``ValidationError`` naming the field."""
     if not isinstance(obj, dict):
         raise ValidationError("driver: expected a mapping")
     kind, array = obj.get("kind"), lambda v: np.asarray(v, dtype=float)

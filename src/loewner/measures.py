@@ -3,18 +3,19 @@
 Three closed-form families (point mass, semicircle, arcsine) plus an
 ``Empirical`` variant that stores atoms together with a density sampled on a
 uniform grid (linear interpolation between nodes).  All measures are immutable
-values; every operation here is pure.
+values; the operations here (density, mean and variance, and reading a measure
+from a spec or a JSON description) are pure.
 
 The semicircle law with variance ``v`` has density ``sqrt(4v - x^2)/(2 pi v)``
 on ``[-2 sqrt(v), 2 sqrt(v)]``; the arcsine law with variance ``v`` has density
 ``1/(pi sqrt(2v - x^2))`` on ``[-sqrt(2v), sqrt(2v)]``.  Both optionally carry
-a ``center`` so that shifts of the named families stay closed form.
+a ``center``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -23,9 +24,6 @@ from .errors import AtomicPointError, ValidationError
 
 #: total-mass slack allowed when constructing a measure
 MASS_TOL = 1e-9
-
-#: raw moments above this order are not trusted for gridded densities
-MAX_MOMENT_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -153,37 +151,6 @@ def from_spec(name: str, param: str) -> Measure:
     return SPECS[name](value)
 
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """Raw moments ``values[k] = m_k`` starting at ``m_0 = 1``.
-
-    Construction checks moment-problem consistency: the Hankel matrix of the
-    truncated sequence must be positive semidefinite within 1e-8.
-    """
-
-    values: tuple = field(default=(1.0,))
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals or abs(vals[0] - 1.0) > MASS_TOL:
-            raise ValidationError("moment sequence must start at m_0 = 1")
-        k = (len(vals) - 1) // 2
-        hank = np.array([[vals[i + j] for j in range(k + 1)] for i in range(k + 1)])
-        lo = float(np.linalg.eigvalsh(hank)[0])
-        if lo < -1e-8 * max(1.0, float(np.abs(hank).max())):
-            raise ValidationError(f"Hankel matrix has eigenvalue {lo}; not a moment sequence")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def __iter__(self):
-        return iter(self.values)
-
-
 def density_at(m: Measure, x: float) -> float:
     """Density of the continuous part at ``x``; zero outside the support.
 
@@ -219,31 +186,6 @@ def density_at(m: Measure, x: float) -> float:
     raise ValidationError(f"not a measure: {m!r}")
 
 
-_CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
-
-
-def _centered_even_moments(m: Measure, n: int) -> list:
-    """Central moments 0..n of a mean-zero named family (odd ones vanish)."""
-    out = [0.0] * (n + 1)
-    out[0] = 1.0
-    if isinstance(m, Semicircle):
-        for j in range(1, n // 2 + 1):
-            out[2 * j] = _CATALAN[j] * m.var**j
-    else:  # Arcsine
-        for j in range(1, n // 2 + 1):
-            out[2 * j] = math.comb(2 * j, j) * m.var**j / 2.0**j
-    return out
-
-
-def _shift_moments(central: list, c: float) -> list:
-    """Raw moments of the translate by ``c`` from central moments."""
-    n = len(central) - 1
-    out = []
-    for k in range(n + 1):
-        out.append(sum(math.comb(k, j) * c ** (k - j) * central[j] for j in range(k + 1)))
-    return out
-
-
 def _grid_moment(xs: np.ndarray, vals: np.ndarray, k: int) -> float:
     # x^k times a piecewise-linear density is a degree k+1 polynomial per
     # segment, so fixed-order Gauss-Legendre integrates it exactly.
@@ -257,107 +199,18 @@ def _grid_moment(xs: np.ndarray, vals: np.ndarray, k: int) -> float:
     return float(np.sum(half[:, None] * wts[None, :] * dens * pts**k))
 
 
-def moments(m: Measure, n: int) -> MomentSequence:
-    """Raw moments of order 0..n (closed form for the named families).
-
-    ``n`` is capped at :data:`MAX_MOMENT_ORDER`; higher raw moments of gridded
-    densities lose too many digits to be trusted.
-    """
-    if not (0 <= n <= MAX_MOMENT_ORDER):
-        raise ValidationError(f"moment order must lie in [0, {MAX_MOMENT_ORDER}]")
-    if isinstance(m, Dirac):
-        vals = [m.location**k for k in range(n + 1)]
-    elif isinstance(m, _CenteredLaw):
-        vals = _shift_moments(_centered_even_moments(m, n), m.center)
-    elif isinstance(m, Empirical):
-        vals = []
-        for k in range(n + 1):
-            acc = sum(w * x**k for x, w in m.atoms)
-            if m.values is not None:
-                acc += _grid_moment(m.grid(), m.values, k)
-            vals.append(acc)
-    else:
-        raise ValidationError(f"not a measure: {m!r}")
-    return MomentSequence(tuple(vals))
-
-
-def _affine(m: Measure, lam: float, a: float) -> Measure:
-    """Pushforward under ``x -> lam * x + a`` for ``lam > 0``; named families scale their
-    variance by ``lam**2``."""
-    if isinstance(m, Dirac):
-        return Dirac(lam * m.location + a)
-    if isinstance(m, _CenteredLaw):
-        return type(m)(lam * lam * m.var, lam * m.center + a)
-    if isinstance(m, Empirical):
-        return Empirical(
-            atoms=tuple((lam * x + a, w) for x, w in m.atoms),
-            a=None if m.a is None else lam * m.a + a,
-            b=None if m.b is None else lam * m.b + a,
-            values=None if m.values is None else np.asarray(m.values) / lam,
-        )
-    raise ValidationError(f"not a measure: {m!r}")
-
-
-def shift(m: Measure, a: float) -> Measure:
-    """Pushforward under ``x -> x + a`` (exact on every variant: ``1 * x`` is ``x``)."""
-    return _affine(m, 1.0, a)
-
-
-def dilate(m: Measure, lam: float) -> Measure:
-    """Pushforward under ``x -> lam * x`` for ``lam > 0``.
-
-    Named families scale their variance by ``lam**2``.  The offset is ``-0.0``, the
-    additive identity, so a signed zero keeps its sign.
-    """
-    if not (lam > 0):
-        raise ValidationError("dilation factor must be positive")
-    return _affine(m, lam, -0.0)
-
-
-def support(m: Measure):
-    """Closed support: ``(interval, atom_locations)`` with ``interval`` a
-    ``(lo, hi)`` pair or ``None`` when there is no continuous part."""
-    if isinstance(m, Dirac):
-        return None, [m.location]
-    if isinstance(m, _CenteredLaw):
-        return (m.center - m.radius, m.center + m.radius), []
-    if isinstance(m, Empirical):
-        locs = [x for x, w in m.atoms if w > 0]
-        if m.values is None:
-            return None, locs
-        nz = np.nonzero(np.asarray(m.values) > 0)[0]
-        if nz.size == 0:
-            return None, locs
-        xs = m.grid()
-        return (float(xs[nz[0]]), float(xs[nz[-1]])), locs
-    raise ValidationError(f"not a measure: {m!r}")
-
-
 def mean_variance(m: Measure):
     """Mean and variance (closed form where available)."""
     if isinstance(m, Dirac):
         return m.location, 0.0
     if isinstance(m, _CenteredLaw):
         return m.center, m.var
-    seq = moments(m, 2)
-    return seq[1], seq[2] - seq[1] ** 2
-
-
-def to_dict(m: Measure) -> dict:
-    """Serializable description, e.g. ``{"kind": "semicircle", "var": 1.0}``."""
-    if isinstance(m, Dirac):
-        return {"kind": m.kind, "location": m.location}
-    if isinstance(m, _CenteredLaw):
-        out = {"kind": m.kind, "var": m.var}
-        if m.center != 0.0:
-            out["center"] = m.center
-        return out
-    if isinstance(m, Empirical):
-        out = {"kind": m.kind, "atoms": [[x, w] for x, w in m.atoms]}
-        if m.values is not None:
-            out.update({"a": m.a, "b": m.b, "values": [float(v) for v in m.values]})
-        return out
-    raise ValidationError(f"not a measure: {m!r}")
+    if not isinstance(m, Empirical):
+        raise ValidationError(f"not a measure: {m!r}")
+    m1, m2 = (sum(w * x**k for x, w in m.atoms)
+              + (0.0 if m.values is None else _grid_moment(m.grid(), m.values, k))
+              for k in (1, 2))
+    return m1, m2 - m1**2
 
 
 def _field(obj: dict, key: str, convert=float, default=None):
@@ -371,8 +224,9 @@ def _field(obj: dict, key: str, convert=float, default=None):
 
 
 def from_dict(obj: dict) -> Measure:
-    """Inverse of :func:`to_dict`; unknown kinds (aliases included) and missing or
-    non-numeric fields raise ``ValidationError``."""
+    """The measure a description such as ``{"kind": "semicircle", "var": 1.0}`` names
+    (``kind`` may be left out when ``atoms`` or ``values`` is given); unknown kinds
+    (aliases included) and missing or non-numeric fields raise ``ValidationError``."""
     if not isinstance(obj, dict):
         raise ValidationError("measure description must be a mapping")
     kind = obj.get("kind")

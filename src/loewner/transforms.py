@@ -36,8 +36,7 @@ their scalar bits.  :func:`invert_stieltjes` evaluates its whole grid, at
 both heights, in one call of ``g.fn``: two rows.  On a 2001-node grid that
 takes about 9 ms, against 0.46 s point by point; at 20001 nodes a row takes
 about 1.1 s, against 29 s (2 cores, numpy 2.4).  Its two atoms then take about
-20 scalar calls, against about 100 by bisection.  :func:`pointwise` lifts a
-scalar-only map to arrays; no map the library builds uses it.
+20 scalar calls, against about 100 by bisection.
 """
 
 from __future__ import annotations
@@ -110,18 +109,6 @@ def as_points(z):
     if isinstance(z, np.ndarray) and z.ndim:
         return np.asarray(z, dtype=complex)
     return complex(z)
-
-
-def pointwise(fn: Callable[[complex], complex]):
-    """Lift a per-point map ``complex -> complex`` to scalar-or-ndarray input."""
-
-    def lifted(z):
-        z = as_points(z)
-        if not isinstance(z, np.ndarray):
-            return fn(z)
-        return np.array([fn(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
-
-    return lifted
 
 
 def halfplane_sqrt(z, radius: float, center: float = 0.0):
@@ -451,7 +438,7 @@ def invert_stieltjes(g: AnalyticMap, grid, eps: float) -> Empirical:
     Non-uniform grids are resampled onto a uniform grid of the same size.
 
     ``g.fn`` must accept a complex ndarray: the whole grid, at both heights,
-    is evaluated in one call.  Wrap a scalar-only map with :func:`pointwise`.
+    is evaluated in one call.
     """
     if g.kind != CAUCHY:
         raise ValidationError("invert_stieltjes expects a cauchy-kind map")

@@ -7,8 +7,9 @@ values stay bit-identical to an untraced run.
 
 ``bench/workloads.py`` runs some command lines through their handlers, as
 ``build_parser().parse_args(argv)`` and then ``args.handler(args)``, without
-``cli.run``.  So each handler must do its own settings merge; the tests below
-run subcommands that way.
+``cli.run``.  A handler reads only its parsed ``args``, and the parser holds
+every default, so that route must write what ``cli.run`` writes; the tests
+below run subcommands that way.
 """
 
 import importlib.util

@@ -223,6 +223,25 @@ class TestFamilyAndBurgers:
         _, rows = read_rows(out)
         assert len(rows) == 81
 
+    def test_burgers_decreasing_time_grid(self, tmp_path, capsys):
+        # the driver must reach the latest time of the grid, not its last one
+        down, up = tmp_path / "down.csv", tmp_path / "up.csv"
+        for grid, out in (("3:0.2:3", down), ("0.2:3:3", up)):
+            assert run(["burgers", "--driver", "const:0", "--t", grid, "--re=-1:1:2",
+                        "--out", str(out)]) == 0
+        _, rows_down = read_rows(down)
+        _, rows_up = read_rows(up)
+        # the end times agree bit for bit; linspace rounds the middle one apart
+        # (1.6000000000000001 going down, 1.5999999999999999 going up)
+        assert rows_down[:2] == rows_up[4:] and rows_down[4:] == rows_up[:2]
+
+    def test_burgers_step_past_a_sampled_horizon(self, tmp_path, capsys):
+        # the residual reads the driver up to the latest time plus --step
+        out = tmp_path / "burgers.csv"
+        assert run(["burgers", "--driver", "sle:2", "--step", "0.02", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 25
+
 
 class TestWeldingCommand:
     def test_summary_line(self, tmp_path, capsys):
@@ -357,8 +376,9 @@ class TestExitCodes:
         (["sle", "--dt", "1e-300"], "dt"),
         (["sle", "--dt", "1e-14"], "dt"),
         (["flow", "--driver", "sle:2:1e-300", "--z", "1i", "--T", "1"], "dt"),
+        (["burgers", "--driver", "sle:2", "--step", "nan"], "--step"),
     ], ids=["burgers-t", "burgers-im", "family-s", "sle-seed", "sle-dt", "sle-dt-alloc",
-            "flow-sle-dt"])
+            "flow-sle-dt", "burgers-step"])
     def test_error_names_the_input(self, tmp_path, capsys, argv, name):
         # the flag or the parameter, not the library function that refuses it
         out = tmp_path / "x.csv"

@@ -21,7 +21,6 @@ from loewner import (
     monotone,
     parse_expression,
     r_transform,
-    shift,
 )
 from loewner import transforms
 from loewner.errors import DomainMismatchError, NoConvergenceError, ValidationError
@@ -72,7 +71,7 @@ class TestMonotone:
 
     def test_non_commutativity_witness(self):
         fa = f_transform(Arcsine(1.0))
-        fb = f_transform(shift(Arcsine(1.0), 1.0))
+        fb = f_transform(Arcsine(1.0, 1.0))
         gap = abs(monotone(fa, fb)(2j) - monotone(fb, fa)(2j))
         assert gap > 1e-6
 
@@ -84,7 +83,7 @@ class TestMonotone:
 class TestAntiMonotone:
     def test_is_reversed_composition(self):
         fa = f_transform(Arcsine(1.0))
-        fb = f_transform(shift(Arcsine(1.0), 1.0))
+        fb = f_transform(Arcsine(1.0, 1.0))
         for z in PROBES:
             assert anti_monotone(fa, fb)(z) == monotone(fb, fa)(z)
 
@@ -125,7 +124,7 @@ class TestFreeR:
         # adding the R-transform of a point mass translates the measure
         r = free_r(r_transform(cauchy(Dirac(0.5))), r_transform(cauchy(Semicircle(1.0))))
         g = cauchy_from_r(r)
-        want = cauchy(shift(Semicircle(1.0), 0.5))
+        want = cauchy(Semicircle(1.0, 0.5))
         for z in (2j, 1 + 2j, 3j):
             assert g(z) == pytest.approx(want(z), abs=1e-8)
 
@@ -145,7 +144,7 @@ class TestSubordination:
 
     def test_point_mass_shifts(self):
         g = free_subordination(cauchy(Dirac(0.5)), cauchy(Semicircle(1.0)))
-        want = cauchy(shift(Semicircle(1.0), 0.5))
+        want = cauchy(Semicircle(1.0, 0.5))
         for z in PROBES:
             assert abs(g(z) - want(z)) < 1e-9
 

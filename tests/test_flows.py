@@ -24,7 +24,6 @@ from loewner import (
     chain_approximation,
     constant_driver,
     driving_from_dict,
-    driving_to_dict,
     flow_forward,
     flow_reverse,
     flow_reverse_anti,
@@ -416,9 +415,8 @@ class TestDrivers:
 
     def test_measure_path_lookup(self):
         d = two_step_driver(-1.0, 1.0)
-        assert d.measure_at(0.2) == Dirac(-1.0)
-        assert d.measure_at(0.5) == Dirac(1.0)
-        assert d.measure_at(9.0) == Dirac(1.0)
+        for t, m in ((0.2, Dirac(-1.0)), (0.5, Dirac(1.0)), (9.0, Dirac(1.0))):
+            assert d.cauchy(t, 2j) == cauchy(m)(2j)
 
     def test_semicircle_family_matches_measure(self):
         d = SemicircleFamily()
@@ -426,16 +424,20 @@ class TestDrivers:
         assert d.cauchy(0.7, 2j) == pytest.approx(g(2j), abs=1e-12)
         assert d.cauchy(0.0, 2j) == pytest.approx(1.0 / 2j, abs=1e-15)
 
-    def test_serialization_round_trip(self):
-        zoo = [
-            AtomPath([0.0, 0.5, 1.0], [0.0, 1.0, -1.0]),
-            two_step_driver(0.0, 1.0),
-            MeasurePath((0.0,), (Arcsine(1.0),)),
-            SemicircleFamily(),
-        ]
-        for d in zoo:
-            back = driving_from_dict(driving_to_dict(d))
-            assert back.cauchy(0.3, 2j) == pytest.approx(d.cauchy(0.3, 2j), abs=1e-12)
+    @pytest.mark.parametrize("obj, want", [
+        ({"kind": "atom-path", "times": [0.0, 0.5, 1.0], "values": [0.0, 1.0, -1.0]},
+         AtomPath([0.0, 0.5, 1.0], [0.0, 1.0, -1.0])),
+        ({"kind": "measure-path", "breakpoints": [0.0, 0.5],
+          "measures": [{"kind": "dirac", "location": 0.0}, {"kind": "dirac", "location": 1.0}]},
+         two_step_driver(0.0, 1.0)),
+        ({"kind": "measure-path", "breakpoints": [0.0],
+          "measures": [{"kind": "arcsine", "var": 1.0}]}, MeasurePath((0.0,), (Arcsine(1.0),))),
+        ({"kind": "semicircle-family"}, SemicircleFamily()),
+    ], ids=["atom-path", "dirac-path", "arcsine-path", "semicircle-family"])
+    def test_description_reads_every_kind(self, obj, want):
+        d = driving_from_dict(obj)
+        assert type(d) is type(want) and d.knots == want.knots
+        assert d.cauchy(0.3, 2j) == want.cauchy(0.3, 2j)
 
     @pytest.mark.parametrize("d", [
         MeasurePath((0.0, 0.4, 0.9), (Dirac(-1.0), Semicircle(0.5), Arcsine(1.0))),
@@ -838,8 +840,8 @@ class TestRestingPieces:
     def test_survivors_take_the_exact_map(self, monkeypatch, rng, path):
         d = path(rng)
         ends = tuple(t for t in d.knots if t < 1.0) + (1.0,)
-        pieces = [(d.measure_at(lo).location if isinstance(d, MeasurePath) else d.u(lo), hi - lo)
-                  for lo, hi in zip(ends, ends[1:])]
+        pieces = [(d.measures[j].location if isinstance(d, MeasurePath) else d.u(lo), hi - lo)
+                  for j, (lo, hi) in enumerate(zip(ends, ends[1:]))]
         starts = [2j, 1.5 + 2j, -1 + 1.5j, 3 + 0.5j, -3 + 1e-3j, 0.3 + 3j]
         steps, points = count_steps(monkeypatch,
                                     lambda: [flow_forward(d, z, 1.0) for z in starts])

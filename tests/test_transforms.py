@@ -25,11 +25,8 @@ from loewner import (
     free_subordination,
     halfplane_sqrt,
     invert_stieltjes,
-    moments,
     monotone,
-    pointwise,
     r_transform,
-    shift,
 )
 from loewner import transforms
 from loewner.errors import (
@@ -45,7 +42,7 @@ ZOO = [
     Dirac(0.0),
     Dirac(1.5),
     Semicircle(1.0),
-    shift(Semicircle(1.0), 1.0),
+    Semicircle(1.0, 1.0),
     Arcsine(2.0),
     gaussian_empirical(),
     gaussian_empirical(mass=0.6, atoms=((2.0, 0.4),)),
@@ -125,7 +122,7 @@ class TestRTransform:
             assert abs(r(w) / w - 2.0) < 1e-8
 
     def test_shifted_semicircle(self):
-        r = r_transform(cauchy(shift(Semicircle(1.0), 1.0)))
+        r = r_transform(cauchy(Semicircle(1.0, 1.0)))
         for s in (0.1, 0.25, 0.5):
             w = -1j * s
             assert r(w) == pytest.approx(1.0 + w, abs=1e-9)
@@ -133,7 +130,7 @@ class TestRTransform:
     def test_shifted_semicircle_gridded_cross_check(self):
         # same R-transform through a gridded version of the measure, so the
         # Newton inversion runs on the quadrature-backed Cauchy transform
-        m = shift(Semicircle(1.0), 1.0)
+        m = Semicircle(1.0, 1.0)
         xs = np.linspace(-1.05, 3.05, 4001)
         dens = np.array([density_at(m, x) for x in xs])
         dens /= np.trapezoid(dens, xs)
@@ -246,9 +243,13 @@ class TestStieltjesInversion:
         ]
         for m, grid, eps in cases:
             rec = invert_stieltjes(cauchy(m), grid, eps)
-            want = list(moments(m, 4))
-            got = list(moments(rec, 4))
-            assert got == pytest.approx(want, abs=1e-2)
+            lo, hi = m.center - m.radius, m.center + m.radius
+            xs = rec.grid()
+            for k in range(5):
+                want = quad(lambda x: x**k * density_at(m, x), lo, hi, limit=400)[0]
+                got = (sum(w * x**k for x, w in rec.atoms)
+                       + np.trapezoid(rec.values * xs**k, xs))
+                assert got == pytest.approx(want, abs=1e-2)
 
 
 def seed_refine_atom_location(g, lo, hi, eps):
@@ -438,7 +439,7 @@ class TestArrayContract:
                 assert val == complex(np.sqrt(w - r) * np.sqrt(w + r))
 
     def test_composition_maps(self):
-        fa, fb = f_transform(Arcsine(0.5)), f_transform(shift(Semicircle(1.0), 0.3))
+        fa, fb = f_transform(Arcsine(0.5)), f_transform(Semicircle(1.0, 0.3))
         for amap in (fa, as_f(cauchy(Dirac(0.7))), as_cauchy(fa), monotone(fa, fb),
                      anti_monotone(fa, fb),
                      chain_approximation(constant_driver(0.2), 1.0 / 16.0, 16)):
@@ -453,11 +454,6 @@ class TestArrayContract:
         for amap, pts in ((r_transform(ga), ws), (r_sum, ws), (cauchy_from_r(r_sum), zs),
                           (free_subordination(ga, gb), zs)):
             assert_pointwise(amap.fn, pts, rtol=0.0)  # per point: bit for bit
-
-    def test_pointwise_lifts_a_scalar_map(self):
-        lifted = pointwise(lambda z: complex(z).conjugate())
-        assert lifted(1 + 2j) == 1 - 2j
-        assert np.array_equal(lifted(np.array([1j, 2 + 0j])), np.array([-1j, 2 + 0j]))
 
 
 def bumpy_empirical(seed, n_atoms, a=-2.0, b=3.0, n=401):
