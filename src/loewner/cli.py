@@ -36,7 +36,7 @@ from .flows import (
     welding,
 )
 from .measures import from_dict as measure_from_dict, from_spec as measure_from_spec
-from .transforms import cauchy, invert_stieltjes, to_cauchy
+from .transforms import as_cauchy, cauchy, invert_stieltjes
 
 
 def _fmt(x: float) -> str:
@@ -124,7 +124,7 @@ def _driver(args, horizon: float):
         return AtomPath(np.array([0.0, end]), np.array([params[0], params[0] + params[1] * end]))
     if name == "sle" and len(params) <= 2:
         dt = params[1] if len(params) > 1 else 1.0 / 64.0
-        return sle_driving(params[0], dt, horizon, args.seed)
+        return sle_driving(params[0], dt, max(horizon, dt), args.seed)
     raise ValidationError(f"cannot parse driver spec {spec!r}")
 
 
@@ -196,7 +196,7 @@ def _cmd_convolve(args) -> int:
         return 0
     if not args.out:
         raise ValidationError("materializing needs --out (or use --probe)")
-    return _materialize(to_cauchy(amap), args)
+    return _materialize(as_cauchy(amap), args)
 
 
 def _cmd_density(args) -> int:

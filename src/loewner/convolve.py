@@ -26,11 +26,11 @@ from .transforms import (
     AnalyticMap,
     _damped_newton,
     _lanes,
+    as_cauchy,
+    as_f,
     cauchy,
     invert_stieltjes,
     merge_domains,
-    to_cauchy,
-    to_f,
 )
 
 SUBORDINATION_TOL = 1e-12
@@ -180,8 +180,8 @@ class _Parser:
 
 
 #: each operator's convolution and the transform kind it takes its arguments in
-_OPERATORS = {"mono": (monotone, to_f), "anti": (anti_monotone, to_f),
-              "free": (free_subordination, to_cauchy)}
+_OPERATORS = {"mono": (monotone, as_f), "anti": (anti_monotone, as_f),
+              "free": (free_subordination, as_cauchy)}
 
 
 def _apply(head: str, args) -> AnalyticMap:

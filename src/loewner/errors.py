@@ -52,7 +52,3 @@ class TraceUnresolvedError(NumericError):
 
 class NotASlitError(NumericError):
     """Not a slit: a welding shot returns to the driver, or the shots reverse beyond tolerance."""
-
-
-class QuadratureFailureError(NumericError):
-    """Adaptive quadrature exceeded its refinement depth."""

@@ -34,10 +34,10 @@ from .transforms import (
     AnalyticMap,
     F,
     R,
+    as_cauchy,
     as_points,
     halfplane_sqrt,
     invert_stieltjes,
-    to_cauchy,
 )
 
 MONOTONE = "monotone"
@@ -90,7 +90,7 @@ class EvolutionFamily:
 
     def cauchy_map(self, s: float, t: float) -> AnalyticMap:
         """Cauchy transform of ``sigma_{s,t}`` (Newton inversion for free)."""
-        return to_cauchy(self.transform(s, t))
+        return as_cauchy(self.transform(s, t))
 
     def measure(self, s: float, t: float, grid, eps: float):
         """Materialize ``sigma_{s,t}`` on a grid via Stieltjes inversion.

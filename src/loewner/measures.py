@@ -213,14 +213,15 @@ def mean_variance(m: Measure):
     return m1, m2 - m1**2
 
 
-def _field(obj: dict, key: str, convert=float, default=None):
-    """Field ``key`` of a measure description through ``convert``, or ``default``
-    if it is absent; a missing or non-numeric field raises ``ValidationError``."""
+def _field(obj: dict, key: str, convert=float, default=None, what: str = "measure"):
+    """Field ``key`` of a ``what`` description (a measure or a driver) through ``convert``,
+    or ``default`` if it is absent; a missing or malformed field raises ``ValidationError``
+    naming the description and the field."""
     try:
         return convert(obj[key]) if key in obj or default is None else default
     except (KeyError, TypeError, ValueError):
-        raise ValidationError(f"measure field {key!r} is "
-                              f"{'not numeric' if key in obj else 'missing'}") from None
+        raise ValidationError(f"{what} field {key!r} is "
+                              f"{'malformed' if key in obj else 'missing'}") from None
 
 
 def from_dict(obj: dict) -> Measure:

@@ -243,31 +243,23 @@ def f_transform(m: Measure) -> AnalyticMap:
     return as_f(cauchy(m))
 
 
-def as_f(g: AnalyticMap) -> AnalyticMap:
-    """Pointwise reciprocal, relabeling a Cauchy transform as an F-transform."""
-    if g.kind != CAUCHY:
-        raise ValidationError("as_f expects a cauchy-kind map")
-    return AnalyticMap(F, lambda z: 1.0 / g.fn(z), mean=g.mean, variance=g.variance)
-
-
-def as_cauchy(f: AnalyticMap) -> AnalyticMap:
-    """Pointwise reciprocal, relabeling an F-transform as a Cauchy transform."""
-    if f.kind != F:
-        raise ValidationError("as_cauchy expects an f-kind map")
-    return AnalyticMap(CAUCHY, lambda z: 1.0 / f.fn(z), mean=f.mean, variance=f.variance)
-
-
-def to_f(m: AnalyticMap) -> AnalyticMap:
+def as_f(m: AnalyticMap) -> AnalyticMap:
     """``m`` as an F-transform: itself, or the reciprocal of a Cauchy transform."""
-    return m if m.kind == F else as_f(m)
+    if m.kind == F:
+        return m
+    if m.kind == R:
+        raise ValidationError("as_f expects a cauchy- or f-kind map")
+    return AnalyticMap(F, lambda z: 1.0 / m.fn(z), mean=m.mean, variance=m.variance)
 
 
-def to_cauchy(m: AnalyticMap) -> AnalyticMap:
+def as_cauchy(m: AnalyticMap) -> AnalyticMap:
     """``m`` as a Cauchy transform: itself, the reciprocal of an F-transform, or
     the Newton inversion (:func:`cauchy_from_r`) of an R-transform."""
     if m.kind == CAUCHY:
         return m
-    return as_cauchy(m) if m.kind == F else cauchy_from_r(m)
+    if m.kind == R:
+        return cauchy_from_r(m)
+    return AnalyticMap(CAUCHY, lambda z: 1.0 / m.fn(z), mean=m.mean, variance=m.variance)
 
 
 def _lanes(z):

@@ -505,7 +505,19 @@ class TestDefaults:
          ["--eps", "1e-3"]),
         (["burgers", "--t", "0.2:1:2", "--re=-1:1:2"], ["--driver", "sc-family"],
          ["--driver", "const:0"]),
-    ], ids=["flow-tol", "flow-seed", "density", "burgers"])
+        # an sle: driver is sampled to at least one step, however short the horizon
+        (["flow", "--driver", "sle:2", "--z", "1+1i", "--T", "0.01"],
+         ["--driver", "sle:2:0.015625"], ["--seed", "1"]),
+        (["flow", "--driver", "sle:2", "--z", "1+1i", "--T", "0", "--steps", "2"],
+         ["--driver", "sle:2:0.015625"], ["--z", "2i"]),
+        (["trace", "--driver", "sle:2", "--T", "0.01", "--steps", "4"],
+         ["--driver", "sle:2:0.015625"], ["--seed", "1"]),
+        (["welding", "--driver", "sle:2", "--T", "0.01", "--pairs", "3"],
+         ["--driver", "sle:2:0.015625"], ["--seed", "1"]),
+        (["family", "--driver", "sle:2", "--z", "1i", "--t", "0.01"],
+         ["--driver", "sle:2:0.015625"], ["--seed", "1"]),
+    ], ids=["flow-tol", "flow-seed", "density", "burgers", "flow-sle-short", "flow-sle-zero",
+            "trace-sle-short", "welding-sle-short", "family-sle-short"])
     def test_omitted_equals_explicit(self, tmp_path, capsys, argv, defaults, other):
         outputs = []
         for name, extra in (("omitted", []), ("explicit", defaults), ("other", other)):

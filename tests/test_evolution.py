@@ -23,8 +23,7 @@ from loewner import (
     monotone_family,
     sle_driving,
 )
-from loewner.errors import QuadratureFailureError, ValidationError
-from loewner.acceptance import _adaptive_simpson
+from loewner.errors import ValidationError
 from loewner.measures import mean_variance
 from loewner.transforms import AnalyticMap, invert_stieltjes
 
@@ -351,13 +350,6 @@ class TestChainApproximation:
             chain_approximation(d, 1.0 / 8.0, 8, shift="sideways")
         with pytest.raises(ValidationError):
             chain_approximation(MeasurePath((0.0,), (Arcsine(1.0),)), 0.5, 1)
-
-
-class TestAdaptiveSimpson:
-    def test_singular_integrand_exceeds_depth(self):
-        # |t - 0.3|^(-1/2) is integrable, but no refinement depth resolves its pole
-        with pytest.raises(QuadratureFailureError):
-            _adaptive_simpson(lambda t: abs(t - 0.3) ** -0.5 if t != 0.3 else 0.0, 0.0, 1.0)
 
 
 class TestBurgers:

@@ -466,8 +466,13 @@ class TestDrivers:
         ({"kind": "measure-path", "breakpoints": [0.0]}, "measures"),
         ({"kind": "measure-path", "breakpoints": 0,
           "measures": [{"kind": "dirac", "location": 0.0}]}, "breakpoints"),
+        ({"kind": "atom-path", "times": [0.0, 1.0]}, "values"),
+        ({"kind": "measure-path", "breakpoints": "ab",
+          "measures": [{"kind": "dirac", "location": 0.0}]}, "breakpoints"),
+        ({"kind": "measure-path", "breakpoints": [0.0], "measures": 5}, "measures"),
     ], ids=["not-a-mapping", "no-times", "times-string", "values-not-numeric",
-            "no-measures", "breakpoints-number"])
+            "no-measures", "breakpoints-number", "no-values", "breakpoints-string",
+            "measures-number"])
     def test_malformed_description_names_the_field(self, obj, field):
         with pytest.raises(ValidationError, match=field):
             driving_from_dict(obj)

@@ -109,6 +109,21 @@ class TestFTransform:
                 assert f(z).imag >= z.imag - 1e-12
 
 
+class TestKindConversion:
+    def test_each_kind_converts_by_one_route(self):
+        # a map of the target kind comes back as is; an R-map reaches the Cauchy
+        # kind by Newton inversion and has no route to the F kind
+        g, f = cauchy(Semicircle(1.0, 0.5)), f_transform(Semicircle(1.0, 0.5))
+        r = r_transform(g)
+        assert as_f(f) is f and as_cauchy(g) is g
+        back, want = as_cauchy(r), cauchy_from_r(r)
+        assert back.kind == "cauchy"
+        for z in (2j, 1 + 2j, 3j):
+            assert back(z) == want(z)
+        with pytest.raises(ValidationError):
+            as_f(r)
+
+
 class TestRTransform:
     def test_dirac_is_constant(self):
         r = r_transform(cauchy(Dirac(1.5)))
