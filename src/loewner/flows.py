@@ -16,19 +16,20 @@ Piece contract: every driver has ``knots``, its breakpoints from 0, and one entr
 ``_lines`` per knot.  Piece ``j`` runs from ``knots[j]`` to the next knot (the last one on
 past the horizon), and its line is ``(t_j, u_j, slope)`` for a point mass at
 ``U(t) = u_j + slope (t - t_j)``, else ``None``; an ``AtomPath``'s entry past its last knot
-is anchored at that knot, so ``u(t)``, which reads the lines too, gives ``U(T)`` exactly.
-:func:`_segments` walks the pieces of a window; the exact maps read only the lines, and
-only an integrated piece builds ``piece(j)``, its Cauchy transform
-``(t, z) -> G_{nu_t}(z)`` continued past both ends (on scalars, or ndarrays of one shape).
-``integral(lo, hi, w)`` is the exact ``int_lo^hi G_{nu_tau}(w) dtau`` on the piece holding
-``[lo, hi]`` (the free R-transform).
+is anchored at that knot, so ``u(t)``, which reads the lines too, gives ``U(T)`` exactly, and
+its ``_pieces`` tables each whole piece's map constants.  :func:`_segments` walks the pieces
+of a window; the exact maps read only these tables, and only an integrated piece builds
+``piece(j)``, its Cauchy transform ``(t, z) -> G_{nu_t}(z)`` continued past both ends (on
+scalars, or ndarrays of one shape).  ``integral(lo, hi, w)`` is the exact
+``int_lo^hi G_{nu_tau}(w) dtau`` on the piece holding ``[lo, hi]`` (the free R-transform).
 
 Point-mass pieces map exactly in both time directions, so no solve over them integrates.
 A resting piece (``nu = delta_u``) is the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+
 2 dt)`` reverse and forward (Kager, Nienhuis & Kadanoff 2004).  On a sloped piece, in
 ``x = (y - U) U'``, ``log1p(x) - x`` moves linearly in time, and the Wright omega function
-inverts it; so a forward crossing of ``Im g = EPS_SWALLOW`` (swallowing) is closed-form too,
-and the trace tip is the anti-monotone map of the boundary point ``U(t)``.  In
+inverts it (one Fritsch-Shafer-Crowley step, then one Newton step in ``x``); so a forward
+crossing of ``Im g = EPS_SWALLOW`` (swallowing) is closed-form too, and the trace tip is the
+anti-monotone map of the boundary point ``U(t)``.  In
 ``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` is regular on the driver (Kennedy 2007):
 welding shots ``s = sqrt(q)``, which start there, are real and map exactly on every piece.
 Over an integrated piece a forward flow finishes its crossing with ``Im g`` as the
@@ -83,7 +84,8 @@ WELDING_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class AtomPath:
-    """Point-mass driving ``nu_t = delta_{U(t)}`` with U linear between ``knots = times``."""
+    """Point-mass driving ``nu_t = delta_{U(t)}`` with U linear between ``knots = times``; it
+    tables each piece's line, and each whole piece's map constants for the three walks."""
 
     times: np.ndarray
     values: np.ndarray
@@ -107,6 +109,9 @@ class AtomPath:
                       zip(self.knots, self.knots[1:], vs, vs[1:]))
         # the last line runs on past the horizon, anchored at it so that U(T) is exact
         object.__setattr__(self, "_lines", lines + ((self.knots[-1], vs[-1], lines[-1][2]),))
+        object.__setattr__(self, "_pieces", tuple(
+            (_piece(u0, u1, s, h), _piece(u1, u0, -s, h), _piece(u0, u1, -s, -h))
+            for (_, u0, s), h, u1 in zip(lines, np.diff(times).tolist(), vs[1:])))
 
     @property
     def horizon(self) -> float:
@@ -430,16 +435,20 @@ def _horner(coeffs, v):
     return acc
 
 
+def _log1p_series(x):
+    """``log1p(x) - x`` by its series in ``s = x/(2 + x)``, for |x| < 1/4 (scalar or lanes)."""
+    s = x / (2.0 + x)
+    return s * (s * s * _horner(_LOG1P_TAIL, s * s) - x)
+
+
 def _log1p_tail(x, left):
     """``log1p(x) - x`` for lanes, by its series where the difference would cancel
     (|x| < 1/4); where ``left`` (``Re(1 + x) < 0``) ``log(-(1 + x)) - x`` instead, ``i pi``
     less.  Each form keeps the digits of a small imaginary part: the first for ``1 + x``
-    near the positive half-axis, the second near the negative one.  :func:`_atom_piece`
+    near the positive half-axis, the second near the negative one.  :func:`_sloped`
     takes the same steps on a complex scalar."""
     p = 1.0 + x
-    s = x / (2.0 + x)
-    series = s * (s * s * _horner(_LOG1P_TAIL, s * s) - x)
-    return np.where(np.abs(x) < 0.25, series, np.log(np.where(left, -p, p)) - x)
+    return np.where(np.abs(x) < 0.25, _log1p_series(x), np.log(np.where(left, -p, p)) - x)
 
 
 def _branch_series(k):
@@ -473,40 +482,23 @@ def _fsc_step(w, r):
 
 
 def _wright_omega(zeta: complex, c: complex) -> complex:
-    """The Wright omega function ``W = omega(zeta)``, ``W + log W = zeta``, for
+    """:func:`_wright_omega_lanes` at one point, both steps."""
+    return complex(_wright_omega_lanes(np.array([zeta]), np.array([c]))[0])
+
+
+def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray, steps: int = 2) -> np.ndarray:
+    """The Wright omega function ``W = omega(zeta)``, ``W + log W = zeta``, for lanes with
     ``Im zeta < 0``, given ``zeta`` and ``c = zeta + i pi``: near ``Im zeta = 0`` the caller's
     ``zeta`` carries the digits of its imaginary part, near the cut ``Im zeta = -pi`` its ``c``.
     ``-W`` is the root ``p``, ``Im p > 0``, of ``log p - p = c``.
 
     Algorithm 917 of Lawrence, Corless & Jeffrey (2012): a series start by region of
-    ``zeta``, then Fritsch-Shafer-Crowley steps, a second one only where the first may be
-    an ulp off.  A step from an iterate left of the imaginary axis reads ``c`` and takes
-    ``log W = log(-W) - i pi`` (Algorithm 917 regularizes so near the cut), any other
-    ``zeta``; the starts near either line read the argument that lies close to it.  So a
-    small ``Im W`` keeps its digits.
+    ``zeta``, then up to ``steps`` Fritsch-Shafer-Crowley steps, a second one only where the
+    first may be an ulp off.  A step from an iterate left of the imaginary axis reads ``c``
+    and takes ``log W = log(-W) - i pi`` (Algorithm 917 regularizes so near the cut), any
+    other ``zeta``; the starts near either line read the argument that lies close to it.
+    So a small ``Im W`` keeps its digits.  :func:`_sloped` inlines this for one scalar.
     """
-    zr, zi = zeta.real, zeta.imag
-    if -2.0 < zr <= 1.0 and -2.0 * math.pi < zi < -1.0:
-        w = _branch_series(c + 1.0) - 1.0
-    elif zr <= -2.0 and 0.0 < c.imag:
-        v = cmath.exp(zeta) if zi > -0.5 * math.pi else -cmath.exp(c)
-        w = v * _horner(_OMEGA_BETWEEN, v)
-    elif -2.0 < zr and (-1.0 <= zi if zr <= 1.0
-                        else (zr - 1.0) * (zr - 1.0) + zi * zi <= math.pi ** 2):
-        w = _horner(_OMEGA_MUSHROOM, zeta - 1.0)
-    elif zr <= -1.05 and 0.75 * (zr + 1.0) < c.imag:  # the wing below the cut
-        w = _omega_far(c, cmath.log(-c))
-    else:
-        w = _omega_far(zeta, cmath.log(zeta))
-    w, done = _fsc_step(w, c - w - cmath.log(-w) if w.real < 0.0 else zeta - w - cmath.log(w))
-    if not done:
-        w, _ = _fsc_step(w, c - w - cmath.log(-w) if w.real < 0.0 else zeta - w - cmath.log(w))
-    return w
-
-
-def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Lane-wise :func:`_wright_omega`: the same regions, series and steps, each lane taking
-    a second step exactly where a scalar would."""
     zr, zi = zeta.real, zeta.imag
     wing = (zr <= -1.05) & (0.75 * (zr + 1.0) < c.imag)
     with np.errstate(all="ignore"):  # every start is formed on every lane, then picked
@@ -520,7 +512,7 @@ def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray) -> np.ndarray:
              _horner(_OMEGA_MUSHROOM, zeta - 1.0)],
             _omega_far(np.where(wing, c, zeta), np.log(np.where(wing, -c, zeta))))
         done = np.zeros(zeta.shape, dtype=bool)
-        for _ in range(2):
+        for _ in range(steps):
             left = w.real < 0.0
             r = np.where(left, c, zeta) - w - np.log(np.where(left, -w, w))
             step, converged = _fsc_step(w, r)
@@ -547,67 +539,89 @@ def _rest(w, d: float):
 def _atom_piece(y, line: tuple, lo: float, hi: float, c: float | None):
     """Exact reverse map of a point-mass piece, ``line = (t_j, u_j, slope)``, over
     ``[lo, hi]`` in integration time ``tau``, driver time ``tau`` or ``c - tau``, for a
-    complex scalar or lanes ``y``; with ``hi < lo`` it runs the piece backwards.
-
-    A resting piece is the arcsine semigroup, and so is a sloped one whose motion
-    ``|a span|`` is below 2**-60 of the resting value (a scalar forms that value only
-    where ``|rest| <= |w| + sqrt(2 |span|)`` lets it pass).  Otherwise the reflection
-    ``w -> -conj(w)`` makes the rate ``a = dU/dtau`` positive, and the offset ``w`` from
-    the driver follows ``dw/dtau = -(1 + a w)/w``: with ``x = a w``, ``log1p(x) - x`` grows
-    by ``a**2 span`` (Kager, Nienhuis & Kadanoff 2004) to ``k``, and ``Im x`` stays
-    positive, so ``x_1 = -1 - omega(k - 1 - i pi)`` for the Wright omega function
-    (:func:`_wright_omega`).  Left of the stagnation point, ``Re x < -1``, ``k`` is carried
-    ``i pi`` less (:func:`_log1p_tail`), so that near the axis its imaginary part keeps its
-    digits.  One Newton step in ``x`` on ``log1p(x_1) - x_1 = k`` restores the digits
-    ``omega`` leaves near its branch point ``x = 0``; where ``|k| < 2**-20`` the
-    branch-point series is the start instead.  A scalar takes these steps inline.
-    """
+    complex scalar or lanes ``y``; with ``hi < lo`` it runs the piece backwards.  A resting
+    piece is the arcsine semigroup; a sloped one maps by :func:`_sloped` (or lanes)."""
     tj, uj, slope = line
     span = hi - lo
     if slope == 0.0:
         return uj + _rest(y - uj, -2.0 * span)
-    if c is None:
-        u0, u1, a = uj + slope * (lo - tj), uj + slope * (hi - tj), slope
-    else:
-        u0, u1, a = uj + slope * (c - lo - tj), uj + slope * (c - hi - tj), -slope
+    piece = (_piece(uj + slope * (lo - tj), uj + slope * (hi - tj), slope, span) if c is None
+             else _piece(uj + slope * (c - lo - tj), uj + slope * (c - hi - tj), -slope, span))
+    return (_sloped_lanes if isinstance(y, np.ndarray) else _sloped)(y, piece)
+
+
+def _piece(u0: float, u1: float, a: float, span: float) -> tuple:
+    """What :func:`_sloped` maps a piece by, given the driver at its start and end and its rate
+    ``a`` over ``span``; ``|a span|`` and ``sqrt(2 |span|)`` gate a negligible slope."""
+    return u0, u1, abs(a), a * a * span, a < 0.0, abs(a * span), math.sqrt(abs(2.0 * span)), span
+
+
+def _sloped(y: complex, piece: tuple) -> complex:
+    """Exact reverse map of a sloped point-mass piece (constants :func:`_piece`) for a complex
+    scalar: the resting map where the slope moves it by under 2**-60, else in ``x = a w``
+    (``w -> -conj(w)`` where the driver falls) ``log1p(x) - x`` grows by ``a**2 span`` to ``k``
+    (Kager, Nienhuis & Kadanoff 2004; ``i pi`` less left of ``Re x = -1``, :func:`_log1p_tail`)
+    and ``x_1 = -1 - omega(k - 1 - i pi)``: Algorithm 917's start and one Fritsch-Shafer-Crowley
+    step (:func:`_wright_omega_lanes`), or where ``|k| < 2**-20`` the branch-point series, then
+    one Newton step in ``x``, for the digits a second step would bring.  Only series are calls."""
+    u0, u1, a, k0, flip, motion, root, span = piece
     w = y - u0
-    lanes = isinstance(w, np.ndarray)
-    if lanes:
+    if motion <= 2.0 ** -59 * (abs(w) + root):
         rest = _rest(w, -2.0 * span)
-        resting = abs(a * span) <= 2.0 ** -60 * np.abs(rest)
-        if resting.all():
+        if motion <= 2.0 ** -60 * abs(rest):
             return u0 + rest
-    elif abs(a * span) <= 2.0 ** -59 * (abs(w) + math.sqrt(abs(2.0 * span))):
-        rest = _rest(w, -2.0 * span)
-        if abs(a * span) <= 2.0 ** -60 * abs(rest):
-            return u0 + rest
-    flip = a < 0.0
-    if flip:
-        w, a = -w.conjugate(), -a
-    x = a * w
+    x = a * (-w.conjugate() if flip else w)
     left = x.real < -1.0
-    if lanes:
-        k = _log1p_tail(x, left) + a * a * span
-        with np.errstate(all="ignore"):  # both starts are formed on every lane, then picked
-            omega = _wright_omega_lanes(np.where(left, k - 1.0, k - 1.0 - 1j * math.pi),
-                                        np.where(left, k - 1.0 + 1j * math.pi, k - 1.0))
-            x = np.where(~left & (np.abs(k) < _BRANCH_SERIES_K), -_branch_series(k), -1.0 - omega)
-            moved = (x + (_log1p_tail(x, left) - k) * (1.0 + x) / x) / a
-        return np.where(resting, u0 + rest, u1 + (-moved.conjugate() if flip else moved))
-    p, s = 1.0 + x, x / (2.0 + x)
-    k = (cmath.log(-p if left else p) - x if left or abs(x) >= 0.25
-         else s * (s * s * _horner(_LOG1P_TAIL, s * s) - x)) + a * a * span
-    if left:
-        x = -1.0 - _wright_omega(k - 1.0, k - 1.0 + 1j * math.pi)
-    elif abs(k) < _BRANCH_SERIES_K:
+    p = 1.0 + x
+    k = (cmath.log(-p if left else p) - x if left or abs(x) >= 0.25 else _log1p_series(x)) + k0
+    if not left and abs(k) < _BRANCH_SERIES_K:
         x = -_branch_series(k)
-    else:
-        x = -1.0 - _wright_omega(k - 1.0 - 1j * math.pi, k - 1.0)
-    p, s = 1.0 + x, x / (2.0 + x)
-    tail = (cmath.log(-p if left else p) - x if left or abs(x) >= 0.25
-            else s * (s * s * _horner(_LOG1P_TAIL, s * s) - x))
+    else:  # omega(zeta) from its region's start, zeta = k - 1 - i pi (left: i pi higher)
+        zeta, c = (k - 1.0, k - 1.0 + 1j * math.pi) if left else (k - 1.0 - 1j * math.pi, k - 1.0)
+        zr, zi = zeta.real, zeta.imag
+        if -2.0 < zr <= 1.0 and -2.0 * math.pi < zi < -1.0:
+            w = _branch_series(c + 1.0) - 1.0
+        elif zr <= -2.0 and 0.0 < c.imag:
+            v = cmath.exp(zeta) if zi > -0.5 * math.pi else -cmath.exp(c)
+            w = v * _horner(_OMEGA_BETWEEN, v)
+        elif -2.0 < zr and (-1.0 <= zi if zr <= 1.0
+                            else (zr - 1.0) * (zr - 1.0) + zi * zi <= math.pi ** 2):
+            w = _horner(_OMEGA_MUSHROOM, zeta - 1.0)
+        elif zr <= -1.05 and 0.75 * (zr + 1.0) < c.imag:  # the wing below the cut
+            w = _omega_far(c, cmath.log(-c))
+        else:
+            w = _omega_far(zeta, cmath.log(zeta))
+        r = c - w - cmath.log(-w) if w.real < 0.0 else zeta - w - cmath.log(w)
+        wp1 = w + 1.0  # the step of _fsc_step, less its convergence test
+        q = r / wp1
+        g = 2.0 + 4.0 / 3.0 * q
+        x = -1.0 - w * (1.0 + q * (g - q / wp1) / (g - 2.0 * q / wp1))
+    p = 1.0 + x
+    tail = cmath.log(-p if left else p) - x if left or abs(x) >= 0.25 else _log1p_series(x)
     moved = (x + (tail - k) * p / x) / a
     return u1 - moved.conjugate() if flip else u1 + moved
+
+
+def _sloped_lanes(y: np.ndarray, piece: tuple) -> np.ndarray:
+    """Lane-wise :func:`_sloped`: the same gate, start, one step and polish."""
+    u0, u1, a, k0, flip, motion, root, span = piece
+    w = y - u0
+    resting = motion <= 2.0 ** -59 * (np.abs(w) + root)
+    if resting.any():
+        rest = _rest(w, -2.0 * span)
+        resting &= motion <= 2.0 ** -60 * np.abs(rest)
+        if resting.all():
+            return u0 + rest
+    x = a * (-w.conjugate() if flip else w)
+    left = x.real < -1.0
+    k = _log1p_tail(x, left) + k0
+    with np.errstate(all="ignore"):  # both starts are formed on every lane, then picked
+        omega = _wright_omega_lanes(np.where(left, k - 1.0, k - 1.0 - 1j * math.pi),
+                                    np.where(left, k - 1.0 + 1j * math.pi, k - 1.0), 1)
+        x = np.where(~left & (np.abs(k) < _BRANCH_SERIES_K), -_branch_series(k), -1.0 - omega)
+        moved = (x + (_log1p_tail(x, left) - k) * (1.0 + x) / x) / a
+    moved = u1 + (-moved.conjugate() if flip else moved)
+    return np.where(resting, u0 + rest, moved) if resting.any() else moved
 
 
 def _crossing(w: complex, slope: float, span: float):
@@ -630,12 +644,11 @@ def _crossing(w: complex, slope: float, span: float):
         a = abs(slope)
         x = a * (-w.conjugate() if slope > 0.0 else w)
         left = x.real < -1.0
-        k = complex(_log1p_tail(x, left))
-        m = a * eps
-        p = k.imag + m
-        if not (-math.pi < p < 0.0 if left else 0.0 < p < math.pi):  # k is i pi less left
+        k, m, phi, u = complex(_log1p_tail(x, left)), a * eps, a * (im - eps), 1.0
+        # p = Im k + m, with phi = arg(1 + x) - arg(1 + x*) in (0, pi) exact near the line
+        p = cmath.phase(-1.0 - x if left else 1.0 + x) - phi  # k is i pi less left
+        if not (-math.pi < p < 0.0 if left else 0.0 < p < math.pi):
             return None
-        phi, u = a * (im - eps), 1.0  # arg(1 + x) - arg(1 + x*), in (0, pi)
         if phi < 0.25:
             e = complex(-2.0 * math.sin(0.5 * phi) ** 2, math.sin(phi))  # expm1(i phi)
             r = (phi ** 3 * _horner(_PHI_SIN, phi * phi) + (x * e.conjugate()).imag) / m
@@ -716,7 +729,8 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
             tj, u, slope = line
             crossing = _crossing(y - (u + slope * (a - tj)), slope, b - a)
             if crossing is None:  # forward in t is reverse in -t: driver time 0 - (-t)
-                y = _atom_piece(y, line, -a, -b, 0.0)
+                y = (_sloped(y, d._pieces[j][2]) if slope and 0.0 < a and b < t
+                     else _atom_piece(y, line, -a, -b, 0.0))
                 continue
             tau, x = crossing
             life = min(max(a + tau, a), b)
@@ -749,18 +763,19 @@ def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
     time ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``.
 
     The walk (:func:`_segments`) reads the driver's tables.  Every point-mass piece, resting
-    or sloped, maps its line exactly (:func:`_atom_piece`), a complex ``z`` in one scalar
-    call and an ndarray's starts all at once; no function is built and ``tol`` does not
+    or sloped, maps exactly (:func:`_atom_piece`; a whole sloped one from its table entry), a
+    complex ``z`` in one scalar call and an ndarray's starts all at once; ``tol`` does not
     enter.  Only the other pieces build ``d.piece(j)`` and integrate it: a complex ``z`` by
     the scalar kernel, an ndarray by the lane kernel.
     """
     c = reflect_about
     lanes = isinstance(z, np.ndarray)
-    y = z
+    sloped, y = _sloped_lanes if lanes else _sloped, z
     for lo, hi, j in _segments(d, a, b, c):
         line = d._lines[j]
-        if line is not None:
-            y = _atom_piece(y, line, lo, hi, c)
+        if line is not None:  # a whole sloped piece reads its table entry
+            y = (sloped(y, d._pieces[j][c is not None]) if line[2] and a < lo and hi < b
+                 else _atom_piece(y, line, lo, hi, c))
             continue
         g = d.piece(j)
         rhs = (lambda tau, yy: -g(tau, yy)) if c is None else (lambda tau, yy: -g(c - tau, yy))

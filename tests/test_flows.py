@@ -1,4 +1,5 @@
 import cmath
+import collections
 import json
 import math
 import subprocess
@@ -1154,6 +1155,152 @@ class TestWrightOmega:
         assert float(np.max(np.abs(lanes - want) / np.abs(want))) < 1e-13
         # numpy's complex arithmetic differs from Python's by an ulp here and there
         assert float(np.max(np.abs(lanes - got) / np.abs(got))) < 1e-14
+
+
+class TestFarCrossings:
+    """A crossing that lands far from the driver keeps its digits: ``p = Im k + m`` would
+    cancel there, so it is formed from ``arg(1 + x)`` and ``|slope| (Im w - EPS_SWALLOW)``."""
+
+    @pytest.mark.parametrize("x, slope", [(5.693105218290642, -73.59274911771631),
+                                          (-5.693105218290642, 73.59274911771631),
+                                          (-5.693105218290642, -73.59274911771631),
+                                          (5.693105218290642, 73.59274911771631)],
+                             ids=["right-falling", "right-rising", "left-falling", "left-rising"])
+    def test_matches_the_closed_form(self, x, slope):
+        # Im k = -7.3469e-5 against m = 7.3593e-5 left 1.2e-7 and 4.2e-13 of the lifetime
+        # (1.0e-13 on the left); the closed form itself, at 50 digits, is the oracle
+        z = complex(x, 1.0006956978071457e-06)
+        with mp.workdps(50):
+            a, w = abs(mp.mpf(slope)), mp.mpc(z)
+            xa = a * (-mp.conj(w) if slope > 0 else w)
+            k = mp.log(1 + xa) - xa
+            m = a * flows.EPS_SWALLOW
+            x_star = m * (mp.cot(k.imag + m) + 1j) - 1
+            life = (k.real - (mp.log(1 + x_star) - x_star).real) / a ** 2
+            value = slope * life + (-x_star.real if slope > 0 else x_star.real) / a
+        fp = flow_forward(AtomPath([0.0, 1.0], [0.0, slope]), z, 1.0)
+        assert not fp.alive and fp.value.imag == flows.EPS_SWALLOW
+        assert abs(fp.lifetime - float(life)) <= 1e-15 * float(life)
+        assert abs(fp.value.real - float(value)) <= 1e-15 * abs(float(value))
+
+
+def closed_form_piece(w, rate, span):
+    """``w`` after ``span`` (of either sign) of ``dw/dtau = -(1 + rate w)/w`` at the working
+    precision: resting, the arcsine root; else in ``x = |rate| w`` (``w -> -conj(w)`` if
+    ``rate < 0``) ``log1p(x) - x`` grows by ``rate**2 span``, and
+    ``x_1 = -1 - omega(k - 1 - i pi)``, ``omega(z) = W_K(e**z)`` on mpmath's Lambert W branch
+    ``K = ceil((Im z - pi)/(2 pi))`` -- a route apart from Algorithm 917's."""
+    if rate == 0:
+        root = mp.sqrt(w * w - 2 * span)
+        return root if root.imag >= 0 else -root
+    a = abs(rate)
+    x = a * (-mp.conj(w) if rate < 0 else w)
+    z = mp.log(1 + x) - x + a * a * span - 1 - 1j * mp.pi
+    x1 = -1 - mp.lambertw(mp.exp(z), int(mp.ceil((z.imag - mp.pi) / (2 * mp.pi))))
+    return -mp.conj(x1 / a) if rate < 0 else x1 / a
+
+
+def omega_route(w, rate, span):
+    """``(route, left)`` the library's piece map takes from offset ``w``: the start region of
+    Algorithm 917 (far, wing, branch, mushroom, between), or the branch-point series, and
+    whether ``w`` lies left of the stagnation point in the piece's reflected frame."""
+    a = abs(rate)
+    x = a * (-w.conjugate() if rate < 0 else w)
+    left = x.real < -1.0
+    k = (cmath.log(-1 - x) if left else cmath.log(1 + x)) - x + a * a * span
+    if not left and abs(k) < 2.0 ** -20:
+        return "series", left
+    zeta = k - 1 if left else k - 1 - 1j * math.pi
+    zr, zi, ci = zeta.real, zeta.imag, zeta.imag + math.pi
+    if -2 < zr <= 1 and -2 * math.pi < zi < -1:
+        return "branch", left
+    if zr <= -2 and 0 < ci:
+        return "between", left
+    if -2 < zr and (-1 <= zi if zr <= 1 else (zr - 1) ** 2 + zi ** 2 <= math.pi ** 2):
+        return "mushroom", left
+    return ("wing" if zr <= -1.05 and 0.75 * (zr + 1) < ci else "far"), left
+
+
+def walk_oracle(d, z, sense, routes):
+    """The monotone (``sense = 0``), anti-monotone (1) or forward (2) flow of ``z`` over all of
+    ``d`` at 40 digits, each piece in closed form; appends each piece's route to ``routes``."""
+    with mp.workdps(40):
+        ts, us = [mp.mpf(t) for t in d.knots], [mp.mpf(u) for u in d.values.tolist()]
+        pieces = list(zip(ts, ts[1:], us, us[1:]))
+        y = mp.mpc(z)
+        for t0, t1, u0, u1 in pieces[::-1] if sense == 1 else pieces:
+            rate, h = (u1 - u0) / (t1 - t0), t1 - t0
+            w, rate, span = [(y - u0, rate, h), (y - u1, -rate, h), (y - u0, -rate, -h)][sense]
+            routes.append(omega_route(complex(w), float(rate), float(span)) + (rate > 0, sense))
+            y = (u0 if sense == 1 else u1) + closed_form_piece(w, rate, span)
+        return complex(y)
+
+
+class TestSlopedPieceFuzz:
+    """Seeded sloped pieces through the monotone, anti-monotone and forward walks, scalar and
+    lanes, against the 40-digit closed form: every ``omega`` start region, the branch-point
+    series, both sides of the stagnation point and both slope signs, within 1e-13."""
+
+    def test_walks_match_the_closed_form(self):
+        rng = np.random.Generator(np.random.Philox(key=24))
+        routes, worst, compared = [], 0.0, [0, 0, 0]
+        for kind in np.arange(520) % 5:
+            # the start x of the piece's reflected frame and its growth rate**2 span
+            angle = rng.uniform(0.01, math.pi - 0.01)
+            x, grow = [
+                (10 ** rng.uniform(-2, 3) * cmath.exp(1j * angle), 10 ** rng.uniform(-3, 2.5)),
+                (rng.uniform(-30, 30) + 1j * 10 ** rng.uniform(-8, -2), 10 ** rng.uniform(-3, 1)),
+                (-1 + 10 ** rng.uniform(-6, -1) * cmath.exp(1j * angle), 10 ** rng.uniform(-4, 1)),
+                (10 ** rng.uniform(-5, -3.5) * cmath.exp(1j * angle), 10 ** rng.uniform(-9, -7)),
+                (complex(rng.uniform(-1, 0), rng.uniform(0, 0.5)), rng.uniform(1, 5)),
+            ][kind]
+            slope = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 2)
+            h = grow / slope ** 2 / 3
+            for sense, flow in enumerate([flow_reverse, flow_reverse_anti, None]):
+                # one line in three pieces, the walks take the middle one from the table; it
+                # passes 0 where the walk starts, so that the start's offset w is exact
+                us = np.array([0.0, 1.0, 2.0, 3.0]) - (3.0 if sense == 1 else 0.0)
+                d = AtomPath([0.0, h, 2 * h, 3 * h], slope * h * us)
+                rate = -slope if sense else slope
+                z = x / abs(slope) if rate > 0 else -(x / abs(slope)).conjugate()
+                want = walk_oracle(d, z, sense, routes)
+                if flow is None:
+                    fp = flow_forward(d, z, d.horizon)
+                    got = [fp.value] if fp.alive else []
+                else:
+                    lanes = flow(d, 0.0, d.horizon, np.array([z, 1j]))
+                    got = [flow(d, 0.0, d.horizon, z), lanes[0]]
+                for value in got:
+                    worst = max(worst, abs(value - want) / abs(want))
+                compared[sense] += len(got)
+        assert worst <= 1e-13 and min(compared) >= 300
+        seen = collections.Counter(routes)
+        count = lambda i, v: sum(n for key, n in seen.items() if key[i] == v)
+        for route in ("far", "wing", "branch", "mushroom", "between", "series"):
+            assert count(0, route) >= 20, route
+        assert count(1, True) >= 200 and count(1, False) >= 200  # either side of Re x = -1
+        assert count(2, True) >= 200 and count(2, False) >= 200  # either slope sign
+
+
+class TestPieceTable:
+    """A walk maps each whole sloped piece inside its window from the driver's table
+    (``AtomPath._pieces``); only its two end segments form their constants from ``lo``/``hi``."""
+
+    @pytest.mark.parametrize("t", [1.0, 0.9])
+    @pytest.mark.parametrize("walk", ["monotone", "anti-monotone", "forward"])
+    def test_only_the_end_segments_form_their_constants(self, monkeypatch, walk, t):
+        d = sle_driving(2.0, 1.0 / 64.0, 1.0, 3)
+        ends, atom_piece = [], flows._atom_piece
+        monkeypatch.setattr(flows, "_atom_piece", lambda *a: ends.append(a[2:4]) or atom_piece(*a))
+        if walk == "forward":
+            assert flow_forward(d, 3j, t).alive  # forward runs each piece backwards
+            assert len(ends) == 2 and ends[0][0] == 0.0 and ends[1][1] == -t
+            return
+        flow = flow_reverse if walk == "monotone" else flow_reverse_anti
+        for z in (0.3 + 0.5j, np.array([0.3 + 0.5j, -1.0 + 1e-3j])):
+            ends.clear()
+            flow(d, 0.1, t, z)
+            assert len(ends) == 2 and ends[0][0] == 0.1 and ends[1][1] == t
 
 
 # ---------------------------------------------------------------------------
