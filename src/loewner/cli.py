@@ -8,6 +8,7 @@ files.  Exit codes: 0 success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -44,10 +45,10 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    """Rows are tuples of numbers, each printed as ``_fmt`` prints it (a bool as 1 or 0)."""
+    row = ",".join(["%.17g"] * len(header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *(row % r for r in rows)]) + "\n")
 
 
 def _parse_complex(text: str) -> complex:
@@ -133,13 +134,11 @@ def _materialize(g, args) -> int:
     if not args.grid:
         raise ValidationError("no grid given (use --grid a:b:n)")
     measure = invert_stieltjes(g, _parse_grid(args.grid), args.eps)
-    rows = []
-    if measure.values is not None:
-        rows = [(_fmt(x), _fmt(v)) for x, v in zip(measure.grid(), measure.values)]
+    rows = () if measure.values is None else zip(measure.grid().tolist(), measure.values.tolist())
     _write_csv(args.out, ("x", "density"), rows)
     if measure.atoms:
         _write_csv(args.atoms_out or f"{args.out}.atoms.csv", ("location", "mass"),
-                   [(_fmt(x), _fmt(m)) for x, m in measure.atoms])
+                   measure.atoms)
     return 0
 
 
@@ -154,8 +153,7 @@ def _cmd_flow(args) -> int:
     rows = []
     for t in np.linspace(0.0, big_t, _steps(args) + 1):
         fp = flow_forward(d, z, float(t), tol)
-        rows.append((_fmt(t), _fmt(fp.value.real), _fmt(fp.value.imag),
-                     str(int(fp.alive)), _fmt(fp.lifetime), _fmt(fp.err_est)))
+        rows.append((t, fp.value.real, fp.value.imag, fp.alive, fp.lifetime, fp.err_est))
         if not fp.alive:
             break
     _write_csv(args.out, ("t", "re", "im", "alive", "lifetime", "err_est"), rows)
@@ -167,8 +165,7 @@ def _cmd_trace(args) -> int:
     d = _driver(args, big_t)
     times = np.linspace(0.0, big_t, _steps(args) + 1)
     result = trace(d, [float(t) for t in times])
-    rows = [(_fmt(t), _fmt(p.real), _fmt(p.imag), _fmt(e))
-            for t, p, e in zip(result.times, result.points, result.err_est)]
+    rows = [(t, p.real, p.imag, e) for t, p, e in zip(result.times, result.points, result.err_est)]
     _write_csv(args.out, ("t", "re", "im", "err_est"), rows)
     return 0
 
@@ -177,8 +174,7 @@ def _cmd_welding(args) -> int:
     big_t = _time(args.T, "--T")
     d = _driver(args, big_t)
     w = welding(d, big_t, npairs=args.pairs)
-    rows = [(_fmt(x), _fmt(hx)) for x, hx in w.pairs]
-    _write_csv(args.out, ("x", "h_x"), rows)
+    _write_csv(args.out, ("x", "h_x"), w.pairs)
     print(f"a={_fmt(w.a)} b={_fmt(w.b)} u={_fmt(w.u)}")
     return 0
 
@@ -216,16 +212,14 @@ def _cmd_family(args) -> int:
     for ztext in args.z:
         z = _parse_complex(ztext)
         val = fam(s, t, z)
-        rows.append((_fmt(s), _fmt(t), _fmt(z.real), _fmt(z.imag),
-                     _fmt(val.real), _fmt(val.imag)))
+        rows.append((s, t, z.real, z.imag, val.real, val.imag))
     _write_csv(args.out, ("s", "t", "z_re", "z_im", "val_re", "val_im"), rows)
     return 0
 
 
 def _cmd_sle(args) -> int:
     path = sle_driving(args.kappa, args.dt, args.T, args.seed)
-    rows = [(_fmt(t), _fmt(u)) for t, u in zip(path.times, path.values)]
-    _write_csv(args.out, ("t", "u"), rows)
+    _write_csv(args.out, ("t", "u"), zip(path.times.tolist(), path.values.tolist()))
     return 0
 
 
@@ -246,7 +240,7 @@ def _cmd_burgers(args) -> int:
         for z in zs:
             r = burgers_residual(d, [t], [z], step=args.step, tol=tol)
             worst = max(worst, r)
-            rows.append((_fmt(t), _fmt(z.real), _fmt(z.imag), _fmt(r)))
+            rows.append((t, z.real, z.imag, r))
     _write_csv(args.out, ("t", "re", "im", "residual"), rows)
     print(f"max residual {_fmt(worst)}")
     return 0
@@ -256,6 +250,7 @@ def _cmd_selftest(args) -> int:
     return acceptance.run_and_print(args.criteria or None)
 
 
+@functools.cache  # built on the first run, not at import; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loewner",

@@ -187,11 +187,14 @@ class SemicircleFamily:
         if not isinstance(t, np.ndarray):
             if t <= 0.0:
                 return 1.0 / z
-            # halfplane_sqrt(z, r) inlined: this is the scalar kernel's right-hand
-            # side, and the call plus its array check cost about 15% of it
+            # halfplane_sqrt(z, r) inlined: this is the scalar kernel's right-hand side.
+            # cmath's roots are numpy's bits at under half the cost, except on the line
+            # Re z = +-r, which halfplane_sqrt routes through numpy
             r = 2.0 * math.sqrt(t)
             w = complex(z)
-            return 2.0 / (z + complex(np.sqrt(w - r) * np.sqrt(w + r)))
+            if abs(w.real) == r:
+                return 2.0 / (z + halfplane_sqrt(w, r))
+            return 2.0 / (z + cmath.sqrt(w - r) * cmath.sqrt(w + r))
         radius = 2.0 * np.sqrt(np.maximum(t, 0.0))
         return np.where(t <= 0.0, 1.0 / z, 2.0 / (z + halfplane_sqrt(z, radius)))
 

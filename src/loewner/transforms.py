@@ -41,6 +41,7 @@ about 1.1 s, against 29 s (2 cores, numpy 2.4).  Its two atoms then take about
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -122,7 +123,9 @@ def halfplane_sqrt(z, radius: float, center: float = 0.0):
         w = np.asarray(z, dtype=complex) - center
         return np.sqrt(w - radius) * np.sqrt(w + radius)
     w = complex(z) - center
-    return complex(np.sqrt(w - radius) * np.sqrt(w + radius))
+    if abs(w.real) == radius:  # a root of real part 0: numpy's csqrt rounds it apart from cmath's
+        return complex(np.sqrt(w - radius) * np.sqrt(w + radius))
+    return cmath.sqrt(w - radius) * cmath.sqrt(w + radius)
 
 
 def _empirical_cauchy_fn(m: Empirical):

@@ -38,7 +38,7 @@ from loewner import (
 from loewner import flows
 from loewner.cli import run
 from loewner.flows import _integrate, _integrate_lanes, _segments
-from loewner.transforms import AnalyticMap
+from loewner.transforms import AnalyticMap, halfplane_sqrt
 from loewner.errors import (
     HorizonExceededError,
     NotASlitError,
@@ -1539,3 +1539,53 @@ class TestFarStarts:
             life = (mp.mpf(y) ** 2 - mp.mpf(eps) ** 2) * (mp.mpf(x) ** 2 / mp.mpf(eps) ** 2 + 1) / 2
         assert not fp.alive and abs(fp.lifetime - float(life)) <= 1e-12 * float(life)
         assert fp.value == complex(x * y / eps, eps)
+
+
+class TestScalarRoots:
+    """The scalar semicircle right-hand side and ``halfplane_sqrt`` take ``cmath`` roots.
+    Their bits are those of the numpy expression they replaced: checked here, not assumed.
+    A tenth of the points lie on the line ``Re w = +-r``, where a root's real part is 0
+    and the two libraries round its imaginary part apart; there the numpy route stays."""
+
+    N = 10_000
+
+    @staticmethod
+    def numpy_root(w: complex, r: float) -> complex:
+        return complex(np.sqrt(w - r) * np.sqrt(w + r))
+
+    @staticmethod
+    def bits(values) -> np.ndarray:
+        return np.array(values, dtype=complex).view(np.uint64)
+
+    def sample(self, centered: bool):
+        rng = np.random.default_rng(20251019)
+        t = rng.uniform(1e-6, 4.0, self.N)
+        r = 2.0 * np.sqrt(t)
+        c = np.zeros(self.N) if centered else rng.uniform(-2.0, 2.0, self.N)
+        x = c + rng.uniform(-5.0, 5.0, self.N)
+        edge = self.N // 10  # on the line: Re(z) - c is +-r
+        x[:edge] = c[:edge] + rng.choice([-1.0, 1.0], edge) * r[:edge]
+        y = 10.0 ** rng.uniform(-7.0, math.log10(3.0), self.N)
+        return t.tolist(), r.tolist(), c.tolist(), [complex(a, b) for a, b in zip(x, y)]
+
+    def test_semicircle_cauchy_keeps_the_numpy_bits(self):
+        ts, rs, _, zs = self.sample(centered=True)
+        got = [SemicircleFamily().cauchy(t, z) for t, z in zip(ts, zs)]
+        want = [2.0 / (z + self.numpy_root(z, r)) for r, z in zip(rs, zs)]
+        assert all(type(g) is complex for g in got)
+        assert np.array_equal(self.bits(got), self.bits(want))
+
+    def test_halfplane_sqrt_keeps_the_numpy_bits(self):
+        _, rs, cs, zs = self.sample(centered=False)
+        got = [halfplane_sqrt(z, r, c) for r, c, z in zip(rs, cs, zs)]
+        want = [self.numpy_root(z - c, r) for r, c, z in zip(rs, cs, zs)]
+        assert all(type(g) is complex for g in got)
+        assert np.array_equal(self.bits(got), self.bits(want))
+
+    def test_the_line_is_where_the_roots_part(self):
+        _, rs, cs, zs = self.sample(centered=False)
+        on_line = [(z - c, r) for r, c, z in zip(rs, cs, zs) if abs((z - c).real) == r]
+        assert len(on_line) >= self.N // 20
+        apart = sum(cmath.sqrt(w - r) * cmath.sqrt(w + r) != self.numpy_root(w, r)
+                    for w, r in on_line)
+        assert apart >= len(on_line) // 10
