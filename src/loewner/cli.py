@@ -8,7 +8,6 @@ files.  Exit codes: 0 success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import re
@@ -40,13 +39,16 @@ from .measures import from_dict as measure_from_dict, from_spec as measure_from_
 from .transforms import as_cauchy, cauchy, invert_stieltjes
 
 
+_FLOAT = "%.17g"  # 17 significant digits: each float reads back to its own bits
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % x
 
 
 def _write_csv(path: str, header, rows):
     """Rows are tuples of numbers, each printed as ``_fmt`` prints it (a bool as 1 or 0)."""
-    row = ",".join(["%.17g"] * len(header))
+    row = ",".join([_FLOAT] * len(header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([",".join(header), *(row % r for r in rows)]) + "\n")
 
@@ -250,7 +252,6 @@ def _cmd_selftest(args) -> int:
     return acceptance.run_and_print(args.criteria or None)
 
 
-@functools.cache  # built on the first run, not at import; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loewner",

@@ -64,7 +64,8 @@ from .errors import (
     ValidationError,
 )
 from .measures import Dirac, _field, from_dict as measure_from_dict
-from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt, illinois
+from .transforms import (as_points, cauchy as measure_cauchy, halfplane_root, halfplane_sqrt,
+                         illinois)
 
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
@@ -187,14 +188,8 @@ class SemicircleFamily:
         if not isinstance(t, np.ndarray):
             if t <= 0.0:
                 return 1.0 / z
-            # halfplane_sqrt(z, r) inlined: this is the scalar kernel's right-hand side.
-            # cmath's roots are numpy's bits at under half the cost, except on the line
-            # Re z = +-r, which halfplane_sqrt routes through numpy
-            r = 2.0 * math.sqrt(t)
-            w = complex(z)
-            if abs(w.real) == r:
-                return 2.0 / (z + halfplane_sqrt(w, r))
-            return 2.0 / (z + cmath.sqrt(w - r) * cmath.sqrt(w + r))
+            # the scalar kernel's right-hand side: halfplane_root skips halfplane_sqrt's array check
+            return 2.0 / (z + halfplane_root(complex(z), 2.0 * math.sqrt(t)))
         radius = 2.0 * np.sqrt(np.maximum(t, 0.0))
         return np.where(t <= 0.0, 1.0 / z, 2.0 / (z + halfplane_sqrt(z, radius)))
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import loewner
-from loewner.cli import _fmt, _write_csv, build_parser, run
+from loewner.cli import _fmt, _write_csv, run
 from loewner.evolution import sle_driving
 from loewner.flows import AtomPath, SemicircleFamily, flow_forward
 
@@ -564,51 +564,6 @@ class TestNegativeCounts:
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
-
-
-class TestOneParser:
-    """``run`` parses every invocation with one parser; nothing of a run stays in it."""
-
-    FAMILY = ["family", "--driver", "const:0", "--semantics", "free", "--t", "1"]
-    SLE = ["sle", "--kappa", "2", "--T", "0.25", "--seed", "7"]
-
-    def test_built_once(self):
-        assert build_parser() is build_parser()
-
-    def test_appended_points_do_not_carry_over(self, tmp_path):
-        out = tmp_path / "fam.csv"
-        assert run(self.FAMILY + ["--z", "0.5i", "--z", "1i", "--out", str(out)]) == 0
-        assert len(read_rows(out)[1]) == 2
-        assert run(self.FAMILY + ["--z", "2i", "--out", str(out)]) == 0
-        _, rows = read_rows(out)
-        assert len(rows) == 1 and float(rows[0][3]) == 2.0
-
-    def test_probe_does_not_carry_over(self, tmp_path, capsys):
-        assert run(["convolve", "--expr", "mono(arcsine:1, arcsine:1)", "--probe", "2i"]) == 0
-        assert capsys.readouterr().out.startswith("f ")
-        out = tmp_path / "dens.csv"
-        assert run(["convolve", "--expr", "free(sc:0.5, sc:0.5)", "--grid=-2.2:2.2:101",
-                    "--eps", "1e-3", "--out", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert read_rows(out)[0] == ["x", "density"]
-
-    @pytest.mark.parametrize("bad", [["--bogus"], ["--kappa", "two"], ["--T"]],
-                             ids=["unknown-flag", "bad-value", "missing-value"])
-    def test_a_failed_parse_leaves_nothing(self, tmp_path, capsys, bad):
-        after, alone = tmp_path / "after.csv", tmp_path / "alone.csv"
-        assert run(self.SLE + bad + ["--out", str(after)]) == 2
-        assert run(self.SLE + ["--out", str(after)]) == 0
-        build_parser.cache_clear()
-        assert run(self.SLE + ["--out", str(alone)]) == 0
-        assert after.read_bytes() == alone.read_bytes()
-
-    def test_import_builds_no_parser(self):
-        src = str(Path(loewner.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import loewner.cli as cli; print(cli.build_parser.cache_info().currsize)"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "0"
 
 
 class TestRowFormat:

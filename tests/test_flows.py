@@ -1544,8 +1544,9 @@ class TestFarStarts:
 class TestScalarRoots:
     """The scalar semicircle right-hand side and ``halfplane_sqrt`` take ``cmath`` roots.
     Their bits are those of the numpy expression they replaced: checked here, not assumed.
-    A tenth of the points lie on the line ``Re w = +-r``, where a root's real part is 0
-    and the two libraries round its imaginary part apart; there the numpy route stays."""
+    A tenth of the points lie on the line ``Re w = +-r`` and a tenth far out (``|Re z|`` up
+    to 1e300, ``Im z`` from 1e-300 to 1e300), where ``halfplane_root`` takes numpy's route
+    in part; the rest have ``|Re z| <= 7`` and ``Im z`` in 1e-7..3."""
 
     N = 10_000
 
@@ -1563,9 +1564,12 @@ class TestScalarRoots:
         r = 2.0 * np.sqrt(t)
         c = np.zeros(self.N) if centered else rng.uniform(-2.0, 2.0, self.N)
         x = c + rng.uniform(-5.0, 5.0, self.N)
-        edge = self.N // 10  # on the line: Re(z) - c is +-r
-        x[:edge] = c[:edge] + rng.choice([-1.0, 1.0], edge) * r[:edge]
         y = 10.0 ** rng.uniform(-7.0, math.log10(3.0), self.N)
+        n = self.N // 10
+        edge, far = slice(0, n), slice(n, 2 * n)
+        x[edge] = c[edge] + rng.choice([-1.0, 1.0], n) * r[edge]  # Re(z) - c is +-r
+        x[far] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(0.0, 300.0, n)
+        y[far] = 10.0 ** rng.uniform(-300.0, 300.0, n)
         return t.tolist(), r.tolist(), c.tolist(), [complex(a, b) for a, b in zip(x, y)]
 
     def test_semicircle_cauchy_keeps_the_numpy_bits(self):
@@ -1582,10 +1586,7 @@ class TestScalarRoots:
         assert all(type(g) is complex for g in got)
         assert np.array_equal(self.bits(got), self.bits(want))
 
-    def test_the_line_is_where_the_roots_part(self):
+    def test_the_sample_reaches_both_numpy_routes(self):
         _, rs, cs, zs = self.sample(centered=False)
-        on_line = [(z - c, r) for r, c, z in zip(rs, cs, zs) if abs((z - c).real) == r]
-        assert len(on_line) >= self.N // 20
-        apart = sum(cmath.sqrt(w - r) * cmath.sqrt(w + r) != self.numpy_root(w, r)
-                    for w, r in on_line)
-        assert apart >= len(on_line) // 10
+        assert sum(abs((z - c).real) == r for r, c, z in zip(rs, cs, zs)) >= self.N // 20
+        assert sum(z.imag < 1e-150 for z in zs) >= self.N // 50
