@@ -13,8 +13,8 @@ from loewner import AtomPath, sle_driving, trace, welding
 print("Trace of the vertical slit (zero driver): gamma(t) = i sqrt(2t)")
 d = AtomPath([0.0, 1.0], [0.0, 0.0])
 tr = trace(d, [0.0, 0.25, 0.5, 1.0])
-for t, p, e in zip(tr.times, tr.points, tr.err_est):
-    print(f"  t={t:5.2f}: tip {p:.8f}  (closed {1j * np.sqrt(2 * t):.8f}, err_est {e:.1e})")
+for t, p in zip(tr.times, tr.points):
+    print(f"  t={t:5.2f}: tip {p:.8f}  (closed {1j * np.sqrt(2 * t):.8f})")
 
 print()
 print("Trace of a seeded Brownian driver (kappa = 2):")

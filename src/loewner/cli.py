@@ -27,7 +27,6 @@ from .evolution import (
     sle_driving,
 )
 from .flows import (
-    DEFAULT_TOL,
     AtomPath,
     SemicircleFamily,
     driving_from_dict,
@@ -83,12 +82,6 @@ def _time(value: float, flag: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise ValidationError(f"{flag} must be finite and nonnegative, got {value}")
     return value
-
-
-def _tol(args) -> float:
-    if not 0 < args.tol <= 1e-4:
-        raise ValidationError(f"--tol: expected a number in (0, 1e-4], got {args.tol!r}")
-    return args.tol
 
 
 def _json_spec(spec: str):
@@ -148,17 +141,16 @@ def _materialize(g, args) -> int:
 # subcommands
 
 def _cmd_flow(args) -> int:
-    tol = _tol(args)
     big_t = _time(args.T, "--T")
     d = _driver(args, big_t)
     z = _parse_complex(args.z)
     rows = []
     for t in np.linspace(0.0, big_t, _steps(args) + 1):
-        fp = flow_forward(d, z, float(t), tol)
-        rows.append((t, fp.value.real, fp.value.imag, fp.alive, fp.lifetime, fp.err_est))
+        fp = flow_forward(d, z, float(t))
+        rows.append((t, fp.value.real, fp.value.imag, fp.alive, fp.lifetime))
         if not fp.alive:
             break
-    _write_csv(args.out, ("t", "re", "im", "alive", "lifetime", "err_est"), rows)
+    _write_csv(args.out, ("t", "re", "im", "alive", "lifetime"), rows)
     return 0
 
 
@@ -167,8 +159,8 @@ def _cmd_trace(args) -> int:
     d = _driver(args, big_t)
     times = np.linspace(0.0, big_t, _steps(args) + 1)
     result = trace(d, [float(t) for t in times])
-    rows = [(t, p.real, p.imag, e) for t, p, e in zip(result.times, result.points, result.err_est)]
-    _write_csv(args.out, ("t", "re", "im", "err_est"), rows)
+    rows = [(t, p.real, p.imag) for t, p in zip(result.times, result.points)]
+    _write_csv(args.out, ("t", "re", "im"), rows)
     return 0
 
 
@@ -202,14 +194,13 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    tol = _tol(args)
     s, t = _time(args.s, "--s"), _time(args.t, "--t")
     if s > t:
         raise ValidationError(f"--s must not exceed --t, got --s {s} and --t {t}")
     d = _driver(args, t)
     maker = {"monotone": monotone_family, "anti-monotone": anti_monotone_family,
              "free": free_family}[args.semantics]
-    fam = maker(d, tol)
+    fam = maker(d)
     rows = []
     for ztext in args.z:
         z = _parse_complex(ztext)
@@ -226,7 +217,6 @@ def _cmd_sle(args) -> int:
 
 
 def _cmd_burgers(args) -> int:
-    tol = _tol(args)
     ts = [_time(float(t), "--t") for t in _parse_grid(args.t)]
     if not (math.isfinite(args.im) and args.im > 0):
         raise ValidationError(f"--im must be finite and positive, got {args.im}")
@@ -240,7 +230,7 @@ def _cmd_burgers(args) -> int:
     worst = 0.0
     for t in ts:
         for z in zs:
-            r = burgers_residual(d, [t], [z], step=args.step, tol=tol)
+            r = burgers_residual(d, [t], [z], step=args.step)
             worst = max(worst, r)
             rows.append((t, z.real, z.imag, r))
     _write_csv(args.out, ("t", "re", "im", "residual"), rows)
@@ -259,11 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=True, seed=True):
-        if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                           help="integrator error target (default %(default)g); "
-                           "point-mass pieces map exactly, so it reaches only the other pieces")
+    def common(p, seed=True):
         if seed:
             p.add_argument("--seed", type=int, default=0,
                            help="seed for sampled drivers (default %(default)s)")
@@ -281,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--driver", help="driver spec (atom path)")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
-    common(p, tol=False)
+    common(p)
     p.set_defaults(handler=_cmd_trace)
 
     p = sub.add_parser("welding", help="conformal welding of the hull at time T")
     p.add_argument("--driver", help="driver spec (atom path)")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--pairs", type=int, default=50)
-    common(p, tol=False)
+    common(p)
     p.set_defaults(handler=_cmd_welding)
 
     p = sub.add_parser("convolve", help="evaluate or materialize a convolution expression")
@@ -307,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="a:b:n inversion grid")
     p.add_argument("--eps", type=float, default=1e-4, help="inversion offset (default %(default)g)")
     p.add_argument("--atoms-out")
-    common(p, tol=False, seed=False)
+    common(p, seed=False)
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("family", help="evaluate an evolution family at probe points")
@@ -324,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--dt", type=float, default=1.0 / 64.0)
     p.add_argument("--T", type=float, default=1.0)
-    common(p, tol=False)
+    common(p)
     p.set_defaults(handler=_cmd_sle)
 
     p = sub.add_parser("burgers", help="inviscid-Burgers residual of 1/f_t on a grid")

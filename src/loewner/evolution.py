@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .flows import (
-    DEFAULT_TOL,
     AtomPath,
     Driving,
     flow_reverse,
@@ -53,26 +52,24 @@ class EvolutionFamily:
     monotone and anti-monotone semantics and the R-transform value
     ``R_{s,t}(z)`` for the free semantics.  Every family here is normal: the
     represented measure ``sigma_{s,t}`` has mean 0 and variance ``t - s``.
-    ``tol`` governs only the reverse flows over pieces that are not point masses:
-    point-mass pieces (every piece of an ``AtomPath``, Dirac pieces of a
-    ``MeasurePath``) map exactly, and the free values are exact.
+    Every value is exact up to rounding: the reverse flows map each driver piece
+    exactly, and the free values integrate each piece's transform in closed form.
     """
 
-    def __init__(self, semantics: str, driving: Driving, tol: float = DEFAULT_TOL):
+    def __init__(self, semantics: str, driving: Driving):
         if semantics not in _SEMANTICS:
             raise ValidationError(f"unknown semantics {semantics!r}")
         self.semantics = semantics
         self.driving = driving
-        self.tol = tol
 
     def eval(self, s: float, t: float, z):
-        """Value at ``z``, a complex scalar or ndarray (the reverse flows run
-        all points of an array together through the lane kernel)."""
+        """Value at ``z``, a complex scalar or ndarray (the reverse flows map
+        all points of an array together, as lanes)."""
         if self.semantics == MONOTONE:
-            return flow_reverse(self.driving, s, t, z, self.tol)
+            return flow_reverse(self.driving, s, t, z)
         if self.semantics == ANTI_MONOTONE:
-            return flow_reverse_anti(self.driving, s, t, z, self.tol)
-        _check(self.driving, s, t, what="free evolution", tol=self.tol)
+            return flow_reverse_anti(self.driving, s, t, z)
+        _check(self.driving, s, t, what="free evolution")
         z = as_points(z)
         with np.errstate(all="ignore"):  # an array warns where 1/z over- or underflows
             d, w = self.driving, (1.0 / z if np.all(np.isfinite(z) & (z != 0)) else np.nan)
@@ -102,19 +99,19 @@ class EvolutionFamily:
         return invert_stieltjes(self.cauchy_map(s, t), grid, eps)
 
 
-def monotone_family(d: Driving, tol: float = DEFAULT_TOL) -> EvolutionFamily:
+def monotone_family(d: Driving) -> EvolutionFamily:
     """Normal monotone evolution family of the reverse Loewner flow."""
-    return EvolutionFamily(MONOTONE, d, tol)
+    return EvolutionFamily(MONOTONE, d)
 
 
-def anti_monotone_family(d: Driving, tol: float = DEFAULT_TOL) -> EvolutionFamily:
+def anti_monotone_family(d: Driving) -> EvolutionFamily:
     """Normal anti-monotone evolution family (reversed composition order)."""
-    return EvolutionFamily(ANTI_MONOTONE, d, tol)
+    return EvolutionFamily(ANTI_MONOTONE, d)
 
 
-def free_family(d: Driving, tol: float = DEFAULT_TOL) -> EvolutionFamily:
+def free_family(d: Driving) -> EvolutionFamily:
     """Normal free evolution family with additive R-transforms."""
-    return EvolutionFamily(FREE, d, tol)
+    return EvolutionFamily(FREE, d)
 
 
 def sle_driving(kappa: float, dt: float, horizon: float, seed: int) -> AtomPath:
@@ -197,8 +194,7 @@ def burgers_residual_of(big_g, ts, zs, step: float = 1e-3) -> float:
     return worst
 
 
-def burgers_residual(d: Driving, ts, zs, step: float = 1e-3,
-                     tol: float = DEFAULT_TOL) -> float:
+def burgers_residual(d: Driving, ts, zs, step: float = 1e-3) -> float:
     """Burgers residual of ``G_t = 1/f_t`` computed through the inverse map.
 
     Vanishes (to discretization error) exactly when the driving is the
@@ -206,6 +202,6 @@ def burgers_residual(d: Driving, ts, zs, step: float = 1e-3,
     """
 
     def big_g(t: float, z: complex) -> complex:
-        return 1.0 / inverse_map(d, t, z, tol)  # f_0 is the identity, exactly
+        return 1.0 / inverse_map(d, t, z)  # f_0 is the identity, exactly
 
     return burgers_residual_of(big_g, ts, zs, step)

@@ -1,16 +1,15 @@
-"""Caratheodory ODE solvers for the chordal Loewner equations.
+"""Exact maps for the chordal Loewner equations.
 
-Three flows, integrated by one adaptive Dormand-Prince 4(5) kernel where a driver
-piece has no exact map:
+Three flows, each solved piece by piece through an exact map of every driver piece:
 
 * forward   ``dg/dt = +G_{nu_t}(g)``   (hull-growing; points can be swallowed)
 * reverse   ``dphi/dt = -G_{nu_t}(phi)``  started at ``phi_{s,s} = z``
-* anti      ``dphi/ds = +G_{nu_s}(phi)``  integrated down from ``phi_{t,t} = z``
+* anti      ``dphi/ds = +G_{nu_s}(phi)``  solved down from ``phi_{t,t} = z``
 
 plus the inverse of the forward map, slit traces and the conformal welding of
 a slit.  Driving families are piecewise structured (piecewise-linear point
-trajectories or piecewise-constant measures) and the integrator never steps
-across a structural breakpoint.
+trajectories or piecewise-constant measures), and no map crosses a structural
+breakpoint.
 
 Piece contract: every driver has ``knots``, its breakpoints from 0, and one entry of
 ``_lines`` per knot.  Piece ``j`` runs from ``knots[j]`` to the next knot (the last one on
@@ -18,31 +17,26 @@ past the horizon), and its line is ``(t_j, u_j, slope)`` for a point mass at
 ``U(t) = u_j + slope (t - t_j)``, else ``None``; an ``AtomPath``'s entry past its last knot
 is anchored at that knot, so ``u(t)``, which reads the lines too, gives ``U(T)`` exactly, and
 its ``_pieces`` tables each whole piece's map constants.  :func:`_segments` walks the pieces
-of a window; the exact maps read only these tables, and only an integrated piece builds
-``piece(j)``, its Cauchy transform ``(t, z) -> G_{nu_t}(z)`` continued past both ends (on
-scalars, or ndarrays of one shape).  ``integral(lo, hi, w)`` is the exact
-``int_lo^hi G_{nu_tau}(w) dtau`` on the piece holding ``[lo, hi]`` (the free R-transform).
+of a window.  ``integral(lo, hi, w)`` is the exact ``int_lo^hi G_{nu_tau}(w) dtau`` on the
+piece holding ``[lo, hi]`` (the free R-transform).
 
-Point-mass pieces map exactly in both time directions, so no solve over them integrates.
-A resting piece (``nu = delta_u``) is the arcsine semigroup, ``z -> u + sqrt((z - u)**2 -+
-2 dt)`` reverse and forward (Kager, Nienhuis & Kadanoff 2004).  On a sloped piece, in
+Every named law has a conserved quantity along the flow (Bauer's reading of the equation
+as a monotone evolution, MR2053711), so every piece is an exact map in both time directions.
+A resting point mass (``nu = delta_u``) is the arcsine semigroup, ``z -> u + sqrt((z - u)**2
+-+ 2 dt)`` reverse and forward (Kager, Nienhuis & Kadanoff 2004).  On a sloped one, in
 ``x = (y - U) U'``, ``log1p(x) - x`` moves linearly in time, and the Wright omega function
 inverts it (one Fritsch-Shafer-Crowley step, then one Newton step in ``x``); so a forward
 crossing of ``Im g = EPS_SWALLOW`` (swallowing) is closed-form too, and the trace tip is the
-anti-monotone map of the boundary point ``U(t)``.  In
-``q = (g - U)**2``, ``dq/dt = 2 - 2 U' sqrt(q)`` is regular on the driver (Kennedy 2007):
-welding shots ``s = sqrt(q)``, which start there, are real and map exactly on every piece.
-Over an integrated piece a forward flow finishes its crossing with ``Im g`` as the
-independent variable (Henon 1982), so a swallowed value lies on that line too.
+anti-monotone map of the boundary point ``U(t)``.  In ``q = (g - U)**2``, ``dq/dt = 2 - 2 U'
+sqrt(q)`` is regular on the driver (Kennedy 2007): welding shots ``s = sqrt(q)``, which start
+there, are real and map exactly on every piece.  A semicircle piece is a sloped point mass in
+``F_mu(phi)**2``, an arcsine piece the hyperbolic Kepler equation (:func:`_law_piece`), and
+the semicircle family Joukowski's map and a quartic root (:func:`_family_piece`).  A
+``MeasurePath`` piece of any other law (``Empirical``) has no exact map and is refused.
 
-Two kernels.  :func:`_integrate` steps one complex scalar: forward and reverse flows over
-pieces with no point mass (measures other than Dirac, and :class:`SemicircleFamily`).
-:func:`_integrate_lanes` is its lane-wise transcription for the reverse flows: an ndarray of
-starts advances together, each lane with its own ``t``, ``h`` and status.  On one lane
-numpy's overhead swamps array code, so a scalar start keeps the scalar kernel, and the exact
-maps have a scalar (cmath) route too: ``flow_reverse(SemicircleFamily(), 0, 1, 2j)`` took
-0.87 ms as one lane against 0.070 ms scalar, 12x (best of 5 x 200 calls; 2-core Xeon
-x86_64, Python 3.11, numpy 2.4).
+The point-mass maps and the family's closed forms have a scalar (cmath) route beside the
+lane route, since callers often map one point at a time; the semicircle, arcsine and
+quartic maps run a scalar as one lane.
 """
 
 from __future__ import annotations
@@ -63,15 +57,12 @@ from .errors import (
     TraceUnresolvedError,
     ValidationError,
 )
-from .measures import Dirac, _field, from_dict as measure_from_dict
+from .measures import Arcsine, Dirac, Semicircle, _field, from_dict as measure_from_dict
 from .transforms import (as_points, cauchy as measure_cauchy, halfplane_root, halfplane_sqrt,
                          illinois)
 
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
-
-#: default per-step integration error target
-DEFAULT_TOL = 1e-10
 
 #: boundary offsets whose contraction checks a trace tip after a short driver piece
 TRACE_DELTAS = (1e-3, 5e-4, 2.5e-4)
@@ -150,6 +141,10 @@ class MeasurePath:
             raise ValidationError("breakpoints must be finite and increase strictly from 0")
         if len(bps) != len(ms):
             raise ValidationError("need exactly one measure per breakpoint")
+        for k, m in enumerate(ms):
+            if not isinstance(m, (Dirac, Semicircle, Arcsine)):
+                raise ValidationError(f"measures[{k}]: a driver piece must be a Dirac, "
+                                      f"semicircle or arcsine law, not {type(m).__name__}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "measures", ms)
         object.__setattr__(self, "knots", bps)
@@ -163,11 +158,6 @@ class MeasurePath:
 
     def cauchy(self, t: float, z: complex) -> complex:
         return self._maps[_piece_at(self, t)](z)
-
-    def piece(self, j: int):
-        """Fixed transform ``(t, z) -> G_j(z)`` of piece ``j``."""
-        fn = self._maps[j].fn
-        return lambda t, z: fn(z)
 
     def integral(self, lo: float, hi: float, w):
         return (hi - lo) * self._maps[_piece_at(self, 0.5 * (lo + hi))].fn(w)
@@ -188,13 +178,10 @@ class SemicircleFamily:
         if not isinstance(t, np.ndarray):
             if t <= 0.0:
                 return 1.0 / z
-            # the scalar kernel's right-hand side: halfplane_root skips halfplane_sqrt's array check
+            # halfplane_root skips halfplane_sqrt's array check
             return 2.0 / (z + halfplane_root(complex(z), 2.0 * math.sqrt(t)))
         radius = 2.0 * np.sqrt(np.maximum(t, 0.0))
         return np.where(t <= 0.0, 1.0 / z, 2.0 / (z + halfplane_sqrt(z, radius)))
-
-    def piece(self, j: int):
-        return self.cauchy
 
     def integral(self, lo: float, hi: float, w):
         """Closed form: ``w log(w + S) - S`` is an antiderivative, ``S_tau = sqrt(w**2 - 4 tau)``.
@@ -203,9 +190,8 @@ class SemicircleFamily:
         s_lo, s_hi = (halfplane_sqrt(w, 2.0 * math.sqrt(t)) for t in (lo, hi))
         d = -4.0 * (hi - lo) / (s_hi + s_lo)
         x = d / (w + s_lo)
-        u = 1.0 + x
-        with np.errstate(invalid="ignore"):  # Kahan's log1p; numpy's loses digits at small x
-            out = w * np.where(u == 1.0, x, np.log(u) * x / (u - 1.0)) - d
+        with np.errstate(invalid="ignore"):
+            out = w * _log1p(x) - d
         return out if isinstance(out, np.ndarray) and out.ndim else complex(out)
 
 
@@ -267,140 +253,6 @@ def driving_from_dict(obj: dict) -> Driving:
     if kind == "semicircle-family":
         return SemicircleFamily()
     raise ValidationError(f"driver.kind: unknown driving kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 4(5) for a scalar complex ODE
-
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_E = (  # b5 - b4, applied to the seven stages for the embedded error
-    35 / 384 - 5179 / 57600,
-    0.0,
-    500 / 1113 - 7571 / 16695,
-    125 / 192 - 393 / 640,
-    -2187 / 6784 + 92097 / 339200,
-    11 / 84 - 187 / 2100,
-    -1 / 40,
-)
-
-
-def _dp_step(rhs, t, y, h, k1):
-    """One Dormand-Prince step of width ``h`` from ``(t, y)`` with first stage ``k1``, for a
-    scalar or for lane arrays: the fifth-order state ``y5``, its stage ``k7 = rhs(t + h, y5)``
-    (the next step's ``k1``) and the embedded error norm."""
-    k2 = rhs(t + _C[0] * h, y + h * (_A[0][0] * k1))
-    k3 = rhs(t + _C[1] * h, y + h * (_A[1][0] * k1 + _A[1][1] * k2))
-    k4 = rhs(t + _C[2] * h, y + h * (_A[2][0] * k1 + _A[2][1] * k2 + _A[2][2] * k3))
-    k5 = rhs(t + _C[3] * h, y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3
-                                     + _A[3][3] * k4))
-    k6 = rhs(t + _C[4] * h, y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3
-                                     + _A[4][3] * k4 + _A[4][4] * k5))
-    y5 = y + h * (_A[5][0] * k1 + _A[5][2] * k3 + _A[5][3] * k4 + _A[5][4] * k5
-                  + _A[5][5] * k6)
-    k7 = rhs(t + h, y5)
-    err = abs(h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5 + _E[5] * k6
-                   + _E[6] * k7))
-    return y5, k7, err
-
-
-def _integrate(rhs, t0: float, t1: float, y0: complex, tol: float, event=None):
-    """Integrate ``dy/dt = rhs(t, y)`` over ``[t0, t1]``.
-
-    ``event(t, y)`` must stay nonnegative along the solution; an accepted step
-    that would land with ``event < 0`` stops integration at the step start.
-
-    Returns ``(status, t, y, err_acc)`` with status ``"done"``, ``"event"`` or
-    ``"stall"``.
-    """
-    span = t1 - t0
-    if span <= 0:
-        return "done", t0, y0, 0.0
-    t, y = t0, complex(y0)
-    k1 = rhs(t, y)
-    h = min(span, 1e-2 * max(1.0, abs(y)) / max(abs(k1), 1e-12), 1.0)
-    err_acc = 0.0
-    while t < t1:
-        floor = 1e-14 * max(1.0, abs(t)) + 1e-300
-        if t1 - t < floor:  # round-off remainder of the span, not a stall
-            break
-        h = min(h, t1 - t)
-        if h < floor:
-            return "stall", t, y, err_acc
-        y5, k7, err = _dp_step(rhs, t, y, h, k1)
-        scale = tol * max(1.0, abs(y), abs(y5))
-        if not math.isfinite(err) or not math.isfinite(abs(y5)):
-            h *= 0.25
-            continue
-        if err <= scale:
-            if event is not None and event(t + h, y5) < 0.0:
-                return "event", t, y, err_acc
-            t += h
-            y = y5
-            k1 = k7
-            err_acc += err
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
-        h *= factor
-    return "done", t, y, err_acc
-
-
-def _integrate_lanes(rhs, t0: float, t1: float, y0, tol: float):
-    """Lane-wise :func:`_integrate` over ``[t0, t1]`` for an ndarray of starts ``y0``.
-
-    Each lane keeps its own ``t``, ``h`` and status, and runs the same
-    tableau, error norm, step-size rule and round-off/stall logic as the
-    scalar kernel, so a lane takes the same accepted and rejected steps as a
-    scalar solve from its start.  ``rhs(t, y)`` receives the running lanes'
-    times and states as arrays.  There are no events.
-
-    Returns ``(done, y)``, arrays shaped like ``y0``; ``done`` is False on
-    lanes that stalled, which keep the state they stalled at.
-    """
-    y = np.array(y0, dtype=complex)
-    shape = y.shape
-    y = y.ravel()
-    done = np.ones(y.size, dtype=bool)
-    span = t1 - t0
-    if span <= 0 or y.size == 0:
-        return done.reshape(shape), y.reshape(shape)
-    # the running lanes, compacted: index, time, state, step, first stage
-    lane, tl, yl = np.arange(y.size), np.full(y.size, float(t0)), y.copy()
-    k1 = rhs(tl, yl)
-    h = np.minimum(np.minimum(span, 1e-2 * np.maximum(1.0, np.abs(yl))
-                              / np.maximum(np.abs(k1), 1e-12)), 1.0)
-    with np.errstate(all="ignore"):
-        while lane.size:
-            floor = 1e-14 * np.maximum(1.0, np.abs(tl)) + 1e-300
-            rest = t1 - tl
-            finished = rest < floor  # round-off remainder of the span, not a stall
-            h = np.minimum(h, rest)
-            stalled = ~finished & (h < floor)
-            stop = finished | stalled
-            if stop.any():
-                y[lane[stop]] = yl[stop]
-                done[lane[stalled]] = False
-                run = ~stop
-                lane, tl, yl, h, k1 = lane[run], tl[run], yl[run], h[run], k1[run]
-                if not lane.size:
-                    break
-            y5, k7, err = _dp_step(rhs, tl, yl, h, k1)
-            scale = tol * np.maximum(np.maximum(1.0, np.abs(yl)), np.abs(y5))
-            bad = ~(np.isfinite(err) & np.isfinite(np.abs(y5)))
-            accept = ~bad & (err <= scale)
-            tl = np.where(accept, tl + h, tl)
-            yl = np.where(accept, y5, yl)
-            k1 = np.where(accept, k7, k1)
-            factor = np.where(err == 0.0, 5.0,
-                              np.minimum(5.0, np.maximum(0.2, 0.9 * (scale / err) ** 0.2)))
-            h = h * np.where(bad, 0.25, factor)
-    return done.reshape(shape), y.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +515,126 @@ def _crossing(w: complex, slope: float, span: float):
 
 
 # ---------------------------------------------------------------------------
+# exact maps of semicircle and arcsine pieces, and of the semicircle family
+
+#: 1/(2n + 3)! for n = 8 down to 0: ``sinh u - u = u**3 sum_n u**(2n)/(2n + 3)!``, to within
+#: 2**-56 of itself for |u| < 1
+_SINH_TAIL = tuple(1.0 / math.factorial(2 * n + 3) for n in range(8, -1, -1))
+
+#: Newton steps an arcsine piece's map may take; the fuzz tests' cases take at most 5
+_KEPLER_MAX_ITER = 50
+
+
+def _log1p(x):
+    """``log(1 + x)`` for complex lanes, Kahan's way: numpy's ``log1p`` loses digits at small x."""
+    p = 1.0 + x
+    return np.where(p == 1.0, x, np.log(p) * x / (p - 1.0))
+
+
+def _sinh_tail(u):
+    """``sinh u - u`` for lanes, by its series where the difference would cancel (|u| < 1)."""
+    return np.where(np.abs(u) < 1.0, u * u * u * _horner(_SINH_TAIL, u * u), np.sinh(u) - u)
+
+
+def _log_up(q):
+    """``log q`` with its imaginary part in ``[-pi/2, 3 pi/2)``, for lanes."""
+    return np.log(q) + np.where((q.real < 0.0) & (q.imag < 0.0), 2j * math.pi, 0.0)
+
+
+def _kepler(w, s, r: float, span: float):
+    """Exact reverse map over ``span`` of a centred arcsine piece of radius ``r``, for flat
+    lanes ``w`` with ``Re w >= 0`` and ``s = sqrt(w**2 - r**2)``.  ``int s dw`` (``s = 1/G``)
+    falls by the span; in ``u = 2 acosh(w/r)`` it is ``r**2 (sinh u - u)/4``, the hyperbolic
+    Kepler equation.  Newton in ``u`` starts from the lane's own ``u``, the edge series
+    ``v - v**3/60``, ``v = (6 k)**(1/3)``, or three far-field steps of ``u = log(2 (k + u))``,
+    whichever has the smallest residual, and stops once a step moves ``u`` by at most
+    ``2**-40 min(1, |u|)``.  Past a crossing (a negative span) the map runs on below the axis."""
+    u = 2.0 * _log1p((w - r + s) / r)  # acosh(w/r) = log((w + s)/r), exact near the edge w = r
+    k = _sinh_tail(u) - 4.0 * span / (r * r)
+    ang = np.angle(k)
+    v = np.cbrt(6.0 * np.abs(k)) * np.exp(1j / 3.0 * np.where(ang < -0.25 * math.pi,
+                                                              ang + 2.0 * math.pi, ang))
+    far = _log_up(2.0 * k)
+    for _ in range(3):
+        far = _log_up(2.0 * (k + far))
+    starts = np.stack([u, v * (1.0 - v * v / 60.0), far])
+    res = np.abs(_sinh_tail(starts) - k)
+    u = starts[np.argmin(np.where(np.isnan(res), np.inf, res), axis=0), np.arange(u.size)]
+    live = np.arange(u.size)
+    for _ in range(_KEPLER_MAX_ITER):
+        ul = u[live]
+        step = (_sinh_tail(ul) - k[live]) / (2.0 * np.sinh(0.5 * ul) ** 2)
+        u[live] = ul - step
+        live = live[np.abs(step) > 2.0 ** -40 * np.minimum(1.0, np.abs(ul))]
+        if not live.size:
+            return r + 2.0 * r * np.sinh(0.25 * u) ** 2  # r cosh(u/2), exact near the edge
+    raise NumericError(f"arcsine piece: Newton did not settle from w = {complex(w[live[0]])}")
+
+
+def _law_piece(y, m, span: float):
+    """Exact reverse map over ``span`` (forward over ``-span``) of a ``Semicircle`` or ``Arcsine``
+    piece ``m``, for lanes; a complex scalar runs as one lane.  The law is symmetric, so
+    ``w = y - c`` is reflected to ``Re w >= 0`` and back.  Semicircle of variance ``v``:
+    ``x = F(y)**2/v - 1 = F s/v`` moves as a point mass of slope ``a = sqrt(2/v)``
+    (:func:`_sloped_lanes` on ``x/a``), and ``w_1 = zeta + v/zeta``, ``zeta = sqrt(v (1 + x_1))``
+    with ``Im zeta >= 0`` (on the axis ``Re w = 0`` ``x`` stays real, and a signed zero would
+    pick the other root).  Arcsine: :func:`_kepler`."""
+    if not isinstance(y, np.ndarray):
+        return complex(_law_piece(np.array([y]), m, span)[0])
+    w = y.ravel() - m.center
+    flip = w.real < 0.0
+    w = np.where(flip, -w.conjugate(), w)
+    s = halfplane_sqrt(w, m.radius)
+    with np.errstate(all="ignore"):  # a forward map past its crossing may leave the numbers
+        if isinstance(m, Semicircle):
+            v, a = m.var, math.sqrt(2.0 / m.var)
+            p = 1.0 + a * _sloped_lanes(0.5 * (w + s) * s / (v * a), _piece(0.0, 0.0, a, span))
+            zeta = np.sqrt(v * (p.real + 1j * np.abs(p.imag)))
+            w = zeta + v / zeta
+        else:
+            w = _kepler(w, s, m.radius, span)
+    return (m.center + np.where(flip, -w.conjugate(), w)).reshape(y.shape)
+
+
+def _law_forward(y: complex, m, span: float) -> complex | None:
+    """The forward map of a law piece over ``span``, or ``None`` where it fails or leaves the
+    finite numbers, as the map continued past a crossing may."""
+    try:
+        g = _law_piece(y, m, -span)
+    except NumericError:
+        return None
+    return g if cmath.isfinite(g) else None
+
+
+def _family_piece(y, lo: float, hi: float, c: float | None):
+    """Exact reverse map of the semicircle family over driver times ``lo`` to ``hi`` (with
+    ``c``: ``c - lo`` down to ``c - hi``), scalar or lanes.  ``g_t(z) = z + t/z`` maps forward
+    from 0 and ``f_t = F_{sigma_t}`` inverts it, so the anti-monotone map is ``g_{c - hi} o
+    f_{c - lo}``.  The monotone flow keeps ``(zeta**2 + 3 tau)/sqrt(zeta)``, ``zeta =
+    F_{sigma_tau}(phi)``, so ``sigma = sqrt(zeta_hi)`` is a root of ``sigma**4 - M sigma + 3 hi``;
+    ``(E**2 + 3)/sqrt(E)`` is univalent on ``{Im E > 0, |E| > 1}`` (its boundary runs once
+    round the rays to 4 and ``-4i`` and the astroid between), so one root has ``0 < arg sigma <
+    pi/2`` and ``|sigma|**4 > hi``.  Of the batched companion eigenvalues the one deepest in
+    that region is taken and polished by one Newton step."""
+    if c is not None:
+        zeta = 0.5 * (y + halfplane_sqrt(y, 2.0 * math.sqrt(c - lo)))
+        return zeta + (c - hi) / zeta
+    if not isinstance(y, np.ndarray):
+        return complex(_family_piece(np.array([y]), lo, hi, c)[0])
+    sig = np.sqrt(0.5 * (y + halfplane_sqrt(y, 2.0 * math.sqrt(lo))))
+    m = sig ** 3 + 3.0 * lo / sig
+    comp = np.zeros(y.shape + (4, 4), dtype=complex)
+    comp[..., 0, 2], comp[..., 0, 3] = m, -3.0 * hi
+    comp[..., 1, 0] = comp[..., 2, 1] = comp[..., 3, 2] = 1.0
+    roots = np.linalg.eigvals(comp)
+    arg = np.angle(roots)
+    depth = np.minimum(np.log(np.abs(roots) / hi ** 0.25), np.minimum(arg, 0.5 * math.pi - arg))
+    sig = np.take_along_axis(roots, np.argmax(depth, axis=-1)[..., None], -1)[..., 0]
+    sig = sig - (sig ** 4 - m * sig + 3.0 * hi) / (4.0 * sig ** 3 - m)
+    return sig * sig + hi / (sig * sig)
+
+
+# ---------------------------------------------------------------------------
 # flows
 
 @dataclass(frozen=True)
@@ -672,29 +644,23 @@ class FlowPoint:
     value: complex
     alive: bool
     lifetime: float
-    err_est: float
 
 
 @dataclass(frozen=True)
 class HullTrace:
-    """Slit trace: ``points[i]`` is the hull tip at ``times[i]``.  Every tip is an exact map,
-    so ``err_est`` reads 0; it stays a column of the trace CSV."""
+    """Slit trace: ``points[i]`` is the hull tip at ``times[i]``."""
 
     times: tuple
     points: tuple
-    err_est: tuple
 
 
-def _check(d: Driving, s: float, t: float, z=None, *, what: str, tol: float | None = None):
+def _check(d: Driving, s: float, t: float, z=None, *, what: str):
     """The domain of every solve ``phi_{s,t}``: finite times ``0 <= s <= t`` within the horizon
-    of ``d``, a finite positive tolerance ``tol`` where the solve takes one, and starts ``z``
-    (complex or ndarray) finite in the open upper half-plane."""
+    of ``d``, and starts ``z`` (complex or ndarray) finite in the open upper half-plane."""
     if not 0.0 <= s <= t < math.inf:
         raise ValidationError(f"{what} needs finite times 0 <= s <= t, got s = {s}, t = {t}")
     if t > d.horizon + 1e-12:
         raise HorizonExceededError(f"horizon exceeded: {t} > {d.horizon}")
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise ValidationError(f"{what} needs a finite tolerance tol > 0, got {tol}")
     if z is None:
         return
     # np.all on a Python bool costs about 5 us, a scalar solve as little as 12 us
@@ -703,24 +669,25 @@ def _check(d: Driving, s: float, t: float, z=None, *, what: str, tol: float | No
         raise ValidationError(f"{what} needs finite starts in the open upper half-plane")
 
 
-def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> FlowPoint:
+def flow_forward(d: Driving, z: complex, t: float) -> FlowPoint:
     """Solve the forward equation ``dg/dt = G_{nu_t}(g)`` from ``g_0 = z``.
 
     The point is swallowed when its imaginary part falls to :data:`EPS_SWALLOW`; the
     swallowing time is the lifetime, with the state on the line ``Im g = EPS_SWALLOW`` as
-    ``value``.  A point-mass piece maps a survivor exactly (:func:`_atom_piece` in time ``-t``,
-    reflected about 0) and its crossing in closed form (:func:`_crossing`).  Elsewhere the step
-    that would cross the line is redone in ``sigma = -Im g`` (Henon 1982): ``Im g`` falls
-    monotonically, so ``v = Re g + i t`` obeys ``dv/dsigma = -(Re G + i)/Im G`` up to
-    ``sigma = -EPS_SWALLOW``.  ``err_est`` sums the error estimates of the steps taken.
+    ``value``.  Every piece maps a survivor exactly, as the reverse map over the negated span
+    (:func:`_atom_piece` in time ``-t``, reflected about 0; :func:`_law_piece`), and the
+    semicircle family by ``g_t(z) = z + t/z``.  A crossing is closed-form on a point mass
+    (:func:`_crossing`) and on the family (``Im g_t = Im z (1 - t/|z|**2)``); on a semicircle
+    or arcsine piece ``Im g`` falls monotonically, so the crossing time is the root of
+    ``tau -> Im g_tau - EPS_SWALLOW`` (:func:`~loewner.transforms.illinois`, to 4 ulps of the
+    span), where a map that fails past the crossing counts as below the line.
     """
     z = complex(z)
-    _check(d, 0.0, t, z, what="flow_forward", tol=tol)
+    _check(d, 0.0, t, z, what="flow_forward")
     if z.imag <= EPS_SWALLOW:
-        return FlowPoint(z, False, 0.0, 0.0)
+        return FlowPoint(z, False, 0.0)
 
-    y, err_acc = z, 0.0
-    event = lambda tt, yy: yy.imag - EPS_SWALLOW
+    y = z
     for a, b, j in _segments(d, 0.0, t):
         line = d._lines[j]
         if line is not None:
@@ -732,89 +699,74 @@ def flow_forward(d: Driving, z: complex, t: float, tol: float = DEFAULT_TOL) -> 
                 continue
             tau, x = crossing
             life = min(max(a + tau, a), b)
-            return FlowPoint(complex(u + slope * (life - tj) + x, EPS_SWALLOW), False, life,
-                             err_acc)
-        g = d.piece(j)
-        status, tc, y, err = _integrate(g, a, b, y, tol, event)
-        err_acc += err
-        if status == "event":  # finish the crossing in sigma = -Im g, state v = Re g + i t
-            def along_im(sigma, v):
-                big_g = g(v.imag, complex(v.real, -sigma))
-                return -(big_g.real + 1j) / big_g.imag
-
-            status, sigma, v, err = _integrate(along_im, -y.imag, -EPS_SWALLOW,
-                                               complex(y.real, tc), tol)
-            err_acc += err
-            if status == "done":
-                return FlowPoint(complex(v.real, EPS_SWALLOW), False, v.imag, err_acc)
-            tc, y = v.imag, complex(v.real, -sigma)
-        if status == "stall":
-            if y.imag <= 10 * EPS_SWALLOW:
-                return FlowPoint(y, False, tc, err_acc)
-            raise NumericError(f"forward flow stalled at t = {tc}")
-    return FlowPoint(y, True, math.inf, err_acc)
+            return FlowPoint(complex(u + slope * (life - tj) + x, EPS_SWALLOW), False, life)
+        if isinstance(d, SemicircleFamily):  # its one piece starts at a = 0
+            life = abs(y) ** 2 * (1.0 - EPS_SWALLOW / y.imag)
+            if life <= b:
+                return FlowPoint(complex(y.real * (1.0 + life / abs(y) ** 2), EPS_SWALLOW),
+                                 False, life)
+            y = y + b / y
+            continue
+        m, span = d.measures[j], b - a
+        g = _law_forward(y, m, span)
+        if g is not None and g.imag > EPS_SWALLOW:
+            y = g
+            continue
+        height = lambda g: -1.0 if g is None else g.imag - EPS_SWALLOW
+        tau = illinois(lambda tau: height(_law_forward(y, m, tau)), 0.0, span,
+                       y.imag - EPS_SWALLOW, height(g), 4.0 * math.ulp(span))
+        return FlowPoint(complex(_law_forward(y, m, tau).real, EPS_SWALLOW), False, a + tau)
+    return FlowPoint(y, True, math.inf)
 
 
-def _solve_reverse(d: Driving, a: float, b: float, z, tol: float, what: str,
-                   reflect_about: float | None = None):
-    """Integrate ``dy/dtau = -G_{nu_r}(y)`` over ``[a, b]`` from ``y(a) = z``, in driver
-    time ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``.
+def _solve_reverse(d: Driving, a: float, b: float, z, reflect_about: float | None = None):
+    """Solve ``dy/dtau = -G_{nu_r}(y)`` over ``[a, b]`` from ``y(a) = z``, in driver time
+    ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``.
 
-    The walk (:func:`_segments`) reads the driver's tables.  Every point-mass piece, resting
-    or sloped, maps exactly (:func:`_atom_piece`; a whole sloped one from its table entry), a
-    complex ``z`` in one scalar call and an ndarray's starts all at once; ``tol`` does not
-    enter.  Only the other pieces build ``d.piece(j)`` and integrate it: a complex ``z`` by
-    the scalar kernel, an ndarray by the lane kernel.
+    The walk (:func:`_segments`) reads the driver's tables, and every piece maps exactly, a
+    complex ``z`` as a scalar and an ndarray's starts all at once: a point mass by
+    :func:`_atom_piece` (a whole sloped one from its table entry), a semicircle or arcsine
+    piece by :func:`_law_piece` and the semicircle family by :func:`_family_piece`.
     """
     c = reflect_about
-    lanes = isinstance(z, np.ndarray)
-    sloped, y = _sloped_lanes if lanes else _sloped, z
+    sloped, y = (_sloped_lanes if isinstance(z, np.ndarray) else _sloped), z
     for lo, hi, j in _segments(d, a, b, c):
         line = d._lines[j]
         if line is not None:  # a whole sloped piece reads its table entry
             y = (sloped(y, d._pieces[j][c is not None]) if line[2] and a < lo and hi < b
                  else _atom_piece(y, line, lo, hi, c))
-            continue
-        g = d.piece(j)
-        rhs = (lambda tau, yy: -g(tau, yy)) if c is None else (lambda tau, yy: -g(c - tau, yy))
-        if lanes:
-            done, y = _integrate_lanes(rhs, lo, hi, y, tol)
-            start = None if done.all() else z.flat[int(np.argmin(done))]
+        elif isinstance(d, SemicircleFamily):
+            y = _family_piece(y, lo, hi, c)
         else:
-            status, _, y, _ = _integrate(rhs, lo, hi, y, tol)
-            start = None if status == "done" else z
-        if start is not None:
-            raise NumericError(f"{what} failed to integrate from z = {start}")
+            y = _law_piece(y, d.measures[j], hi - lo)
     return y
 
 
-def flow_reverse(d: Driving, s: float, t: float, z: complex, tol: float = DEFAULT_TOL) -> complex:
+def flow_reverse(d: Driving, s: float, t: float, z: complex) -> complex:
     """Reverse flow ``phi_{s,t}(z)``: ``dphi/dt = -G_{nu_t}(phi)``, ``phi_{s,s} = z``.
 
     The value stays in the open upper half-plane with nondecreasing imaginary part; it is
     the F-transform of a probability measure in ``z``.  ``z`` may be an ndarray of starts,
-    solved together by the lane kernel; every start must be finite, with ``Im z > 0``.
+    mapped together as lanes; every start must be finite, with ``Im z > 0``.
     """
     z = as_points(z)
-    _check(d, s, t, z, what="flow_reverse", tol=tol)
-    return _solve_reverse(d, s, t, z, tol, "reverse flow")
+    _check(d, s, t, z, what="flow_reverse")
+    return _solve_reverse(d, s, t, z)
 
 
-def flow_reverse_anti(d: Driving, s: float, t: float, z: complex,
-                      tol: float = DEFAULT_TOL) -> complex:
+def flow_reverse_anti(d: Driving, s: float, t: float, z: complex) -> complex:
     """Anti-monotone reverse flow: ``dphi/ds = G_{nu_s}(phi)`` down from ``phi_{t,t} = z``.
 
     For time-constant drivers this coincides with :func:`flow_reverse` by the time symmetry
     of the equation.  ``z`` may be an ndarray of starts, each finite, with ``Im z > 0``.
     """
     z = as_points(z)
-    _check(d, s, t, z, what="flow_reverse_anti", tol=tol)
-    # substitute tau = s + t - sigma so integration runs forward in tau
-    return _solve_reverse(d, s, t, z, tol, "anti-monotone flow", reflect_about=s + t)
+    _check(d, s, t, z, what="flow_reverse_anti")
+    # substitute tau = s + t - sigma so the walk runs forward in tau
+    return _solve_reverse(d, s, t, z, reflect_about=s + t)
 
 
-def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
-                check: bool = True) -> complex:
+def inverse_map(d: Driving, t: float, z: complex, check: bool = True) -> complex:
     """Inverse ``f_t = g_t^{-1}`` of the forward map: ``phi_{0,t}`` of the anti-monotone family.
 
     Solves ``dw/dsigma = -G_{nu_{t - sigma}}(w)`` from ``w(0) = z`` (:func:`flow_reverse_anti`);
@@ -822,9 +774,9 @@ def inverse_map(d: Driving, t: float, z: complex, tol: float = DEFAULT_TOL,
     raises ``NotInImageError``.
     """
     z = complex(z)
-    y = flow_reverse_anti(d, 0.0, t, z, tol)
+    y = flow_reverse_anti(d, 0.0, t, z)
     if check and t > 0:  # at t = 0 the round trip would swallow a start below EPS_SWALLOW
-        back = flow_forward(d, y, t, tol)
+        back = flow_forward(d, y, t)
         if not back.alive or abs(back.value - z) > 1e-6:
             raise NotInImageError(f"not in image: round trip error at z = {z}")
     return y
@@ -834,10 +786,10 @@ def trace(d: AtomPath, times: Sequence[float]) -> HullTrace:
     """Hull trace ``gamma(t) = f_t(U(t))`` for a point-mass driver.
 
     The tip is the anti-monotone reverse solve of the boundary point ``U(t)`` down to time
-    0 (:func:`_solve_reverse`), one exact map per driver piece, so ``err_est`` reads 0.
-    After a linear piece shorter than ``(10 delta_1)**2`` the inverse map at
-    ``U(t) + i delta`` over :data:`TRACE_DELTAS` must also contract (a longer
-    piece gives ratio 1/4), or ``TraceUnresolvedError`` is raised.
+    0 (:func:`_solve_reverse`), one exact map per driver piece.  After a linear piece
+    shorter than ``(10 delta_1)**2`` the inverse map at ``U(t) + i delta`` over
+    :data:`TRACE_DELTAS` must also contract (a longer piece gives ratio 1/4), or
+    ``TraceUnresolvedError`` is raised.
     """
     if not isinstance(d, AtomPath):
         raise ValidationError("trace needs an AtomPath driver")
@@ -851,9 +803,8 @@ def trace(d: AtomPath, times: Sequence[float]) -> HullTrace:
                           for delta in TRACE_DELTAS)
             if abs(v1 - v0) > 1e-12 and abs(v2 - v1) > 0.9 * abs(v1 - v0):
                 raise TraceUnresolvedError(f"trace unresolved at t = {t}")
-        pts.append(complex(_solve_reverse(d, 0.0, t, d.u(t), DEFAULT_TOL, "trace",
-                                          reflect_about=t)))
-    return HullTrace(tuple(times), tuple(pts), (0.0,) * len(pts))
+        pts.append(complex(_solve_reverse(d, 0.0, t, d.u(t), reflect_about=t)))
+    return HullTrace(tuple(times), tuple(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ the upper half-plane into itself, which is what every closed form here needs.
 
 Array contract: every map the library builds takes a complex scalar or a
 complex ndarray.  Closed forms and compositions evaluate arrays as numpy
-expressions (:func:`as_points`) and scalars by the scalar formula, which the
-flow kernel calls on every step, so a scalar gives a Python ``complex`` with
-the scalar formula's bits and speed.  Newton inversion (:func:`invert_cauchy`,
+expressions (:func:`as_points`) and scalars by the scalar formula, so a
+scalar gives a Python ``complex`` with the scalar formula's bits and speed.  Newton inversion (:func:`invert_cauchy`,
 :func:`r_transform`, :func:`cauchy_from_r`) and the subordination fixed point
 (:func:`~loewner.convolve.free_subordination`) are lane-wise: all points
 iterate together as lanes of masked array arithmetic, through one Newton
@@ -102,8 +101,8 @@ class AnalyticMap:
 def as_points(z):
     """An ndarray of points as a complex ndarray, anything else as ``complex(z)``.
 
-    Type checks, not ``np.ndim`` (1.4 us on a Python scalar): closed forms run
-    on every right-hand-side evaluation of the scalar flow kernel.
+    Type checks, not ``np.ndim`` (1.4 us on a Python scalar): every scalar solve
+    and closed-form evaluation passes through here.
     """
     if type(z) is complex:
         return z
@@ -116,10 +115,10 @@ def halfplane_sqrt(z, radius: float, center: float = 0.0):
     """``sqrt((z - center)**2 - radius**2)`` with the half-plane branch.
 
     Cut on ``[center - radius, center + radius]``; asymptotic to ``z - center``
-    far away; maps the open upper half-plane into itself.  ``z`` (and
-    ``radius``) may be arrays.
+    far away; maps the open upper half-plane into itself.  ``z`` and
+    ``radius`` may be arrays; if either is, so is the root.
     """
-    if isinstance(z, np.ndarray):
+    if isinstance(z, np.ndarray) or isinstance(radius, np.ndarray):
         w = np.asarray(z, dtype=complex) - center
         return np.sqrt(w - radius) * np.sqrt(w + radius)
     return halfplane_root(complex(z) - center, radius)
@@ -226,20 +225,10 @@ def cauchy(m: Measure) -> AnalyticMap:
         fn = lambda z: 1.0 / (as_points(z) - a)
     elif isinstance(m, Semicircle):
         c, r = m.center, m.radius
-
-        def fn(z):
-            if isinstance(z, np.ndarray):
-                return 2.0 / ((as_points(z) - c) + halfplane_sqrt(z, r, c))
-            w = complex(z) - c  # halfplane_sqrt inlined: scalar paths call this per step
-            return 2.0 / (w + complex(np.sqrt(w - r) * np.sqrt(w + r)))
+        fn = lambda z: 2.0 / ((w := as_points(z) - c) + halfplane_sqrt(w, r))
     elif isinstance(m, Arcsine):
         c, r = m.center, m.radius
-
-        def fn(z):
-            if isinstance(z, np.ndarray):
-                return 1.0 / halfplane_sqrt(z, r, c)
-            w = complex(z) - c
-            return 1.0 / complex(np.sqrt(w - r) * np.sqrt(w + r))
+        fn = lambda z: 1.0 / halfplane_sqrt(as_points(z), r, c)
     elif isinstance(m, Empirical):
         fn = _empirical_cauchy_fn(m)
     else:

@@ -29,9 +29,9 @@ class TestTrace:
                     "--out", str(out)])
         assert code == 0
         header, rows = read_rows(out)
-        assert header == ["t", "re", "im", "err_est"]
+        assert header == ["t", "re", "im"]
         assert len(rows) == 101
-        t, re, im, _ = (float(v) for v in rows[-1])
+        t, re, im = (float(v) for v in rows[-1])
         assert t == 1.0
         assert abs(re) < 1e-6
         assert im == pytest.approx(math.sqrt(2.0), abs=1e-6)
@@ -70,7 +70,7 @@ def readme_command_lines():
 #: A change that moves these bytes updates the digest and names the moved outputs.
 README_SHA256 = {
     "loewner trace --driver const:0 --T 1 --steps 100 --out trace.csv":
-        "81dff051e0b313de233bdd3fe50d3403509395c22363c0cdddaf5b7d4900edfe",
+        "0fed74cdfd50f4f18ae56b30a28e9db56d17639a243f6a6cc7a6de36b84f7d2d",
     "loewner welding --driver const:0 --T 1 --pairs 50 --out weld.csv":
         "870280b4acc40b732491e6a31033d59dc91f2623769fb6f5ee02f7f37bbc2e17",
     'loewner convolve --expr "mono(arcsine:1, arcsine:1)" --probe 2i':
@@ -84,9 +84,9 @@ README_SHA256 = {
     "loewner sle --kappa 2 --dt 0.015625 --T 1 --seed 7 --out path.csv":
         "ecd22187293f6a8ed00d8e0205313da194852bf9dcd19bba43824759ed805ef4",
     "loewner burgers --t 0.2:1:5 --re=-1:1:5 --im 1 --out burgers.csv":
-        "8381d0b9dce5eba65fc2bd9ed7b5f78da4ea47fb5855dead470a62f5b76424a6",
+        "70c368e34546ddd11b661b5241daa13fa288830f985df98c8e37950b1d46b928",
     "loewner flow --driver const:0 --z 2i --T 1 --steps 50 --out flow.csv":
-        "5263d6fc7ae6407d45f3324a25b7710194a4655ad0ec64317799d1d098fdd557",
+        "9f9a6cf977d3c668ebe879cd5f975bc3b9f45b64cb5768dc8407d4fb4d5e76f4",
 }
 
 
@@ -179,19 +179,6 @@ class TestFlow:
         assert rows[-1][3] == "0"
         assert float(rows[-1][4]) == pytest.approx(0.5, abs=1e-6)
 
-    def test_tolerance_propagates_to_err_est(self, tmp_path):
-        errs = {}
-        for tol in ("1e-8", "1e-12"):
-            out = tmp_path / f"flow{tol}.csv"
-            # a semicircle is integrated; point-mass pieces are exact maps and report 0
-            code = run(["flow", "--driver", '{"kind":"measure-path","breakpoints":[0],'
-                        '"measures":[{"kind":"semicircle","var":1}]}', "--z", "2i", "--T", "1",
-                        "--steps", "4", "--tol", tol, "--out", str(out)])
-            assert code == 0
-            _, rows = read_rows(out)
-            errs[tol] = float(rows[-1][5])
-        assert 0.0 < errs["1e-12"] < errs["1e-8"]
-
 
 class TestFamilyAndBurgers:
     def test_family_free_semantics(self, tmp_path):
@@ -264,7 +251,39 @@ class TestSelftest:
         assert "PASS  reverse_flow_closed_form" in out
 
 
+#: a measure-path driver whose second piece is an Empirical law, which has no exact map
+EMPIRICAL_DRIVER = ('{"kind":"measure-path","breakpoints":[0,0.25],"measures":['
+                    '{"kind":"semicircle","var":1},{"kind":"empirical","atoms":[[0,1]]}]}')
+
+#: one complete command line per subcommand, each with --tol added
+TOL_ARGVS = [
+    ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5"],
+    ["family", "--driver", "sle:2", "--t", "0.5", "--z", "1i"],
+    ["burgers", "--t", "0.2:1:2"],
+    ["trace", "--driver", "const:0", "--T", "1"],
+    ["welding", "--driver", "const:0", "--T", "1"],
+    ["density", "--measure", "sc:1", "--grid=-2.2:2.2:11"],
+    ["sle"],
+    ["convolve", "--expr", "sc:1", "--probe", "1i"],
+    ["selftest", "--criteria", "lifetime_bisection"],
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", TOL_ARGVS, ids=[argv[0] for argv in TOL_ARGVS])
+    def test_tol_exits_2_on_every_subcommand(self, tmp_path, capsys, argv):
+        # every solve is an exact map, so no subcommand takes an error target
+        out = tmp_path / "x.csv"
+        tail = [] if argv[0] in ("convolve", "selftest") else ["--out", str(out)]
+        assert run(argv + ["--tol", "1e-8"] + tail) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empirical_driver_piece_is_named(self, tmp_path, capsys):
+        code = run(["flow", "--driver", EMPIRICAL_DRIVER, "--z", "1i", "--T", "0.5",
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == 2 and "measures[1]" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -322,13 +341,13 @@ class TestExitCodes:
         ["density", "--grid=0:inf:3", "--measure", "sc:1"],
         ["density", "--grid=nan:1:3", "--measure", "sc:1"],
         ["density", "--grid=-inf:1:5", "--measure", "sc:1"],
-        ["flow", "--driver", "sle:2", "--z", "1i", "--T", "0.5", "--steps", "2", "--tol", "-1"],
-        ["burgers", "--t", "0.2:1:2", "--tol", "-1"],
-        ["family", "--driver", "sle:2", "--t", "0.5", "--z", "1i", "--tol", "-1"],
-        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "0"],
-        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "nan"],
-        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "1"],
-        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--tol", "inf"],
+        ["flow", "--driver", EMPIRICAL_DRIVER, "--z", "1i", "--T", "0.5"],
+        ["family", "--driver", EMPIRICAL_DRIVER, "--t", "0.5", "--z", "1i"],
+        ["burgers", "--driver", EMPIRICAL_DRIVER, "--t", "0.2:1:2"],
+        ["family", "--driver", EMPIRICAL_DRIVER, "--semantics", "free", "--t", "0.5", "--z", "1i"],
+        ["flow", "--driver", "sle:2:0", "--z", "1i", "--T", "0.5"],
+        ["flow", "--driver", "const:0", "--z", "1i", "--T", "0.5", "--steps", "-1"],
+        ["density", "--grid=-1:1:0", "--measure", "sc:1"],
         ["convolve", "--expr", "mono(arcsine:1, arcsine:1)", "--probe=nan+1i"],
         ["convolve", "--expr", "free(sc:1, sc:1)", "--probe=nan+1i"],
         ["sle", "--kappa", "nan"],
@@ -496,11 +515,8 @@ class TestDefaults:
     bytes as passing its default, and another value writes other bytes."""
 
     @pytest.mark.parametrize("argv, defaults, other", [
-        (["flow", "--driver", '{"kind":"measure-path","breakpoints":[0],'
-          '"measures":[{"kind":"semicircle","var":1}]}', "--z", "2i", "--T", "1", "--steps", "4"],
-         ["--tol", "1e-10", "--seed", "0"], ["--tol", "1e-8"]),
         (["flow", "--driver", "sle:2", "--z", "1+2i", "--T", "1", "--steps", "4"],
-         ["--tol", "1e-10", "--seed", "0"], ["--seed", "1"]),
+         ["--seed", "0"], ["--seed", "1"]),
         (["density", "--measure", "sc:1", "--grid=-2.2:2.2:221"], ["--eps", "1e-4"],
          ["--eps", "1e-3"]),
         (["burgers", "--t", "0.2:1:2", "--re=-1:1:2"], ["--driver", "sc-family"],
@@ -516,7 +532,7 @@ class TestDefaults:
          ["--driver", "sle:2:0.015625"], ["--seed", "1"]),
         (["family", "--driver", "sle:2", "--z", "1i", "--t", "0.01"],
          ["--driver", "sle:2:0.015625"], ["--seed", "1"]),
-    ], ids=["flow-tol", "flow-seed", "density", "burgers", "flow-sle-short", "flow-sle-zero",
+    ], ids=["flow-seed", "density", "burgers", "flow-sle-short", "flow-sle-zero",
             "trace-sle-short", "welding-sle-short", "family-sle-short"])
     def test_omitted_equals_explicit(self, tmp_path, capsys, argv, defaults, other):
         outputs = []

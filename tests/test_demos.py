@@ -15,17 +15,17 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 #: digest and names the moved outputs.
 DEMO_SHA256 = {
     "01_forward_flow_and_hulls":
-        "b7332a6133d7d7536265c5ad56b2fa4941c93a780b29b660ff7d7442a13e9a25",
+        "b8458f559d39be13261e5eb859168ae962976a77c15aa4663c081f1f3772866d",
     "02_transforms_and_density_recovery":
         "03b3774a4527bcc052b686a1ed3b4bf8ad2508add8c669237ca555d990754ebc",
     "03_three_convolutions":
         "8185564e1c57046d17a24c04f7f9a51dcb0ab90b800b52b875d96c9b3bd98334",
     "04_slit_traces_and_welding":
-        "6d826097e6ef82c454c0e415ed894c7349b5e8c65aeff9fd856ab7d7b4f7ae73",
+        "8d3512faa0784033f3b5e013e5be2bc45cc8805347d5e20bfd4ca78e0d4fc2d9",
     "05_evolution_families_and_sle":
         "358784e05002d3e33eb29cd84212e4e494cfd0fd9c6251ac0676f6d6b8d306a6",
     "06_burgers_fixed_point":
-        "d85c0191db569cfe1de4e73a56d4e8a179e6a4040b7eeabc392f2a07c665ba27",
+        "f71ff7cc51a856a05d15a4c656fe062a6d9b28f5ca3fdc7a23bf6ebd557e1691",
 }
 
 
