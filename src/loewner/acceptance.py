@@ -107,8 +107,7 @@ def _chain_ode_exactness() -> CriterionResult:
 
 
 def _loewner_fixed_point() -> CriterionResult:
-    # f_t over 16 constant semicircle pieces, each mapped through the point-mass map of its
-    # F-transform: a route that shares no formula with the family's closed forms
+    # f_t over 16 constant semicircle pieces: no formula shared with the family's closed forms
     steps = MeasurePath(tuple(np.arange(16) / 16.0),
                         tuple(Semicircle((k + 0.5) / 16.0) for k in range(16)))
     worst_g = 0.0

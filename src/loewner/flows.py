@@ -536,11 +536,6 @@ def _sinh_tail(u):
     return np.where(np.abs(u) < 1.0, u * u * u * _horner(_SINH_TAIL, u * u), np.sinh(u) - u)
 
 
-def _log_up(q):
-    """``log q`` with its imaginary part in ``[-pi/2, 3 pi/2)``, for lanes."""
-    return np.log(q) + np.where((q.real < 0.0) & (q.imag < 0.0), 2j * math.pi, 0.0)
-
-
 def _kepler(w, s, r: float, span: float):
     """Exact reverse map over ``span`` of a centred arcsine piece of radius ``r``, for flat
     lanes ``w`` with ``Re w >= 0`` and ``s = sqrt(w**2 - r**2)``.  ``int s dw`` (``s = 1/G``)
@@ -554,9 +549,9 @@ def _kepler(w, s, r: float, span: float):
     ang = np.angle(k)
     v = np.cbrt(6.0 * np.abs(k)) * np.exp(1j / 3.0 * np.where(ang < -0.25 * math.pi,
                                                               ang + 2.0 * math.pi, ang))
-    far = _log_up(2.0 * k)
-    for _ in range(3):
-        far = _log_up(2.0 * (k + far))
+    far = 0.0
+    for _ in range(4):  # the log with its imaginary part in [-pi/2, 3 pi/2)
+        far = np.log(q := 2.0 * (k + far)) + 2j * math.pi * ((q.real < 0.0) & (q.imag < 0.0))
     starts = np.stack([u, v * (1.0 - v * v / 60.0), far])
     res = np.abs(_sinh_tail(starts) - k)
     u = starts[np.argmin(np.where(np.isnan(res), np.inf, res), axis=0), np.arange(u.size)]
@@ -597,8 +592,7 @@ def _law_piece(y, m, span: float):
 
 
 def _law_forward(y: complex, m, span: float) -> complex | None:
-    """The forward map of a law piece over ``span``, or ``None`` where it fails or leaves the
-    finite numbers, as the map continued past a crossing may."""
+    """The forward map of a law piece over ``span``; ``None`` where, past a crossing, it fails."""
     try:
         g = _law_piece(y, m, -span)
     except NumericError:

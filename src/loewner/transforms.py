@@ -13,8 +13,9 @@ the upper half-plane into itself, which is what every closed form here needs.
 Array contract: every map the library builds takes a complex scalar or a
 complex ndarray.  Closed forms and compositions evaluate arrays as numpy
 expressions (:func:`as_points`) and scalars by the scalar formula, so a
-scalar gives a Python ``complex`` with the scalar formula's bits and speed.  Newton inversion (:func:`invert_cauchy`,
-:func:`r_transform`, :func:`cauchy_from_r`) and the subordination fixed point
+scalar gives a Python ``complex`` with the scalar formula's bits and speed.
+Newton inversion (:func:`invert_cauchy`, :func:`r_transform`,
+:func:`cauchy_from_r`) and the subordination fixed point
 (:func:`~loewner.convolve.free_subordination`) are lane-wise: all points
 iterate together as lanes of masked array arithmetic, through one Newton
 kernel (:func:`_damped_newton`), nested inversions included.  A scalar runs
