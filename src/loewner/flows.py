@@ -760,7 +760,7 @@ def flow_reverse_anti(d: Driving, s: float, t: float, z: complex) -> complex:
     return _solve_reverse(d, s, t, z, reflect_about=s + t)
 
 
-def inverse_map(d: Driving, t: float, z: complex, check: bool = True) -> complex:
+def inverse_map(d: Driving, t: float, z: complex, *, check: bool = True) -> complex:
     """Inverse ``f_t = g_t^{-1}`` of the forward map: ``phi_{0,t}`` of the anti-monotone family.
 
     Solves ``dw/dsigma = -G_{nu_{t - sigma}}(w)`` from ``w(0) = z`` (:func:`flow_reverse_anti`);

@@ -192,8 +192,8 @@ class TestLawPieces:
 
 
 def family_cases(seed, n):
-    """``n`` seeded ``(s, t, z)``: ``s`` 0 to 2, ``t - s`` 1e-3 to 3, starts as in
-    :func:`law_cases` about the family's support ``[-2 sqrt(s), 2 sqrt(s)]`` at time s."""
+    """``n`` seeded ``(s, t, z)``: ``s`` 0 to 2 (a fifth at 0), ``t - s`` 1e-3 to 3, starts as
+    in :func:`law_cases` about the family's support at time t, ``[-2 sqrt(t), 2 sqrt(t)]``."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     cases = []
     for k in range(n):
@@ -290,6 +290,10 @@ class TestOde:
         (Semicircle(0.05, -0.4), -0.35 + 1e-3j, 0.01), (Semicircle(4.0), 3j, 2.0),
         (Arcsine(1.1, -0.3), 0.5 + 0.01j, 0.5), (Arcsine(1.1, -0.3), -2.0 + 0.4j, 1.0),
         (Arcsine(0.02, 0.5), 0.42 + 1e-3j, 0.01), (Arcsine(3.0), 1 + 2j, 3.0),
+        (Semicircle(1.0), 2.0 + 1e-3j, 0.3), (Semicircle(9.0, -1.0), -1.2 + 5e-3j, 1e-3),
+        (Semicircle(0.3, 0.8), 5.0 + 0.1j, 3.0), (Semicircle(1.0), 0.5j, 0.7),
+        (Arcsine(1.0), -1.414 + 2e-3j, 0.2), (Arcsine(8.0, 0.3), 0.2 + 4e-3j, 1e-3),
+        (Arcsine(0.5, -0.9), -4.0 + 0.05j, 2.0), (Arcsine(1.0), 0.8j, 0.7),
     ])
     def test_reverse_and_forward_pieces(self, m, z, span):
         g = lambda tau, w: mp_cauchy(m, w)
