@@ -1256,9 +1256,8 @@ class TestPieceTable:
 # end-to-end runs over point masses
 
 class TestStepCounts:
-    """README lines and SLE solves over point-mass drivers, end to end.  These counted
-    integration steps (0 since every point-mass piece maps exactly) until the integrator
-    was removed; each now checks the values of its run."""
+    """README lines and SLE solves over point-mass drivers run end to end with the values
+    their closed forms give (the class is named for the integration steps it once counted)."""
 
     def test_readme_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
