@@ -5,7 +5,7 @@ toward the real line.  For the centered point-mass driver the solution is
 known in closed form, g_t(z) = sqrt(z^2 + 2t), and the hull is a vertical
 segment growing from the origin.  The driver rests, so the equation is
 autonomous and its flow is the arcsine semigroup: flow_forward applies that
-exact map, takes no integration step and reports an error estimate of 0.
+exact map and takes no integration step.
 """
 
 import numpy as np

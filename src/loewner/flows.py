@@ -58,8 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import Arcsine, Dirac, Semicircle, _field, from_dict as measure_from_dict
-from .transforms import (as_points, cauchy as measure_cauchy, halfplane_root, halfplane_sqrt,
-                         illinois)
+from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt, illinois
 
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
@@ -112,9 +111,6 @@ class AtomPath:
     def u(self, t: float) -> float:
         return float(_driver_at(self, t))
 
-    def cauchy(self, t: float, z: complex) -> complex:
-        return 1.0 / (z - self.u(t))
-
     def integral(self, lo: float, hi: float, w):
         tj, uj, slope = self._lines[_piece_at(self, 0.5 * (lo + hi))]
         if slope == 0.0:
@@ -156,9 +152,6 @@ class MeasurePath:
     def horizon(self) -> float:
         return math.inf
 
-    def cauchy(self, t: float, z: complex) -> complex:
-        return self._maps[_piece_at(self, t)](z)
-
     def integral(self, lo: float, hi: float, w):
         return (hi - lo) * self._maps[_piece_at(self, 0.5 * (lo + hi))].fn(w)
 
@@ -173,15 +166,6 @@ class SemicircleFamily:
     @property
     def horizon(self) -> float:
         return math.inf
-
-    def cauchy(self, t, z):
-        if not isinstance(t, np.ndarray):
-            if t <= 0.0:
-                return 1.0 / z
-            # halfplane_root skips halfplane_sqrt's array check
-            return 2.0 / (z + halfplane_root(complex(z), 2.0 * math.sqrt(t)))
-        radius = 2.0 * np.sqrt(np.maximum(t, 0.0))
-        return np.where(t <= 0.0, 1.0 / z, 2.0 / (z + halfplane_sqrt(z, radius)))
 
     def integral(self, lo: float, hi: float, w):
         """Closed form: ``w log(w + S) - S`` is an antiderivative, ``S_tau = sqrt(w**2 - 4 tau)``.
@@ -319,35 +303,26 @@ def _omega_far(t, lg):
 
 
 def _fsc_step(w, r):
-    """One Fritsch-Shafer-Crowley step for ``W + log W = zeta`` from ``w``, whose residual is
-    ``r = zeta - w - log w``: the new iterate, and whether it is within an ulp, so that a
-    second step would not move it (Algorithm 917's test, divided by ``(w + 1)**6`` so that
-    nothing overflows far out)."""
+    """One Fritsch-Shafer-Crowley step for ``W + log W = zeta`` from ``w`` (scalar or lanes),
+    whose residual is ``r = zeta - w - log w``: the new iterate."""
     wp1 = w + 1.0
     q = r / wp1
     g = 2.0 + 4.0 / 3.0 * q
-    step = q * (g - q / wp1) / (g - 2.0 * q / wp1)
-    # 2 w**2 - 8 w - 1 = (w + 1)**2 (2 - 12/(w + 1) + 9/(w + 1)**2)
-    return w * (1.0 + step), abs(2.0 - (12.0 - 9.0 / wp1) / wp1) * abs(q) ** 4 < 72 * 2.0 ** -52
+    return w * (1.0 + q * (g - q / wp1) / (g - 2.0 * q / wp1))
 
 
-def _wright_omega(zeta: complex, c: complex) -> complex:
-    """:func:`_wright_omega_lanes` at one point, both steps."""
-    return complex(_wright_omega_lanes(np.array([zeta]), np.array([c]))[0])
-
-
-def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray, steps: int = 2) -> np.ndarray:
+def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The Wright omega function ``W = omega(zeta)``, ``W + log W = zeta``, for lanes with
     ``Im zeta < 0``, given ``zeta`` and ``c = zeta + i pi``: near ``Im zeta = 0`` the caller's
     ``zeta`` carries the digits of its imaginary part, near the cut ``Im zeta = -pi`` its ``c``.
     ``-W`` is the root ``p``, ``Im p > 0``, of ``log p - p = c``.
 
     Algorithm 917 of Lawrence, Corless & Jeffrey (2012): a series start by region of
-    ``zeta``, then up to ``steps`` Fritsch-Shafer-Crowley steps, a second one only where the
-    first may be an ulp off.  A step from an iterate left of the imaginary axis reads ``c``
-    and takes ``log W = log(-W) - i pi`` (Algorithm 917 regularizes so near the cut), any
-    other ``zeta``; the starts near either line read the argument that lies close to it.
-    So a small ``Im W`` keeps its digits.  :func:`_sloped` inlines this for one scalar.
+    ``zeta``, then one Fritsch-Shafer-Crowley step (:func:`_fsc_step`).  The step from a
+    start left of the imaginary axis reads ``c`` and takes ``log W = log(-W) - i pi``
+    (Algorithm 917 regularizes so near the cut), any other ``zeta``; the starts near either
+    line read the argument that lies close to it.  So a small ``Im W`` keeps its digits.
+    :func:`_sloped` takes the same start and step for one scalar.
     """
     zr, zi = zeta.real, zeta.imag
     wing = (zr <= -1.05) & (0.75 * (zr + 1.0) < c.imag)
@@ -361,13 +336,8 @@ def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray, steps: int = 2) -> np.n
             [_branch_series(c + 1.0) - 1.0, v * _horner(_OMEGA_BETWEEN, v),
              _horner(_OMEGA_MUSHROOM, zeta - 1.0)],
             _omega_far(np.where(wing, c, zeta), np.log(np.where(wing, -c, zeta))))
-        done = np.zeros(zeta.shape, dtype=bool)
-        for _ in range(steps):
-            left = w.real < 0.0
-            r = np.where(left, c, zeta) - w - np.log(np.where(left, -w, w))
-            step, converged = _fsc_step(w, r)
-            w, done = np.where(done, w, step), done | converged
-    return w
+        left = w.real < 0.0
+        return _fsc_step(w, np.where(left, c, zeta) - w - np.log(np.where(left, -w, w)))
 
 
 #: past this ``|w|`` the resting map factors ``w**2`` out of its root: ``w**2`` would overflow
@@ -411,9 +381,9 @@ def _sloped(y: complex, piece: tuple) -> complex:
     scalar: the resting map where the slope moves it by under 2**-60, else in ``x = a w``
     (``w -> -conj(w)`` where the driver falls) ``log1p(x) - x`` grows by ``a**2 span`` to ``k``
     (Kager, Nienhuis & Kadanoff 2004; ``i pi`` less left of ``Re x = -1``, :func:`_log1p_tail`)
-    and ``x_1 = -1 - omega(k - 1 - i pi)``: Algorithm 917's start and one Fritsch-Shafer-Crowley
-    step (:func:`_wright_omega_lanes`), or where ``|k| < 2**-20`` the branch-point series, then
-    one Newton step in ``x``, for the digits a second step would bring.  Only series are calls."""
+    and ``x_1 = -1 - omega(k - 1 - i pi)``: the start and the one Fritsch-Shafer-Crowley step
+    of :func:`_wright_omega_lanes`, or where ``|k| < 2**-20`` the branch-point series, then one
+    Newton step in ``x``, for the digits a second step would bring."""
     u0, u1, a, k0, flip, motion, root, span = piece
     w = y - u0
     if motion <= 2.0 ** -59 * (abs(w) + root):
@@ -441,11 +411,8 @@ def _sloped(y: complex, piece: tuple) -> complex:
             w = _omega_far(c, cmath.log(-c))
         else:
             w = _omega_far(zeta, cmath.log(zeta))
-        r = c - w - cmath.log(-w) if w.real < 0.0 else zeta - w - cmath.log(w)
-        wp1 = w + 1.0  # the step of _fsc_step, less its convergence test
-        q = r / wp1
-        g = 2.0 + 4.0 / 3.0 * q
-        x = -1.0 - w * (1.0 + q * (g - q / wp1) / (g - 2.0 * q / wp1))
+        x = -1.0 - _fsc_step(w, c - w - cmath.log(-w) if w.real < 0.0
+                             else zeta - w - cmath.log(w))
     p = 1.0 + x
     tail = cmath.log(-p if left else p) - x if left or abs(x) >= 0.25 else _log1p_series(x)
     moved = (x + (tail - k) * p / x) / a
@@ -467,7 +434,7 @@ def _sloped_lanes(y: np.ndarray, piece: tuple) -> np.ndarray:
     k = _log1p_tail(x, left) + k0
     with np.errstate(all="ignore"):  # both starts are formed on every lane, then picked
         omega = _wright_omega_lanes(np.where(left, k - 1.0, k - 1.0 - 1j * math.pi),
-                                    np.where(left, k - 1.0 + 1j * math.pi, k - 1.0), 1)
+                                    np.where(left, k - 1.0 + 1j * math.pi, k - 1.0))
         x = np.where(~left & (np.abs(k) < _BRANCH_SERIES_K), -_branch_series(k), -1.0 - omega)
         moved = (x + (_log1p_tail(x, left) - k) * (1.0 + x) / x) / a
     moved = u1 + (-moved.conjugate() if flip else moved)

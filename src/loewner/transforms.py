@@ -117,18 +117,15 @@ def halfplane_sqrt(z, radius: float, center: float = 0.0):
 
     Cut on ``[center - radius, center + radius]``; asymptotic to ``z - center``
     far away; maps the open upper half-plane into itself.  ``z`` and
-    ``radius`` may be arrays; if either is, so is the root.
+    ``radius`` may be arrays; if either is, so is the root.  A scalar takes
+    ``cmath`` roots, numpy's bits at half its cost; the two round apart where a
+    root has a zero part (``Re w = +-radius``) or may have a subnormal one
+    (``|Im w| < 1e-150``), so there it takes numpy's route.
     """
     if isinstance(z, np.ndarray) or isinstance(radius, np.ndarray):
         w = np.asarray(z, dtype=complex) - center
         return np.sqrt(w - radius) * np.sqrt(w + radius)
-    return halfplane_root(complex(z) - center, radius)
-
-
-def halfplane_root(w: complex, radius: float) -> complex:
-    """``halfplane_sqrt`` of a Python complex ``w`` centred at 0: ``cmath`` roots, numpy's bits
-    at half its cost.  The two round apart where a root has a zero part (``Re w = +-radius``)
-    or may have a subnormal one (``|Im w| < 1e-150``), so there it takes numpy's route."""
+    w = complex(z) - center
     if abs(w.real) == radius or abs(w.imag) < 1e-150:
         return complex(np.sqrt(w - radius) * np.sqrt(w + radius))
     return cmath.sqrt(w - radius) * cmath.sqrt(w + radius)

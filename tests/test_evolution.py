@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -167,13 +168,16 @@ class TestFreeFamily:
         assert fam(0.0, 0.8, z) == pytest.approx(want, abs=1e-14)
 
     def test_semicircle_family_quadrature(self):
-        # R_{0,t}(z) = integral of G_{W,tau}(1/z); cross-check against scipy
+        # R_{0,t}(z) = integral of G_{W,tau}(1/z); cross-check against scipy, with G of the
+        # semicircle law of variance tau in closed form, 2/(w + sqrt(w**2 - 4 tau)), the root
+        # taken asymptotic to w
         fam = free_family(SemicircleFamily())
-        d = SemicircleFamily()
         z = 0.4j
         w = 1.0 / z
-        want = complex(quad(lambda tau: d.cauchy(tau, w).real, 0.0, 1.0, limit=200)[0],
-                       quad(lambda tau: d.cauchy(tau, w).imag, 0.0, 1.0, limit=200)[0])
+        g = lambda tau: 2.0 / (w + cmath.sqrt(w - 2.0 * math.sqrt(tau))
+                               * cmath.sqrt(w + 2.0 * math.sqrt(tau)))
+        want = complex(quad(lambda tau: g(tau).real, 0.0, 1.0, limit=200)[0],
+                       quad(lambda tau: g(tau).imag, 0.0, 1.0, limit=200)[0])
         assert fam(0.0, 1.0, z) == pytest.approx(want, abs=1e-9)
 
     def test_materializes_to_semicircle(self):
