@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import shlex
@@ -13,6 +14,8 @@ import loewner
 from loewner.cli import _fmt, _write_csv, run
 from loewner.evolution import sle_driving
 from loewner.flows import AtomPath, SemicircleFamily, flow_forward
+
+from conftest import gaussian_empirical
 
 
 def read_rows(path):
@@ -115,14 +118,20 @@ class TestVectorizedDeterminism:
     @pytest.mark.parametrize("argv", [
         ["density", "--measure", "semicircle:1", "--grid=-2.2:2.2:2201", "--eps", "1e-4"],
         ["convolve", "--expr", "mono(arcsine:1, arcsine:1)", "--grid=-2:2:801", "--eps", "1e-3"],
-    ], ids=["density", "convolve-mono"])
-    def test_csv_bytes_repeat(self, tmp_path, argv):
+        # the measure's own grid: both heights are Empirical rows, taken by FFT
+        ["density", "--measure", "@emp.json", "--grid=-4:4:2001", "--eps", "1e-3"],
+    ], ids=["density", "convolve-mono", "density-empirical"])
+    def test_csv_bytes_repeat(self, tmp_path, monkeypatch, argv):
+        m = gaussian_empirical()
+        (tmp_path / "emp.json").write_text(json.dumps({"a": m.a, "b": m.b,
+                                                       "values": m.values.tolist()}))
+        monkeypatch.chdir(tmp_path)
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         assert run(argv + ["--out", str(first)]) == 0
         src = str(Path(loewner.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-m", "loewner", *argv, "--out", str(second)],
-                       env=env, check=True)
+                       env=env, cwd=tmp_path, check=True)
         assert first.read_bytes() == second.read_bytes()
 
 

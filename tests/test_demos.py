@@ -32,7 +32,9 @@ DEMO_SHA256 = {
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    # RuntimeWarnings are errors, as in the suite's filterwarnings and the selftest
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == DEMO_SHA256[demo.stem]

@@ -578,6 +578,39 @@ class TestEmpiricalRows:
         assert scalar[0] < 200
         assert log_calls[0] <= 2 * 3 + scalar[0]
 
+    @pytest.mark.parametrize("n, count", [
+        (2, 2), (2, 3), (3, 2), (3, 3),  # the smallest grids and rows
+        (401, 2), (401, 3),
+        (2, 4), (2, 5), (3, 7), (3, 8), (401, 113), (401, 114),  # n + count - 2 logs: 2^k, 2^k + 1
+    ])
+    def test_edge_shapes_match_per_point(self, n, count, log_calls):
+        m = bumpy_empirical(5, 1, n=n)
+        g = cauchy(m)
+        for y in (1e-2, 1e-8):
+            for offset in (0.0, 0.37, -1.5):
+                zs = grid_row(m, offset, y, count)
+                before = log_calls[0]
+                got = g(zs)
+                assert log_calls[0] - before == 3, (y, offset)  # one row
+                assert np.array_equal(got, g(zs.copy())), (y, offset)  # byte for byte
+                want = np.array([g(complex(z)) for z in zs])
+                err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                assert float(np.max(err)) <= 1e-13, (y, offset)
+
+    def test_far_tail_keeps_relative_accuracy(self):
+        # 40001 points at the grid spacing run to 156, far right of b = 4, where
+        # |G| ~ 6e-3 and the row's round-off counts against a small value.
+        m = gaussian_empirical()
+        h = (m.b - m.a) / (len(m.values) - 1)
+        zs = grid_row(m, 0.0, h, 40001)
+        g = cauchy(m)
+        got = g(zs)
+        for j in range(20000, zs.size, 2000):
+            want = mp_log_sum(m, zs[j])
+            # measured with direct convolutions: row 1.4e-13, per point 2.1e-13 of |G|
+            assert abs(got[j] - want) <= 5e-13 * abs(want), j
+            assert abs(g(complex(zs[j])) - want) <= 5e-13 * abs(want), j
+
     def test_long_row(self, log_calls):
         m = gaussian_empirical(n=20001)
         g = cauchy(m)
