@@ -14,6 +14,7 @@ composition chains accumulate no gridding error.
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 import numpy as np
 
@@ -131,65 +132,9 @@ def materialize(g: AnalyticMap, grid, eps: float):
 # "free(sc:1, sc:1)".  Operators return f-kind maps for mono/anti and a
 # cauchy-kind map for free; a bare leaf parses to its Cauchy transform.
 
-_TOKEN = re.compile(r"\s*([A-Za-z_]+|[(),:]|[-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValidationError(f"bad expression near {text[pos:pos + 12]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expect=None):
-        tok = self.peek()
-        if tok is None or (expect is not None and tok != expect):
-            raise ValidationError(f"expected {expect!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self) -> AnalyticMap:
-        head = self.take()
-        if head in _OPERATORS:
-            self.take("(")
-            args = [self.expr()]
-            while self.peek() == ",":
-                self.take(",")
-                args.append(self.expr())
-            self.take(")")
-            if len(args) < 2:
-                raise ValidationError(f"{head} needs at least two arguments")
-            return _apply(head, args)
-        if head in SPECS:
-            self.take(":")
-            return cauchy(from_spec(head, self.take()))
-        raise ValidationError(f"unknown name {head!r} in expression")
-
-
 #: each operator's convolution and the transform kind it takes its arguments in
 _OPERATORS = {"mono": (monotone, as_f), "anti": (anti_monotone, as_f),
               "free": (free_subordination, as_cauchy)}
-
-
-def _apply(head: str, args) -> AnalyticMap:
-    op, convert = _OPERATORS[head]
-    out = convert(args[0])
-    for nxt in args[1:]:
-        out = op(out, convert(nxt))
-    return out
 
 
 def parse_expression(text: str) -> AnalyticMap:
@@ -198,10 +143,37 @@ def parse_expression(text: str) -> AnalyticMap:
     Leaves are the specs of :func:`~loewner.measures.from_spec`: ``dirac:a``,
     ``semicircle:v`` (alias ``sc``), ``arcsine:v`` (alias ``arc``); operators
     are ``mono(...)``, ``anti(...)``, ``free(...)`` with two or more
-    arguments.  ``:`` separates a leaf name from its parameter.
+    arguments.  ``:`` separates a leaf name from its parameter.  Whitespace is
+    free between tokens, and a leaf's number is read as ``density --measure``
+    reads it: whatever ``float`` accepts.
     """
-    parser = _Parser(_tokenize(text))
-    out = parser.expr()
-    if parser.peek() is not None:
-        raise ValidationError(f"trailing input {parser.peek()!r} in expression")
+    tokens = re.findall(r"[(),:]|[^\s(),:]+", text)[::-1]
+
+    def take(expect=None):
+        tok = tokens.pop() if tokens else None
+        if tok is None or expect not in (None, tok):
+            raise ValidationError(f"expected {expect!r}, found {tok!r}")
+        return tok
+
+    def expr() -> AnalyticMap:
+        head = take()
+        if head in SPECS:
+            take(":")
+            return cauchy(from_spec(head, take()))
+        if head not in _OPERATORS:
+            raise ValidationError(f"unknown name {head!r} in expression")
+        take("(")
+        args = [expr()]
+        while tokens[-1:] == [","]:
+            take()
+            args.append(expr())
+        take(")")
+        if len(args) < 2:
+            raise ValidationError(f"{head} needs at least two arguments")
+        op, convert = _OPERATORS[head]
+        return reduce(op, map(convert, args))
+
+    out = expr()
+    if tokens:
+        raise ValidationError(f"trailing input {tokens[-1]!r} in expression")
     return out

@@ -27,17 +27,18 @@ The ``Empirical`` log-sum splits an array into rows: maximal runs of
 consecutive points of one height whose real parts step by the density grid's
 spacing.  On a row ``z_j - x_k`` depends only on ``j - k``, so its sums over
 the nodes are two convolutions of ``N + M - 1`` logs, taken in one FFT pass
-(pocketfft: the same bits every run).  A run of one point, and every scalar,
-takes the per-point log-sum.  So a row point's value depends on its
-neighbours: it agrees with the per-point value within ``1e-13 * max(1, |G|)``
-(measured: 5e-15), and both lie within 1e-14 of a 40-digit log-sum.  A density
-that jumps by its own size from node to node carries about 5e-13 of round-off
-on either path.  Points that form no row keep their scalar bits.  A row pays
-for FFTs of its whole grid: 2 points on 2001 nodes take 0.3 ms, or 0.2 ms
-apart.  :func:`invert_stieltjes` evaluates its whole grid, at both heights, in
-one ``g.fn`` call: two rows, 1.5 ms on a 2001-node grid against 0.44 s point
-by point; a 20001-node row takes 17 ms, against 23 s (2 cores, numpy 2.4).
-Its two atoms then take about 20 scalar calls, against about 100 by bisection.
+(pocketfft: the same bits every run).  A run of one point, a run that drifts
+off its row, and every scalar take the per-point log-sum.  So a row point's
+value depends on its neighbours: it agrees with the per-point value within
+``1e-13 * max(1, |G|)`` (measured: 5e-15), and both lie within 1e-14 of a
+40-digit log-sum.  A density that jumps by its own size from node to node
+carries about 5e-13 of round-off on either path.  Points that form no row keep
+their scalar bits.  A row pays for FFTs of its whole grid: 2 points on 2001
+nodes take 0.3 ms, or 0.2 ms apart.  :func:`invert_stieltjes` evaluates its
+whole grid, at both heights, in one ``g.fn`` call: two rows, 1.5 ms on a
+2001-node grid against 0.44 s point by point; a 20001-node row takes 17 ms,
+against 23 s (2 cores, numpy 2.4).  Its two atoms then take about 20 scalar
+calls, against about 100 by bisection.
 """
 
 from __future__ import annotations
@@ -133,13 +134,9 @@ def halfplane_sqrt(z, radius: float, center: float = 0.0):
 
 
 def _empirical_cauchy_fn(m: Empirical):
-    atoms = m.atoms
+    poles = lambda z: sum(w / (z - x) for x, w in m.atoms)
     if m.values is None:
-        def fn(z):
-            z = as_points(z)
-            return sum(w / (z - x) for x, w in atoms)
-
-        return fn
+        return lambda z: poles(as_points(z))
 
     xs = m.grid()
     rho = np.asarray(m.values, dtype=float)
@@ -156,9 +153,7 @@ def _empirical_cauchy_fn(m: Empirical):
         # exact integral of the piecewise-linear density against 1/(z - x)
         logs = np.log(z - xs)
         seg = logs[:-1] - logs[1:]
-        out = complex(np.sum((rho[:-1] + slopes * (z - xs[:-1])) * seg)) - edge
-        out += sum(w / (z - x) for x, w in atoms)
-        return out
+        return complex(np.sum((rho[:-1] + slopes * (z - xs[:-1])) * seg)) - edge + poles(z)
 
     def row(z):
         # The same sum on z_j = c + j*step + iy.  There z_j - x_k = d[j - k + n - 1], so both
@@ -174,7 +169,7 @@ def _empirical_cauchy_fn(m: Empirical):
         # d's rounding would cost rho |delta d| / |z - x|: take those logs from z.
         out += (rho[0] + slopes[0] * d[n - 1:]) * (np.log(z - xs[0]) - logs[n - 1:])
         out -= (rho[-2] + slopes[-1] * d[1:count + 1]) * (np.log(z - xs[-1]) - logs[:count])
-        return out - edge + sum(w / (z - x) for x, w in atoms)
+        return out - edge + poles(z)
 
     def fn(z):
         z = as_points(z)
@@ -190,25 +185,24 @@ def _empirical_cauchy_fn(m: Empirical):
 
 
 def _rows(zs, step: float, scale: float):
-    """Maximal runs ``[lo, hi)`` of ``zs`` on one row ``c + j*step + iy``.
+    """Maximal runs ``[lo, hi)`` of ``zs`` on one row ``c + j*step + iy``, and single points.
 
-    A run shares its ``Im z`` exactly, and each real part lies within
-    ``4 eps max(scale, |Re z|)`` of the affine row through the run's first
-    point, so rounding cannot accumulate along it.  Linspace nodes carry
-    rounding of about ``ulp(max(|a|, |b|))`` even near 0: ``scale``.
+    A run shares its ``Im z`` exactly, and each step between neighbours lies
+    within ``step`` by the sum of their tolerances ``4 eps max(scale, |Re z|)``.
+    It is one row when every real part lies within its tolerance of the affine
+    row through the run's first point, so rounding cannot accumulate along it.
+    A run that drifts off its row comes back one point at a time, for the
+    per-point sum.  Linspace nodes carry rounding of about
+    ``ulp(max(|a|, |b|))`` even near 0: ``scale``.
     """
     tol = 4.0 * np.finfo(float).eps * np.maximum(scale, np.abs(zs.real))
     near = (zs.imag[1:] == zs.imag[:-1]) & (np.abs(np.diff(zs.real) - step) <= tol[1:] + tol[:-1])
     starts = np.flatnonzero(np.concatenate([[True], ~near]))
-    for lo, end in zip(starts.tolist(), starts[1:].tolist() + [zs.size]):
-        while end - lo > 1:
-            off = np.abs(zs.real[lo:end] - (zs.real[lo] + step * np.arange(end - lo)))
-            bad = np.flatnonzero(off > tol[lo:end])
-            hi = lo + int(bad[0]) if bad.size else end
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [zs.size]):
+        if np.all(np.abs(zs.real[lo:hi] - (zs.real[lo] + step * np.arange(hi - lo))) <= tol[lo:hi]):
             yield lo, hi
-            lo = hi
-        if lo < end:
-            yield lo, end
+        else:
+            yield from ((k, k + 1) for k in range(lo, hi))
 
 
 def cauchy(m: Measure) -> AnalyticMap:

@@ -23,6 +23,7 @@ from loewner import (
     r_transform,
 )
 from loewner import transforms
+from loewner.cli import run
 from loewner.errors import DomainMismatchError, NoConvergenceError, ValidationError
 
 from conftest import root_upper
@@ -260,7 +261,26 @@ class TestExpressions:
         assert amap.kind == "cauchy"
         assert amap(1j) == pytest.approx(1.0 / (1j - 2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("text, trimmed", [
+        ("free(sc:1, sc:1) ", "free(sc:1, sc:1)"),  # trailing whitespace is free
+        ("mono(sc:1,sc:1)\n", "mono(sc:1,sc:1)"),
+        ("sc:5.", "sc:5"),  # a leaf's number reads as ``float`` reads it, like --measure
+    ])
+    def test_spellings_parse_alike(self, text, trimmed):
+        got, want = parse_expression(text), parse_expression(trimmed)
+        zs = np.array([2j, 0.3 + 0.5j, -1.0 + 1e-3j])
+        assert got.kind == want.kind
+        assert got(2j) == want(2j)
+        assert np.array_equal(got(zs), want(zs))
+
+    def test_cli_takes_trailing_space(self, capsys):
+        assert run(["convolve", "--expr", "free(sc:1, sc:1) ", "--probe", "2i"]) == 0
+        padded = capsys.readouterr().out
+        assert run(["convolve", "--expr", "free(sc:1, sc:1)", "--probe", "2i"]) == 0
+        assert capsys.readouterr().out == padded
+
     def test_bad_expressions(self):
-        for text in ("mono(arcsine:1)", "blend(sc:1, sc:1)", "mono(sc:1, sc:1", "sc:1 extra"):
+        for text in ("mono(arcsine:1)", "blend(sc:1, sc:1)", "mono(sc:1, sc:1", "sc:1 extra",
+                     "$", "", "sc:1e", "mono(sc:1 sc:1)"):
             with pytest.raises(ValidationError):
                 parse_expression(text)

@@ -561,6 +561,16 @@ class TestEmpiricalRows:
                    ARRAY_Z):
             assert np.array_equal(g(zs), np.array([g(complex(z)) for z in zs]))
 
+    def test_drifting_run_keeps_scalar_bits(self):
+        # each step is off the grid spacing by 1e-16, inside the neighbour test, but the run
+        # drifts 5e-14 off the row through its first point: it takes the per-point sum
+        m = bumpy_empirical(6, 2)
+        g = cauchy(m)
+        step = (m.b - m.a) / (len(m.values) - 1)
+        for y in (1e-2, 1e-8):
+            zs = m.a + step * (1.0 + 1e-14) * np.arange(len(m.values)) + 1j * y
+            assert np.array_equal(g(zs), np.array([g(complex(z)) for z in zs]))
+
     @pytest.mark.parametrize("m", [gaussian_empirical(),
                                    gaussian_empirical(mass=0.6, atoms=((2.0, 0.4),))],
                              ids=["density", "with-atom"])
