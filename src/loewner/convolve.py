@@ -35,7 +35,7 @@ from .transforms import (
 )
 
 SUBORDINATION_TOL = 1e-12
-#: lane-wise Picard steps before the remaining lanes switch to Newton
+#: map evaluations per lane (two per Steffensen round) before Newton
 SUBORDINATION_PICARD_STEPS = 20
 
 
@@ -77,20 +77,24 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap) -> AnalyticMap:
     """Free convolution via the subordination fixed point.
 
     For each ``z`` the first subordinator ``omega_1(z)`` is the attracting
-    (Denjoy-Wolff) fixed point of ``w -> z + H_b(z + H_a(w))`` with
+    (Denjoy-Wolff) fixed point of ``P(w) = z + H_b(z + H_a(w))`` with
     ``H = F - id``; the result is the Cauchy transform ``z -> G_a(omega_1(z))``.
-    All points run together, one lane each.  ``SUBORDINATION_PICARD_STEPS``
-    plain Picard steps settle every lane whose step falls below
-    ``SUBORDINATION_TOL``: the map sends the upper half-plane into itself, and
-    its iterates reach the Denjoy-Wolff point from any start there (Belinschi
-    and Bercovici, J. Anal. Math. 101, 2007), so they are not damped.  The
-    rest, near the real axis where Picard contracts at a rate close to 1,
-    finish by the lane-wise damped Newton of :mod:`loewner.transforms` on
-    ``w - z - H_b(z + H_a(w)) = 0`` from the last Picard iterate, within
-    ``NEWTON_MAX_ITER`` iterations.  So a probe
-    close to the axis converges rather than meeting an iteration cap; only a
-    Newton lane that runs out of halvings or iterations raises
-    ``NoConvergenceError``, naming its ``z``.
+    ``P`` maps the upper half-plane into itself, and its iterates reach that
+    point from any start there (Belinschi and Bercovici, J. Anal. Math. 101,
+    2007).  All points run together, one lane each, through Steffensen rounds,
+    ``SUBORDINATION_PICARD_STEPS`` evaluations of ``P`` in all.  A round takes
+    ``w1 = P(w)``, ``w2 = P(w1)`` and moves to Aitken's extrapolate
+    ``w - (w1 - w)^2 / (w2 - 2 w1 + w)`` where that is finite and in the upper
+    half-plane and the step ratio ``(w2 - w1) / (w1 - w)`` is below 1/2 and
+    within half of itself of the lane's last ratio, else to ``w2``: this keeps
+    near-axis lanes off repelling fixed points on the axis, and lanes at their
+    rounding floor, where the ratio jumps, on plain steps.  A lane settles on
+    ``w1`` when ``|w1 - w|``, or on its next point when ``|w2 - w1|`` and that
+    point's move from ``w2``, are below ``SUBORDINATION_TOL``.  The rest, near
+    the real axis where the steps contract at a rate close to 1, finish by the
+    lane-wise damped Newton of :mod:`loewner.transforms` on ``w - P(w) = 0``
+    from the last point; a lane out of halvings or ``NEWTON_MAX_ITER``
+    iterations raises ``NoConvergenceError``, naming its ``z``.
     """
     if ga.kind != CAUCHY or gb.kind != CAUCHY:
         raise ValidationError("free_subordination needs two cauchy-kind maps")
@@ -105,12 +109,25 @@ def free_subordination(ga: AnalyticMap, gb: AnalyticMap) -> AnalyticMap:
         zs, back = _lanes(z)
         omega = np.empty_like(zs)
         live, w = np.arange(zs.size), zs
-        for _ in range(SUBORDINATION_PICARD_STEPS):
+        lam = np.full(zs.size, np.nan + 0j)  # step ratio of the round before; nan passes
+        for _ in range(SUBORDINATION_PICARD_STEPS // 2):
             zl = zs[live]
-            nxt = zl + h_b(zl + h_a(w))
-            done = np.abs(nxt - w) < SUBORDINATION_TOL
+            w1 = zl + h_b(zl + h_a(w))
+            done = np.abs(w1 - w) < SUBORDINATION_TOL
+            omega[live[done]] = w1[done]
+            live, zl, w, w1, lam = live[~done], zl[~done], w[~done], w1[~done], lam[~done]
+            if not live.size:
+                break
+            w2 = zl + h_b(zl + h_a(w1))
+            d1, d2 = w1 - w, w2 - w1
+            with np.errstate(all="ignore"):
+                acc, rate = w - d1 * d1 / (d2 - d1), d2 / d1
+            take = (np.isfinite(acc) & (acc.imag > 0) & (np.abs(rate) < 0.5)
+                    & ~(np.abs(rate - lam) > 0.5 * np.abs(rate)))
+            nxt = np.where(take, acc, w2)
+            done = (np.abs(d2) < SUBORDINATION_TOL) & (np.abs(nxt - w2) < SUBORDINATION_TOL)
             omega[live[done]] = nxt[done]
-            live, w = live[~done], nxt[~done]
+            live, w, lam = live[~done], nxt[~done], rate[~done]
             if not live.size:
                 break
         if live.size:
@@ -173,7 +190,10 @@ def parse_expression(text: str) -> AnalyticMap:
         op, convert = _OPERATORS[head]
         return reduce(op, map(convert, args))
 
-    out = expr()
+    try:
+        out = expr()
+    except RecursionError:
+        raise ValidationError("expression nested too deeply") from None
     if tokens:
         raise ValidationError(f"trailing input {tokens[-1]!r} in expression")
     return out

@@ -79,7 +79,7 @@ README_SHA256 = {
     'loewner convolve --expr "mono(arcsine:1, arcsine:1)" --probe 2i':
         "daaedad81f42dcec2f75595dbf344f541a43d254b8f6ae297dced27a252bd0fd",
     'loewner convolve --expr "free(sc:1, sc:1)" --grid=-3:3:2001 --eps 1e-4 --out dens.csv':
-        "fee42dcd2a4deea464bcba2b423d3d27fec0d3fe14583b954d597c6a3225277a",
+        "924fe63759c8fe1e08c3853a4a6945107afc3930856caf00fef496f6ddadc0a9",
     "loewner density --measure semicircle:1 --grid=-2.2:2.2:2201 --eps 1e-4 --out sc.csv":
         "ad216ecc5274ff75bb6424d906468f97de77417d060fab91a6947cca5b9f6e63",
     "loewner family --driver const:0 --semantics free --s 0 --t 1 --z 0.5i --out fam.csv":

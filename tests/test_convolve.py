@@ -178,9 +178,29 @@ class TestSubordination:
             assert abs(g_sub(z) - g_r(z)) < 1e-6
 
 
+def held_pairs(atoms, other, z, g):
+    """The subordinators of a two-atom law that make ``g = G(z)`` a subordination pair.
+
+    The pair is ``F_1(w1) = F_2(w2) = F`` with ``w1 + w2 = z + F``, both in the
+    upper half-plane, whichever side of the convolution the two-atom law is
+    on.  With masses ``p1, p2`` at ``x1, x2`` its
+    ``F(w) = (w - x1)(w - x2) / (w - p1 x2 - p2 x1)``, so its subordinator
+    solves ``w^2 - (x1 + x2 + F) w + x1 x2 + F (p1 x2 + p2 x1) = 0``; ``other``
+    is the Cauchy transform of the other law.
+    """
+    (x1, p1), (x2, p2) = atoms
+    g_atoms = cauchy(Empirical(atoms=atoms))
+    f = 1.0 / g
+    b = x1 + x2 + f
+    root = cmath.sqrt(b * b - 4.0 * (x1 * x2 + f * (p1 * x2 + p2 * x1)))
+    pairs = [(w1, z + f - w1) for w1 in ((b + root) / 2.0, (b - root) / 2.0)]
+    return [w1 for w1, w2 in pairs if w1.imag > 0 and w2.imag > 0
+            and abs(other(w2) - g_atoms(w1)) < 1e-10 * abs(g_atoms(w1))]
+
+
 class TestSubordinationNearAxis:
-    # 0, 1 and 3.5 settle during the Picard steps at this height; -2.826,
-    # -2.5 and 2.83 are still moving after them and finish by Newton
+    # 0, 1, -2.5 and 3.5 settle within the Steffensen rounds at this height;
+    # -2.826 and 2.83 are still moving after them and finish by Newton
     NEAR = np.array([0.0, 1.0, -2.826, -2.5, 2.83, 3.5]) + 1e-4j
 
     def test_newton_lanes_match_single_lanes(self):
@@ -200,21 +220,55 @@ class TestSubordinationNearAxis:
             g.fn(self.NEAR)
 
     def test_bernoulli_and_semicircle_just_above_the_axis(self):
-        # Picard leaves this lane to Newton, and damping the Picard steps made
-        # that Newton stall.  The R-transform route stalls here too, so the
-        # oracle is the subordination pair: F_a(w1) = F_b(w2) = F with
-        # w1 + w2 = z + F, both in the upper half-plane.  For the Bernoulli law
-        # F_a(w) = w - 1/w, so w1 solves w^2 - F w - 1 = 0.
-        ga = cauchy(Empirical(atoms=((-1.0, 0.5), (1.0, 0.5))))
+        # the rounds leave this lane to Newton, and damping the Picard steps
+        # made that Newton stall.  The R-transform route stalls here too, so
+        # the oracle is the subordination pair (held_pairs).  For the
+        # Bernoulli law F_a(w) = w - 1/w, so w1 solves w^2 - F w - 1 = 0.
+        atoms = ((-1.0, 0.5), (1.0, 0.5))
         gb = cauchy(Semicircle(1.0))
         z = 0.025 + 1e-6j
-        g = free_subordination(ga, gb)(z)
-        f = 1.0 / g
-        root = cmath.sqrt(f * f + 4.0)
-        pairs = [(w1, z + f - w1) for w1 in ((f + root) / 2.0, (f - root) / 2.0)]
-        held = [w1 for w1, w2 in pairs if w1.imag > 0 and w2.imag > 0
-                and abs(gb(w2) - ga(w1)) < 1e-10 * abs(ga(w1))]
-        assert len(held) == 1
+        g = free_subordination(cauchy(Empirical(atoms=atoms)), gb)(z)
+        assert len(held_pairs(atoms, gb, z, g)) == 1
+
+    def test_extrapolation_keeps_off_a_repelling_point(self):
+        # found by fuzzing: from this start an unguarded Aitken step lands by a
+        # repelling fixed point on the real axis, and Newton then raises
+        # "residual stalled".  A round takes the extrapolate only where its
+        # steps contract by half, at the ratio of the lane's last round.
+        atoms = ((-1.9684671575773847, 0.809830330131742),
+                 (1.4527975923019307, 0.190169669868258))
+        gb = cauchy(Semicircle(4.923298546804195, -0.19085549507618338))
+        z = 0.8008331930510675 + 1.0108218291045213e-07j
+        g = free_subordination(cauchy(Empirical(atoms=atoms)), gb)(z)
+        assert len(held_pairs(atoms, gb, z, g)) == 1
+
+    def test_extrapolation_stops_at_the_rounding_floor(self):
+        # found by fuzzing: this lane reaches its rounding floor at
+        # |omega_1| ~ 97, where the step ratio jumps from round to round.
+        # Extrapolating on that noise kept the lane moving, and Newton raised
+        # "residual stalled" from there; with the ratio held to the last
+        # round's, plain steps settle it, as plain Picard did.
+        ga = cauchy(Arcsine(0.1786639794926482, 0.9629921649517619))
+        atoms = ((-2.8319581910543565, 0.8893933592808159),
+                 (2.4975299649072555, 0.11060664071918413))
+        z = 2.896486168345385 + 0.0002609056112015326j
+        g = free_subordination(ga, cauchy(Empirical(atoms=atoms)))(z)
+        assert len(held_pairs(atoms, ga, z, g)) == 1
+
+    def test_rounds_halve_the_map_evaluations(self):
+        # 20 plain Picard steps made 68,772 lane evaluations of H_b on this
+        # grid and left 1,108 lanes to Newton; the Steffensen rounds make
+        # 32,784 and leave 152
+        inner = cauchy(Arcsine(1.0))
+        lanes = []
+
+        def counted(z):
+            lanes.append(np.size(z))
+            return inner.fn(z)
+
+        gb = AnalyticMap("cauchy", counted, mean=inner.mean, variance=inner.variance)
+        materialize(free_subordination(cauchy(Semicircle(1.0)), gb), np.linspace(-4.0, 4.0, 2001), 1e-3)
+        assert sum(lanes) <= 40_000
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_covering_grid_is_semicircle_of_variance_two(self, eps):
@@ -278,6 +332,19 @@ class TestExpressions:
         padded = capsys.readouterr().out
         assert run(["convolve", "--expr", "free(sc:1, sc:1)", "--probe", "2i"]) == 0
         assert capsys.readouterr().out == padded
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_deep_nesting_is_refused(self, depth, capsys):
+        text = "mono(sc:1, " * depth + "sc:1" + ")" * depth
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            parse_expression(text)
+        assert run(["convolve", "--expr", text, "--probe", "2i"]) == 2
+
+    def test_deep_nesting_within_reach_evaluates(self, capsys):
+        text = "mono(sc:1, " * 400 + "sc:1" + ")" * 400
+        assert run(["convolve", "--expr", text, "--probe", "2i"]) == 0
+        kind, re_part, im_part = capsys.readouterr().out.split()
+        assert kind == "f" and float(im_part) > 0
 
     def test_bad_expressions(self):
         for text in ("mono(arcsine:1)", "blend(sc:1, sc:1)", "mono(sc:1, sc:1", "sc:1 extra",

@@ -19,7 +19,7 @@ DEMO_SHA256 = {
     "02_transforms_and_density_recovery":
         "03b3774a4527bcc052b686a1ed3b4bf8ad2508add8c669237ca555d990754ebc",
     "03_three_convolutions":
-        "8185564e1c57046d17a24c04f7f9a51dcb0ab90b800b52b875d96c9b3bd98334",
+        "662f532aa5039d26091a4de0aa6c79d1cee045fd65aa7df6a4f849cce8f554c2",
     "04_slit_traces_and_welding":
         "8d3512faa0784033f3b5e013e5be2bc45cc8805347d5e20bfd4ca78e0d4fc2d9",
     "05_evolution_families_and_sle":
