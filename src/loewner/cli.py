@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
 from .convolve import parse_expression
 from .errors import NumericError, ValidationError
 from .evolution import (
@@ -239,6 +238,7 @@ def _cmd_burgers(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance  # here, so that no other command loads the criteria
     return acceptance.run_and_print(args.criteria or None)
 
 

@@ -792,7 +792,8 @@ _EXPM1_TAIL = tuple(1.0 / math.factorial(k) for k in range(18, 1, -1))
 
 
 def _expm1_tail(x: float) -> float:
-    """``expm1(x) - x``, by its series where the difference would cancel (|x| < 1)."""
+    """``expm1(x) - x``, by its series where the difference would cancel (|x| < 1).  Only
+    the shot pieces with ``|a s| < 1/4`` still call it (:func:`_shot_piece`)."""
     if abs(x) >= 1.0:
         return math.expm1(x) - x
     return _horner(_EXPM1_TAIL, x) * x * x
@@ -804,12 +805,14 @@ def _shot_piece(s: float, a: float, span: float) -> float:
 
     With ``p = 1 - a s`` and ``L = log(p_1 / p)`` the piece solves
     ``G(L) = p expm1(L) - L - a**2 span = 0`` (Kager, Nienhuis & Kadanoff 2004), and
-    ``s_1 = s - p expm1(L) / a``; ``s`` never crosses ``1/a``.  ``G' = -a s_1`` and
-    ``G'' = p e**L``, so Newton started where ``G`` and ``G''`` share a sign moves
-    monotonically to the one root on the solution's side, and stops when a step no
-    longer moves it that way: no iteration cap.  Where ``a`` would move ``s`` by less
-    than 2**-60 of itself over the span, the resting map ``sqrt(s**2 + 2 span)`` is
-    returned.
+    ``s_1 = s - p expm1(L) / a``; ``s`` never crosses ``1/a``.  Where ``|a s| >= 1/4``,
+    ``G`` is formed as written, since ``p expm1(L) - L`` then cancels by at most
+    ``(1 + |a s|)/|a s| <= 5`` (2 bits); below, ``expm1(L) - L`` comes from its series.
+    ``G' = -a s_1`` and ``G'' = p e**L``, so Newton started where ``G`` and ``G''`` share
+    a sign moves monotonically to the one root on the solution's side, and stops when a
+    step no longer moves it that way: no iteration cap, in either form.  Where ``a``
+    would move ``s`` by less than 2**-60 of itself over the span, the resting map
+    ``sqrt(s**2 + 2 span)`` is returned.
     """
     rest = math.sqrt(s * s + 2.0 * span)
     if abs(a) * span <= 2.0 ** -60 * rest:
@@ -824,9 +827,11 @@ def _shot_piece(s: float, a: float, span: float) -> float:
             big_l = max(big_l, math.log1p(-a * (rest - s) / p))
     else:  # s falls towards 1/a; G(0) = -c < 0 and G(-p - c) = p e**L < 0
         big_l, way = min(0.0, -p - c), -1.0
+    direct = abs(a * s) >= 0.25  # p expm1(L) - L then cancels by at most 5: 2 bits
     while True:
         em = math.expm1(big_l)
-        nxt = big_l - (_expm1_tail(big_l) - a * s * em - c) / (p * em - a * s)
+        g = p * em - big_l - c if direct else _expm1_tail(big_l) - a * s * em - c
+        nxt = big_l - g / (p * em - a * s)
         if not way * (nxt - big_l) > 0.0:
             break
         big_l = nxt

@@ -259,6 +259,16 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "PASS  reverse_flow_closed_form" in out
 
+    def test_only_selftest_imports_the_criteria(self):
+        # a fresh interpreter: importing the CLI leaves the acceptance module unloaded
+        src = str(Path(loewner.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", "import sys, loewner.cli; "
+                               "print('loewner.acceptance' in sys.modules)"],
+                              env=env, capture_output=True, timeout=120, check=True)
+        assert done.stdout.decode().split() == ["False"]
+
 
 #: a measure-path driver whose second piece is an Empirical law, which has no exact map
 EMPIRICAL_DRIVER = ('{"kind":"measure-path","breakpoints":[0,0.25],"measures":['

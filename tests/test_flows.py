@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loewner import (
     Arcsine,
@@ -877,6 +877,13 @@ class TestShotPiece:
 
     @PIECE_SETTINGS
     @given(piece_starts())
+    # |a s| an ulp below the direct form's 1/4 and on it, for both signs of a
+    @example((0.24999999999999997, 1.0, 0.5))
+    @example((0.25, 1.0, 0.5))
+    @example((0.24999999999999997, -1.0, 0.5))
+    @example((0.25, -1.0, 0.5))
+    @example((1.0, 2.0, 0.1))  # past 1/a: p < 0, s falls towards 1/a
+    @example((0.3, -4.0, 0.7))  # ends with L = 1.94 > 1, by the direct form
     def test_solves_the_implicit_equation(self, start):
         s0, a, span = start
         s1 = flows._shot_piece(s0, a, span)
@@ -885,6 +892,21 @@ class TestShotPiece:
         with mp.workdps(40):  # s1 stays on s0's side of 1/a, or rounds onto it
             p0, p1 = 1 - mp.mpf(a) * s0, 1 - mp.mpf(a) * s1
             assert p0 * p1 >= 0 or abs(p1) <= 2.0 ** -52
+
+    def test_series_only_where_the_direct_form_cancels(self, monkeypatch):
+        # the expm1 series serves pieces with |a s| < 1/4 only: 544 calls here, where
+        # summing it at every Newton step of every piece made 4,596
+        calls = 0
+        tail = flows._expm1_tail
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return tail(x)
+
+        monkeypatch.setattr(flows, "_expm1_tail", counted)
+        welding(sle_driving(2.0, 1.0 / 64.0, 0.5, 1), 0.5, npairs=5)
+        assert 0 < calls <= 1000
 
     @PIECE_SETTINGS
     @given(st.floats(0.0, 10.0), SPANS)
