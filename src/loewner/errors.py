@@ -46,9 +46,5 @@ class NotInImageError(NumericError):
     """Inverse-map round trip failed; the point is not in the image of the flow."""
 
 
-class TraceUnresolvedError(NumericError):
-    """Trace tip unresolved: the boundary offsets did not contract."""
-
-
 class NotASlitError(NumericError):
     """Not a slit: a welding shot returns to the driver, or the shots reverse beyond tolerance."""

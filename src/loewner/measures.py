@@ -48,6 +48,8 @@ class _CenteredLaw:
     def __post_init__(self):
         if not (0 < self.var < math.inf):
             raise ValidationError(f"{type(self).__name__} variance must be positive and finite")
+        if not math.isfinite(self.center):
+            raise ValidationError(f"{type(self).__name__} center must be finite")
         if not math.isfinite(self.radius):  # 2 var overflows near the float limit
             raise ValidationError(f"{type(self).__name__} of variance {self.var!r} "
                                   "has an infinite radius")
@@ -102,19 +104,21 @@ class Empirical:
         atoms = tuple((float(x), float(m)) for x, m in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         for x, m in atoms:
+            if not math.isfinite(x):
+                raise ValidationError(f"atom location {x} is not finite")
             if not (0.0 <= m <= 1.0):
                 raise ValidationError(f"atom mass {m} outside [0, 1]")
         has_density = self.values is not None
         if has_density:
             if self.a is None or self.b is None:
                 raise ValidationError("density grid needs both endpoints")
-            if not (self.a < self.b):
-                raise ValidationError("density grid endpoints must satisfy a < b")
+            if not (-math.inf < self.a < self.b < math.inf):
+                raise ValidationError("density grid endpoints must be finite with a < b")
             vals = np.asarray(self.values, dtype=float)
             if vals.ndim != 1 or vals.size < 2:
                 raise ValidationError("density grid needs at least two nodes")
-            if np.any(vals < 0):
-                raise ValidationError("density values must be non-negative")
+            if not np.all(np.isfinite(vals) & (vals >= 0)):
+                raise ValidationError("density values must be finite and non-negative")
             vals = vals.copy()
             vals.flags.writeable = False
             object.__setattr__(self, "values", vals)

@@ -224,10 +224,8 @@ def cauchy(m: Measure) -> AnalyticMap:
     elif isinstance(m, Arcsine):
         c, r = m.center, m.radius
         fn = lambda z: 1.0 / halfplane_sqrt(as_points(z), r, c)
-    elif isinstance(m, Empirical):
-        fn = _empirical_cauchy_fn(m)
     else:
-        raise ValidationError(f"not a measure: {m!r}")
+        fn = _empirical_cauchy_fn(m)
     return AnalyticMap(CAUCHY, fn, mean=mean, variance=var)
 
 

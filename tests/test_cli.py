@@ -395,6 +395,16 @@ class TestExitCodes:
         ["burgers", "--t=-0.5:1:3"],  # f_t has no negative times
         ["burgers", "--t", "0.2:1:2", "--im", "-1"],
         ["family", "--driver", "const:0", "--s", "2", "--t", "1", "--z", "1i"],
+        # non-finite measure fields
+        ["family", "--driver", '{"kind":"measure-path","breakpoints":[0],"measures":'
+         '[{"kind":"semicircle","var":1,"center":Infinity}]}', "--t", "1", "--z", "1i"],
+        ["density", "--measure", '{"kind":"arcsine","var":1,"center":NaN}', "--grid=-2:2:41"],
+        ["density", "--measure", '{"atoms": [[Infinity, 1]]}', "--grid=-2:2:41"],
+        ["density", "--measure", '{"atoms": [[NaN, 1]]}', "--grid=-2:2:41"],
+        ["density", "--measure", '{"a": -1, "b": 1, "values": [0.5, NaN, 0.5]}',
+         "--grid=-2:2:41"],
+        ["density", "--measure", '{"a": -Infinity, "b": 1, "values": [0.5, 0.5, 0.5]}',
+         "--grid=-2:2:41"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong

@@ -44,7 +44,6 @@ from loewner.errors import (
     NotASlitError,
     NotInImageError,
     NumericError,
-    TraceUnresolvedError,
     ValidationError,
 )
 
@@ -314,6 +313,15 @@ class TestInverse:
         with pytest.raises(NotInImageError):
             inverse_map(D0, 1.0, 0.5 + 1e-8j)
 
+    @pytest.mark.parametrize("z", [-3e11 + 1j, 2e12 + 10j, -1e14 + 0.5j])
+    def test_far_start_round_trips(self, z):
+        # the round trip is checked relative to max(1, |z|): an absolute 1e-6 sits below
+        # the rounding of |z| = 1e14
+        d = sle_driving(2.0, 1 / 64, 1.0, 1)
+        w = inverse_map(d, 1.0, z)
+        assert w.imag >= z.imag
+        assert abs(flow_forward(d, w, 1.0).value - z) <= 1e-14 * abs(z)
+
     def test_round_trip(self, rng):
         d = AtomPath(np.linspace(0, 1, 5), 0.4 * rng.standard_normal(5))
         for _ in range(5):
@@ -345,10 +353,13 @@ class TestTrace:
         with pytest.raises(ValidationError):
             trace(D0, [0.5])
 
-    def test_winding_tip_is_unresolved(self):
-        # the offsets' differences grow (ratio 1.14) instead of contracting
-        with pytest.raises(TraceUnresolvedError):
-            trace(sqrt_driver(2.7), [1.0])
+    @pytest.mark.parametrize("t", [1.0, 1.0 - 1e-9], ids=["end", "before-end"])
+    def test_winding_tip_is_exact(self, t):
+        # the trace winds into its endpoint, and the tip after the driver's shortest pieces
+        # is still one exact reverse solve
+        d = sqrt_driver(2.7)
+        want = tip_oracle(d, t)
+        assert abs(trace(d, [t]).points[0] - want) <= 1e-13 * abs(want)
 
 
 class TestWelding:

@@ -100,6 +100,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Empirical(atoms=((0.0, 1.5),))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Semicircle(1.0, math.inf), lambda: Semicircle(1.0, math.nan),
+        lambda: Arcsine(1.0, -math.inf), lambda: Arcsine(1.0, math.nan),
+        lambda: Empirical(atoms=((math.inf, 1.0),)),
+        lambda: Empirical(atoms=((0.0, 0.5), (math.nan, 0.5))),
+        lambda: Empirical(a=-1.0, b=1.0, values=np.r_[0.5, math.nan, 0.5]),
+        lambda: Empirical(a=-math.inf, b=1.0, values=np.full(3, 0.5)),
+        lambda: Empirical(a=-1.0, b=math.inf, values=np.full(3, 0.5)),
+    ], ids=["sc-center-inf", "sc-center-nan", "arc-center-inf", "arc-center-nan",
+            "atom-inf", "atom-nan", "density-nan", "grid-a-inf", "grid-b-inf"])
+    def test_non_finite_fields_rejected(self, make):
+        # each would reach the transforms as NaN: a NaN total mass passes the mass gate
+        with pytest.raises(ValidationError, match="finite"):
+            make()
+
 
 class TestSerialization:
     @pytest.mark.parametrize("obj, want", [
