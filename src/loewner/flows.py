@@ -57,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import Arcsine, Dirac, Semicircle, _field, from_dict as measure_from_dict
-from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt, illinois
+from .transforms import as_points, cauchy as measure_cauchy, halfplane_sqrt, illinois, lane_log
 
 #: a forward-flow point with Im below this is considered swallowed
 EPS_SWALLOW = 1e-6
@@ -111,7 +111,7 @@ class AtomPath:
         tj, uj, slope = self._lines[_piece_at(self, 0.5 * (lo + hi))]
         if slope == 0.0:
             return (hi - lo) * (1.0 / (w - (uj + slope * (lo - tj))))
-        # integral of 1/(w - U(tau)); Im w != 0 keeps U off the log's branch cut
+        # integral of 1/(w - U(tau)), off the cut as Im w != 0; np.log: the two logs cancel
         return (np.log(w - (uj + slope * (lo - tj))) - np.log(w - (uj + slope * (hi - tj)))) / slope
 
 
@@ -278,7 +278,7 @@ def _log1p_tail(x, left):
     near the positive half-axis, the second near the negative one.  :func:`_sloped`
     takes the same steps on a complex scalar."""
     p = 1.0 + x
-    return np.where(np.abs(x) < 0.25, _log1p_series(x), np.log(np.where(left, -p, p)) - x)
+    return np.where(np.abs(x) < 0.25, _log1p_series(x), lane_log(np.where(left, -p, p)) - x)
 
 
 def _branch_series(k):
@@ -331,9 +331,9 @@ def _wright_omega_lanes(zeta: np.ndarray, c: np.ndarray) -> np.ndarray:
                                     (zr - 1.0) ** 2 + zi * zi <= math.pi ** 2)],
             [_branch_series(c + 1.0) - 1.0, v * _horner(_OMEGA_BETWEEN, v),
              _horner(_OMEGA_MUSHROOM, zeta - 1.0)],
-            _omega_far(np.where(wing, c, zeta), np.log(np.where(wing, -c, zeta))))
+            _omega_far(np.where(wing, c, zeta), lane_log(np.where(wing, -c, zeta))))
         left = w.real < 0.0
-        return _fsc_step(w, np.where(left, c, zeta) - w - np.log(np.where(left, -w, w)))
+        return _fsc_step(w, np.where(left, c, zeta) - w - lane_log(np.where(left, -w, w)))
 
 
 #: past this ``|w|`` the resting map factors ``w**2`` out of its root: ``w**2`` would overflow
@@ -379,7 +379,8 @@ def _sloped(y: complex, piece: tuple) -> complex:
     (Kager, Nienhuis & Kadanoff 2004; ``i pi`` less left of ``Re x = -1``, :func:`_log1p_tail`)
     and ``x_1 = -1 - omega(k - 1 - i pi)``: the start and the one Fritsch-Shafer-Crowley step
     of :func:`_wright_omega_lanes`, or where ``|k| < 2**-20`` the branch-point series, then one
-    Newton step in ``x``, for the digits a second step would bring."""
+    Newton step in ``x``, for the digits a second step would bring.  Its logs are ``cmath``'s,
+    so a scalar keeps its bits; :func:`_sloped_lanes` takes :func:`lane_log`."""
     u0, u1, a, k0, flip, motion, root, span = piece
     w = y - u0
     if motion <= 2.0 ** -59 * (abs(w) + root):
@@ -489,7 +490,8 @@ _KEPLER_MAX_ITER = 50
 
 
 def _log1p(x):
-    """``log(1 + x)`` for complex lanes, Kahan's way: numpy's ``log1p`` loses digits at small x."""
+    """``log(1 + x)`` for complex lanes, Kahan's way: numpy's ``log1p`` loses digits at small x.
+    np.log, not :func:`lane_log`: the trick needs the relative digits of ``log p`` at p ~ 1."""
     p = 1.0 + x
     return np.where(p == 1.0, x, np.log(p) * x / (p - 1.0))
 
@@ -513,7 +515,7 @@ def _kepler(w, s, r: float, span: float):
     v = np.cbrt(6.0 * np.abs(k)) * np.exp(1j / 3.0 * np.where(ang < -0.25 * math.pi,
                                                               ang + 2.0 * math.pi, ang))
     far = 0.0
-    for _ in range(4):  # the log with its imaginary part in [-pi/2, 3 pi/2)
+    for _ in range(4):  # np.log keeps the maps' bits; Im in [-pi/2, 3 pi/2)
         far = np.log(q := 2.0 * (k + far)) + 2j * math.pi * ((q.real < 0.0) & (q.imag < 0.0))
     starts = np.stack([u, v * (1.0 - v * v / 60.0), far])
     res = np.abs(_sinh_tail(starts) - k)

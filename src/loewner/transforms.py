@@ -22,22 +22,22 @@ kernel (:func:`_damped_newton`), nested inversions included.  A scalar runs
 as one lane, so its value is bit for bit that of the same point in an array.
 A one-lane call costs about 0.2-0.3 ms (R-transform or subordination),
 against 0.02-0.03 ms for the scalar loops these replaced, on a 2-core x86
-host with numpy 2.4; a 4002-point subordination grid costs about 10 ms.
+host with numpy 2.4; a 4002-point subordination grid costs about 5 ms.
 The ``Empirical`` log-sum splits an array into rows: maximal runs of
 consecutive points of one height whose real parts step by the density grid's
 spacing.  On a row ``z_j - x_k`` depends only on ``j - k``, so its sums over
-the nodes are two convolutions of ``N + M - 1`` logs, taken in one FFT pass
-(pocketfft: the same bits every run).  A run of one point, a run that drifts
-off its row, and every scalar take the per-point log-sum.  So a row point's
-value depends on its neighbours: it agrees with the per-point value within
-``1e-13 * max(1, |G|)`` (measured: 5e-15), and both lie within 1e-14 of a
-40-digit log-sum.  A density that jumps by its own size from node to node
-carries about 5e-13 of round-off on either path.  Points that form no row keep
-their scalar bits.  A row pays for FFTs of its whole grid: 2 points on 2001
-nodes take 0.3 ms, or 0.2 ms apart.  :func:`invert_stieltjes` evaluates its
-whole grid, at both heights, in one ``g.fn`` call: two rows, 1.5 ms on a
-2001-node grid against 0.44 s point by point; a 20001-node row takes 17 ms,
-against 23 s (2 cores, numpy 2.4).  Its two atoms then take about 20 scalar
+the nodes are two convolutions of ``N + M - 1`` logs (:func:`lane_log`), taken
+in one FFT pass (pocketfft: the same bits every run).  A run of one point, a
+run that drifts off its row, and every scalar take the per-point log-sum.  So a
+row point's value depends on its neighbours: it agrees with the per-point
+value within ``1e-13 * max(1, |G|)`` (measured: 5e-15), and both lie within
+1e-14 of a 40-digit log-sum.  A density that jumps by its own size from node to
+node carries about 5e-13 of round-off on either path.  Points that form no row
+keep their scalar bits.  A row pays for FFTs of its whole grid: 2 points on
+2001 nodes take 0.25 ms, or 0.1 ms apart.  :func:`invert_stieltjes` evaluates
+its whole grid, at both heights, in one ``g.fn`` call: two rows, 0.9 ms on a
+2001-node grid against 0.28 s point by point; a 20001-node row takes 15 ms,
+against 7 s (2 cores, numpy 2.4).  Its two atoms then take about 20 scalar
 calls, against about 100 by bisection.
 """
 
@@ -114,6 +114,14 @@ def as_points(z):
     return complex(z)
 
 
+def lane_log(z):
+    """Principal ``log z`` of complex lanes, ``log|z| + i arg z`` (Kahan 1987): numpy's ``arg``
+    and signed zeros at a third of its cost or less, but ``log|z|`` only to 1.1e-16 absolute."""
+    out = np.empty(np.shape(z), dtype=complex)
+    out.real, out.imag = np.log(np.abs(z)), np.arctan2(z.imag, z.real)
+    return out
+
+
 def halfplane_sqrt(z, radius: float, center: float = 0.0):
     """``sqrt((z - center)**2 - radius**2)`` with the half-plane branch.
 
@@ -151,7 +159,7 @@ def _empirical_cauchy_fn(m: Empirical):
 
     def point(z: complex) -> complex:
         # exact integral of the piecewise-linear density against 1/(z - x)
-        logs = np.log(z - xs)
+        logs = lane_log(z - xs)
         seg = logs[:-1] - logs[1:]
         return complex(np.sum((rho[:-1] + slopes * (z - xs[:-1])) * seg)) - edge + poles(z)
 
@@ -160,15 +168,15 @@ def _empirical_cauchy_fn(m: Empirical):
         # sums over k are cyclic convolutions by one FFT pass; the wrap lands only on out[:n - 2].
         count = z.size
         d = (z[0].real - m.a) + step * np.arange(1 - n, count) + 1j * z[0].imag
-        logs = np.log(d)
+        logs = lane_log(d)
         seg = logs[1:] - logs[:-1]
         fft = lambda a: np.fft.fft(a, 1 << (seg.size - 1).bit_length())
         out = np.fft.ifft(fft(seg) * fft(rho[:-1]) + fft(d[1:] * seg) * fft(slopes))
         out = out[n - 2:n - 2 + count]
         # The density jumps to 0 at the end nodes, so G ~ rho log(z - x) there, and
         # d's rounding would cost rho |delta d| / |z - x|: take those logs from z.
-        out += (rho[0] + slopes[0] * d[n - 1:]) * (np.log(z - xs[0]) - logs[n - 1:])
-        out -= (rho[-2] + slopes[-1] * d[1:count + 1]) * (np.log(z - xs[-1]) - logs[:count])
+        out += (rho[0] + slopes[0] * d[n - 1:]) * (lane_log(z - xs[0]) - logs[n - 1:])
+        out -= (rho[-2] + slopes[-1] * d[1:count + 1]) * (lane_log(z - xs[-1]) - logs[:count])
         return out - edge + poles(z)
 
     def fn(z):
@@ -197,7 +205,7 @@ def _rows(zs, step: float, scale: float):
     """
     tol = 4.0 * np.finfo(float).eps * np.maximum(scale, np.abs(zs.real))
     near = (zs.imag[1:] == zs.imag[:-1]) & (np.abs(np.diff(zs.real) - step) <= tol[1:] + tol[:-1])
-    starts = np.flatnonzero(np.concatenate([[True], ~near]))
+    starts = np.flatnonzero(np.concatenate([[zs.size > 0], ~near]))  # none if zs is empty
     for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [zs.size]):
         if np.all(np.abs(zs.real[lo:hi] - (zs.real[lo] + step * np.arange(hi - lo))) <= tol[lo:hi]):
             yield lo, hi

@@ -27,8 +27,9 @@ from loewner import (
     invert_stieltjes,
     monotone,
     r_transform,
+    sle_driving,
 )
-from loewner import transforms
+from loewner import flows, transforms
 from loewner.errors import (
     MassDeficitError,
     NoConvergenceError,
@@ -400,7 +401,7 @@ class TestAsymptoticMoments:
 
 
 def seed_cauchy(m, z):
-    """The scalar closed forms and log-sum as written before maps took arrays."""
+    """The scalar closed forms as written before maps took arrays."""
     z = complex(z)
 
     def hp_sqrt(r, c):
@@ -413,14 +414,7 @@ def seed_cauchy(m, z):
         return 2.0 / ((z - m.center) + hp_sqrt(m.radius, m.center))
     if isinstance(m, Arcsine):
         return 1.0 / hp_sqrt(m.radius, m.center)
-    out = 0j
-    if m.values is not None:
-        xs, rho = m.grid(), np.asarray(m.values, dtype=float)
-        slopes = np.diff(rho) / (xs[1] - xs[0])
-        logs = np.log(z - xs)
-        seg = logs[:-1] - logs[1:]
-        out = complex(np.sum((rho[:-1] + slopes * (z - xs[:-1])) * seg)) - (rho[-1] - rho[0])
-    return out + sum(w / (z - x) for x, w in m.atoms)
+    return 0j + sum(w / (z - x) for x, w in m.atoms)
 
 
 ARRAY_Z = np.array(SAMPLE_Z + [-0.4 + 1e-3j, 2.9 + 1e-4j])
@@ -439,10 +433,22 @@ class TestArrayContract:
     def test_cauchy_arrays_and_seed_scalars(self, m):
         g = cauchy(m)
         assert_pointwise(g.fn)
-        for z in SAMPLE_Z:
-            val = g(z)
-            assert type(val) is complex
-            assert val == seed_cauchy(m, z)  # bit for bit
+        assert all(type(g(z)) is complex for z in SAMPLE_Z)
+        if not isinstance(m, Empirical) or m.values is None:
+            assert all(g(z) == seed_cauchy(m, z) for z in SAMPLE_Z)  # bit for bit
+            return
+        # a density's logs come from log|z| and arctan2, not np.log: held to the 40-digit sum
+        want = np.array([mp_log_sum(m, z) for z in ARRAY_Z])
+        for got, ref in ((np.array([g(complex(z)) for z in ARRAY_Z]), want),
+                         (g.fn(ARRAY_Z), want),
+                         (g.fn(np.array(SAMPLE_Z)), want[:len(SAMPLE_Z)])):
+            assert float(np.max(np.abs(got - ref) / np.abs(ref))) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    @pytest.mark.parametrize("m", ZOO + [ATOMS_ONLY], ids=lambda m: type(m).__name__)
+    def test_empty_array_gives_an_empty_array(self, m, shape):
+        got = cauchy(m).fn(np.empty(shape, dtype=complex))
+        assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == complex
 
     def test_halfplane_sqrt(self):
         for r, c in ((1.0, 0.0), (2.0, -0.5)):
@@ -631,3 +637,55 @@ class TestEmpiricalRows:
         for j in range(0, xs.size, 1999):
             want = g(complex(zs[j]))
             assert abs(got[j] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+class TestLaneLog:
+    """``lane_log`` takes the log from ``log|z|`` and ``arctan2``: the imaginary part to
+    2 ulps, the real part to 4e-16 absolute or 2 ulps of itself, and numpy's branch."""
+
+    def test_matches_mpmath(self, rng):
+        n = 1000
+        sign = lambda: rng.choice([-1.0, 1.0], n)
+        turn = lambda: np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        zs = np.concatenate([
+            10.0 ** rng.uniform(-300.0, 300.0, n) * turn(),
+            sign() * 10.0 ** rng.uniform(-3.0, 3.0, n)  # next to the axis, either side
+            + 1j * sign() * 10.0 ** rng.uniform(-300.0, -1.0, n),
+            (1.0 + rng.uniform(-1e-12, 1e-12, n)) * turn(),  # |z| next to 1
+        ])
+        got = transforms.lane_log(zs)
+        with mp.workdps(40):
+            want = np.array([complex(mp.log(mp.mpc(complex(z)))) for z in zs])
+        assert np.all(np.abs(got.imag - want.imag) <= 2.0 * np.spacing(np.abs(want.imag)))
+        bound = np.maximum(4e-16, 2.0 * np.spacing(np.abs(want.real)))
+        assert np.all(np.abs(got.real - want.real) <= bound)
+
+    def test_branch_zero_and_infinities_match_np_log(self):
+        inf = math.inf
+        zs = np.array([complex(x, y) for x in (-inf, -2.0, -0.5, -0.0, 0.0, 0.5, 2.0, inf)
+                       for y in (-inf, -0.0, 0.0, inf)])
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            got, want = transforms.lane_log(zs), np.log(zs)
+        assert np.all(got.real[zs == 0] == -inf)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+    def test_lane_routes_take_no_complex_np_log(self, monkeypatch):
+        complex_args = []
+        real = np.log
+
+        def recording(x):
+            complex_args.append(np.iscomplexobj(x))
+            return real(x)
+
+        monkeypatch.setattr(np, "log", recording)
+        m = gaussian_empirical(mass=0.6, atoms=((2.0, 0.4),))
+        xs = m.grid()
+        invert_stieltjes(cauchy(m), xs, float(xs[1] - xs[0]))
+        assert complex_args and not any(complex_args)
+        complex_args.clear()
+        # a sloped piece halfway along an SLE path, on the grid -3:3:301 at two heights
+        grid = np.linspace(-3.0, 3.0, 301)
+        piece = sle_driving(2.0, 1.0 / 64.0, 1.0, 1)._pieces[32][0]
+        flows._sloped_lanes(np.concatenate([grid + 1e-2j, grid + 5e-3j]), piece)
+        assert complex_args and not any(complex_args)
