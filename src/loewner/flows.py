@@ -17,8 +17,9 @@ past the horizon), and its line is ``(t_j, u_j, slope)`` for a point mass at
 ``U(t) = u_j + slope (t - t_j)``, else ``None``; an ``AtomPath``'s entry past its last knot
 is anchored at that knot, so ``u(t)``, which reads the lines too, gives ``U(T)`` exactly, and
 its ``_pieces`` tables each whole piece's map constants.  :func:`_segments` walks the pieces
-of a window.  ``integral(lo, hi, w)`` is the exact ``int_lo^hi G_{nu_tau}(w) dtau`` on the
-piece holding ``[lo, hi]`` (the free R-transform).
+of a window up the knots; the anti-monotone solve takes the same segments top-down, the same
+evolution with its pieces composed in reverse order.  ``integral(lo, hi, w)`` is the exact
+``int_lo^hi G_{nu_tau}(w) dtau`` on the piece holding ``[lo, hi]`` (the free R-transform).
 
 Every named law has a conserved quantity along the flow (Bauer's reading of the equation
 as a monotone evolution, MR2053711), so every piece is an exact map in both time directions.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -194,25 +195,15 @@ def _driver_at(d: Driving, t: float) -> float | None:
     return None if line is None else line[1] + line[2] * (t - line[0])
 
 
-def _segments(d: Driving, a: float, b: float, reflect_about: float | None = None):
+def _segments(d: Driving, a: float, b: float):
     """The segments ``(lo, hi, j)`` of ``[a, b]`` between the driver's knots, each within
-    piece ``j``; with ``reflect_about = c`` the driver is sampled at ``c - tau`` (reverse
-    time), and the walk runs down the knots.  One ``bisect``, then ``j`` steps by one."""
-    knots, c = d.knots, reflect_about
-    if c is None:
-        j = bisect_right(knots, a) - 1
-        while a < b:
-            hi = knots[j + 1] if j + 1 < len(knots) and knots[j + 1] < b else b
-            yield a, hi, j
-            a, j = hi, j + 1
-        return
-    j = max(bisect_left(knots, c - a) - 1, 0)  # the piece just below driver time c - a
+    piece ``j``, up the knots.  One ``bisect``, then ``j`` steps by one."""
+    knots = d.knots
+    j = bisect_right(knots, a) - 1
     while a < b:
-        hi = c - knots[j] if c - b < knots[j] and c - knots[j] < b else b
-        if hi > a:  # a knot within rounding of c - a leaves its piece no time
-            yield a, hi, j
-            a = hi
-        j -= 1
+        hi = knots[j + 1] if j + 1 < len(knots) and knots[j + 1] < b else b
+        yield a, hi, j
+        a, j = hi, j + 1
 
 
 def driving_from_dict(obj: dict) -> Driving:
@@ -346,23 +337,23 @@ def _rest(w, d: float):
     lanes = isinstance(w, np.ndarray)
     sqrt = np.sqrt if lanes else cmath.sqrt
     if not ((np.abs(w) >= _FAR).any() if lanes else abs(w) >= _FAR):
-        return 1j * sqrt(-(w * w + d))
+        return 1j * sqrt(-(w * w) - d)  # on the axis, w's sign picks the root
     with np.errstate(all="ignore"):  # lanes form both roots, then pick
         far = w * sqrt(1.0 + d / w / w)
-        return np.where(np.abs(w) < _FAR, 1j * sqrt(-(w * w + d)), far) if lanes else far
+        return np.where(np.abs(w) < _FAR, 1j * sqrt(-(w * w) - d), far) if lanes else far
 
 
-def _atom_piece(y, line: tuple, lo: float, hi: float, c: float | None):
-    """Exact reverse map of a point-mass piece, ``line = (t_j, u_j, slope)``, over
-    ``[lo, hi]`` in integration time ``tau``, driver time ``tau`` or ``c - tau``, for a
-    complex scalar or lanes ``y``; with ``hi < lo`` it runs the piece backwards.  A resting
-    piece is the arcsine semigroup; a sloped one maps by :func:`_sloped` (or lanes)."""
+def _atom_piece(y, line: tuple, r0: float, r1: float, sense: float):
+    """Exact reverse map of a point-mass piece, ``line = (t_j, u_j, slope)``, from driver time
+    ``r0`` to ``r1`` for a complex scalar or lanes ``y``: over ``span = sense (r1 - r0)`` at
+    rate ``sense slope``, ``sense = -1`` where the driver runs down (the anti-monotone walk)
+    or the piece runs backwards (forward flow).  A resting piece is the arcsine semigroup; a
+    sloped one maps by :func:`_sloped` (or lanes)."""
     tj, uj, slope = line
-    span = hi - lo
+    span = sense * (r1 - r0)
     if slope == 0.0:
         return uj + _rest(y - uj, -2.0 * span)
-    piece = (_piece(uj + slope * (lo - tj), uj + slope * (hi - tj), slope, span) if c is None
-             else _piece(uj + slope * (c - lo - tj), uj + slope * (c - hi - tj), -slope, span))
+    piece = _piece(uj + slope * (r0 - tj), uj + slope * (r1 - tj), sense * slope, span)
     return (_sloped_lanes if isinstance(y, np.ndarray) else _sloped)(y, piece)
 
 
@@ -537,19 +528,26 @@ def _law_piece(y, m, span: float):
     ``w = y - c`` is reflected to ``Re w >= 0`` and back.  Semicircle of variance ``v``:
     ``x = F(y)**2/v - 1 = F s/v`` moves as a point mass of slope ``a = sqrt(2/v)``
     (:func:`_sloped_lanes` on ``x/a``), and ``w_1 = zeta + v/zeta``, ``zeta = sqrt(v (1 + x_1))``
-    with ``Im zeta >= 0`` (on the axis ``Re w = 0`` ``x`` stays real, and a signed zero would
-    pick the other root).  Arcsine: :func:`_kepler`."""
+    with ``Im zeta >= 0``; ``x`` is kept in the closed upper half-plane (on the axis ``Re w = 0``
+    it is real, and rounded below it would take the other root).  Arcsine: :func:`_kepler`.
+    Past ``_FAR`` a lane maps as a point mass resting at the center."""
     if not isinstance(y, np.ndarray):
         return complex(_law_piece(np.array([y]), m, span)[0])
     w = y.ravel() - m.center
+    far = np.abs(w) >= _FAR  # where the law's correction to the resting map is below 1e-600
+    if far.any():
+        out = m.center + _rest(w, -2.0 * span)
+        out[~far] = _law_piece(y.ravel()[~far], m, span)
+        return out.reshape(y.shape)
     flip = w.real < 0.0
     w = np.where(flip, -w.conjugate(), w)
     s = halfplane_sqrt(w, m.radius)
     with np.errstate(all="ignore"):  # a forward map past its crossing may leave the numbers
         if isinstance(m, Semicircle):
             v, a = m.var, math.sqrt(2.0 / m.var)
-            p = 1.0 + a * _sloped_lanes(0.5 * (w + s) * s / (v * a), _piece(0.0, 0.0, a, span))
-            zeta = np.sqrt(v * (p.real + 1j * np.abs(p.imag)))
+            x = 0.5 * (w + s) * s / (v * a)
+            x.imag = np.where(x.imag > 0.0, x.imag, 0.0)  # F**2 lies in the closed upper half
+            zeta = np.sqrt(v * (1.0 + a * _sloped_lanes(x, _piece(0.0, 0.0, a, span))))
             w = zeta + v / zeta
         else:
             w = _kepler(w, s, m.radius, span)
@@ -565,32 +563,35 @@ def _law_forward(y: complex, m, span: float) -> complex | None:
     return g if cmath.isfinite(g) else None
 
 
-def _family_piece(y, lo: float, hi: float, c: float | None):
-    """Exact reverse map of the semicircle family over driver times ``lo`` to ``hi`` (with
-    ``c``: ``c - lo`` down to ``c - hi``), scalar or lanes.  ``g_t(z) = z + t/z`` maps forward
-    from 0 and ``f_t = F_{sigma_t}`` inverts it, so the anti-monotone map is ``g_{c - hi} o
-    f_{c - lo}``.  The monotone flow keeps ``(zeta**2 + 3 tau)/sqrt(zeta)``, ``zeta =
-    F_{sigma_tau}(phi)``, so ``sigma = sqrt(zeta_hi)`` is a root of ``sigma**4 - M sigma + 3 hi``;
-    ``(E**2 + 3)/sqrt(E)`` is univalent on ``{Im E > 0, |E| > 1}`` (its boundary runs once
-    round the rays to 4 and ``-4i`` and the astroid between), so one root has ``0 < arg sigma <
-    pi/2`` and ``|sigma|**4 > hi``.  Of the batched companion eigenvalues the one deepest in
-    that region is taken and polished by one Newton step."""
-    if c is not None:
-        zeta = 0.5 * (y + halfplane_sqrt(y, 2.0 * math.sqrt(c - lo)))
-        return zeta + (c - hi) / zeta
+def _family_piece(y, r0: float, r1: float):
+    """Exact reverse map of the semicircle family from driver time ``r0`` to ``r1``, scalar or
+    lanes.  ``g_t(z) = z + t/z`` maps forward from 0 and ``f_t = F_{sigma_t}`` inverts it, so
+    the anti-monotone map (``r1 < r0``) is ``g_{r1} o f_{r0}``.  The monotone flow keeps
+    ``(zeta**2 + 3 tau)/sqrt(zeta)``, ``zeta = F_{sigma_tau}(phi)``, so ``sigma = sqrt(zeta_r1)``
+    is a root of ``sigma**4 - M sigma + 3 r1``; ``(E**2 + 3)/sqrt(E)`` is univalent on ``{Im E >
+    0, |E| > 1}`` (its boundary runs once round the rays to 4 and ``-4i`` and the astroid
+    between), so one root has ``0 < arg sigma < pi/2`` and ``|sigma|**4 > r1``.  It is solved
+    in ``x = sigma/sqrt(zeta_r0)``, ``x**4 - (1 + 3 r0/zeta**2) x + 3 r1/zeta**2 = 0``, with
+    ``zeta = zeta_r0`` divided out twice, so no ``zeta**2`` overflows; of the batched companion
+    eigenvalues the one deepest in that region is taken and polished by one Newton step."""
+    zeta = 0.5 * (y + halfplane_sqrt(y, 2.0 * math.sqrt(r0)))
+    if r1 < r0:
+        return zeta + r1 / zeta
     if not isinstance(y, np.ndarray):
-        return complex(_family_piece(np.array([y]), lo, hi, c)[0])
-    sig = np.sqrt(0.5 * (y + halfplane_sqrt(y, 2.0 * math.sqrt(lo))))
-    m = sig ** 3 + 3.0 * lo / sig
+        return complex(_family_piece(np.array([y]), r0, r1)[0])
+    m, c = 1.0 + 3.0 * r0 / zeta / zeta, 3.0 * r1 / zeta / zeta
     comp = np.zeros(y.shape + (4, 4), dtype=complex)
-    comp[..., 0, 2], comp[..., 0, 3] = m, -3.0 * hi
+    comp[..., 0, 2], comp[..., 0, 3] = m, -c
     comp[..., 1, 0] = comp[..., 2, 1] = comp[..., 3, 2] = 1.0
-    roots = np.linalg.eigvals(comp)
-    arg = np.angle(roots)
-    depth = np.minimum(np.log(np.abs(roots) / hi ** 0.25), np.minimum(arg, 0.5 * math.pi - arg))
-    sig = np.take_along_axis(roots, np.argmax(depth, axis=-1)[..., None], -1)[..., 0]
-    sig = sig - (sig ** 4 - m * sig + 3.0 * hi) / (4.0 * sig ** 3 - m)
-    return sig * sig + hi / (sig * sig)
+    x = np.linalg.eigvals(comp)
+    sig = x * np.sqrt(zeta)[..., None]
+    arg = np.angle(sig)
+    with np.errstate(divide="ignore"):  # far out, x = 0 is a root
+        depth = np.minimum(np.log(np.abs(sig) / r1 ** 0.25), np.minimum(arg, 0.5 * math.pi - arg))
+    x = np.take_along_axis(x, np.argmax(depth, axis=-1)[..., None], -1)[..., 0]
+    x = x - (x ** 4 - m * x + c) / (4.0 * x ** 3 - m)
+    zeta = zeta * (x * x)
+    return zeta + r1 / zeta
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +635,7 @@ def flow_forward(d: Driving, z: complex, t: float) -> FlowPoint:
     The point is swallowed when its imaginary part falls to :data:`EPS_SWALLOW`; the
     swallowing time is the lifetime, with the state on the line ``Im g = EPS_SWALLOW`` as
     ``value``.  Every piece maps a survivor exactly, as the reverse map over the negated span
-    (:func:`_atom_piece` in time ``-t``, reflected about 0; :func:`_law_piece`), and the
+    (:func:`_atom_piece` with ``sense = -1``; :func:`_law_piece`), and the
     semicircle family by ``g_t(z) = z + t/z``.  A crossing is closed-form on a point mass
     (:func:`_crossing`) and on the family (``Im g_t = Im z (1 - t/|z|**2)``); on a semicircle
     or arcsine piece ``Im g`` falls monotonically, so the crossing time is the root of
@@ -652,18 +653,18 @@ def flow_forward(d: Driving, z: complex, t: float) -> FlowPoint:
         if line is not None:
             tj, u, slope = line
             crossing = _crossing(y - (u + slope * (a - tj)), slope, b - a)
-            if crossing is None:  # forward in t is reverse in -t: driver time 0 - (-t)
+            if crossing is None:  # forward in t is the reverse map run backwards
                 y = (_sloped(y, d._pieces[j][2]) if slope and 0.0 < a and b < t
-                     else _atom_piece(y, line, -a, -b, 0.0))
+                     else _atom_piece(y, line, a, b, -1.0))
                 continue
             tau, x = crossing
             life = min(max(a + tau, a), b)
             return FlowPoint(complex(u + slope * (life - tj) + x, EPS_SWALLOW), False, life)
         if isinstance(d, SemicircleFamily):  # its one piece starts at a = 0
-            life = abs(y) ** 2 * (1.0 - EPS_SWALLOW / y.imag)
+            r2 = abs(y) * abs(y)  # ** would raise OverflowError past 1.34e154
+            life = r2 * (1.0 - EPS_SWALLOW / y.imag)
             if life <= b:
-                return FlowPoint(complex(y.real * (1.0 + life / abs(y) ** 2), EPS_SWALLOW),
-                                 False, life)
+                return FlowPoint(complex(y.real * (1.0 + life / r2), EPS_SWALLOW), False, life)
             y = y + b / y
             continue
         m, span = d.measures[j], b - a
@@ -678,24 +679,26 @@ def flow_forward(d: Driving, z: complex, t: float) -> FlowPoint:
     return FlowPoint(y, True, math.inf)
 
 
-def _solve_reverse(d: Driving, a: float, b: float, z, reflect_about: float | None = None):
-    """Solve ``dy/dtau = -G_{nu_r}(y)`` over ``[a, b]`` from ``y(a) = z``, in driver time
-    ``r = tau``, or ``r = c - tau`` with ``reflect_about = c``.
+def _solve_reverse(d: Driving, s: float, t: float, z, anti: bool = False):
+    """Solve ``dy/dr = -G_{nu_r}(y)`` up from ``y(s) = z`` to driver time ``t``, or with
+    ``anti`` ``dy/dr = +G_{nu_r}(y)`` down from ``y(t) = z`` to ``s``: the same segments
+    (:func:`_segments`), taken top-down.
 
-    The walk (:func:`_segments`) reads the driver's tables, and every piece maps exactly, a
-    complex ``z`` as a scalar and an ndarray's starts all at once: a point mass by
-    :func:`_atom_piece` (a whole sloped one from its table entry), a semicircle or arcsine
-    piece by :func:`_law_piece` and the semicircle family by :func:`_family_piece`.
+    The walk reads the driver's tables, and every piece maps exactly, a complex ``z`` as a
+    scalar and an ndarray's starts all at once: a point mass by :func:`_atom_piece` (a whole
+    sloped one from its table entry), a semicircle or arcsine piece by :func:`_law_piece` and
+    the semicircle family by :func:`_family_piece`.
     """
-    c = reflect_about
     sloped, y = (_sloped_lanes if isinstance(z, np.ndarray) else _sloped), z
-    for lo, hi, j in _segments(d, a, b, c):
+    segments = _segments(d, s, t)
+    for lo, hi, j in reversed(list(segments)) if anti else segments:
+        r0, r1 = (hi, lo) if anti else (lo, hi)
         line = d._lines[j]
         if line is not None:  # a whole sloped piece reads its table entry
-            y = (sloped(y, d._pieces[j][c is not None]) if line[2] and a < lo and hi < b
-                 else _atom_piece(y, line, lo, hi, c))
+            y = (sloped(y, d._pieces[j][anti]) if line[2] and s < lo and hi < t
+                 else _atom_piece(y, line, r0, r1, -1.0 if anti else 1.0))
         elif isinstance(d, SemicircleFamily):
-            y = _family_piece(y, lo, hi, c)
+            y = _family_piece(y, r0, r1)
         else:
             y = _law_piece(y, d.measures[j], hi - lo)
     return y
@@ -721,8 +724,7 @@ def flow_reverse_anti(d: Driving, s: float, t: float, z: complex) -> complex:
     """
     z = as_points(z)
     _check(d, s, t, z, what="flow_reverse_anti")
-    # substitute tau = s + t - sigma so the walk runs forward in tau
-    return _solve_reverse(d, s, t, z, reflect_about=s + t)
+    return _solve_reverse(d, s, t, z, anti=True)
 
 
 def inverse_map(d: Driving, t: float, z: complex, *, check: bool = True) -> complex:
@@ -752,7 +754,7 @@ def trace(d: AtomPath, times: Sequence[float]) -> HullTrace:
     pts = []
     for t in times:
         _check(d, 0.0, t, what="trace")
-        pts.append(complex(_solve_reverse(d, 0.0, t, d.u(t), reflect_about=t)))
+        pts.append(complex(_solve_reverse(d, 0.0, t, d.u(t), anti=True)))
     return HullTrace(tuple(times), tuple(pts))
 
 

@@ -180,6 +180,21 @@ class TestLawPieces:
         assert dead >= 150
 
     @pytest.mark.parametrize("law", [Semicircle, Arcsine], ids=["semicircle", "arcsine"])
+    def test_starts_on_the_axis_of_symmetry_stay_on_it(self, law):
+        # on Re z = c the semicircle's x = F s/v is real, and where it rounded below the axis
+        # the map took the other root: from Im z ~ 5.6e9 up 1e10i -> 1e10, and forward
+        # swallowed it; at v = 0.01 a start 1e-3 above the center was swallowed at once, off
+        # the axis
+        for m in (law(1.0, 0.3), law(0.01, -0.2)):
+            for h in np.logspace(-3, 20, 47):
+                z = complex(m.center, h)
+                fp = flow_forward(one_piece(m), z, 0.5)
+                assert fp.alive or fp.lifetime > 0.05 * h * math.sqrt(m.var)
+                for got in (flow_reverse(one_piece(m), 0.0, 0.5, z), fp.value,
+                            flow_reverse_anti(one_piece(m), 0.0, 0.5, np.array([z]))[0]):
+                    assert got.imag > 0 and abs(got.real - m.center) <= 1e-13 * max(1.0, h)
+
+    @pytest.mark.parametrize("law", [Semicircle, Arcsine], ids=["semicircle", "arcsine"])
     def test_lanes_match_the_scalar_map(self, law):
         # one driver, every start as a lane: the lane's bits are the scalar solve's
         m = law(0.7, 0.3)

@@ -37,7 +37,6 @@ from loewner import (
 )
 from loewner import flows
 from loewner.cli import run
-from loewner.flows import _segments
 from loewner.transforms import AnalyticMap, halfplane_sqrt
 from loewner.errors import (
     HorizonExceededError,
@@ -998,23 +997,23 @@ class TestSlopedPieces:
         w0 = w0 if side > 0 else -w0.conjugate()
         want = piece_oracle(w0, side * a, 1 / 64)
         line = (0.0, 0.0, side * a)  # U(tau) = slope tau, so y = w at tau = 0
-        got = flows._atom_piece(w0, line, 0.0, 1 / 64, None) - side * a / 64
-        lane = flows._atom_piece(np.array([w0]), line, 0.0, 1 / 64, None)[0] - side * a / 64
+        got = flows._atom_piece(w0, line, 0.0, 1 / 64, 1.0) - side * a / 64
+        lane = flows._atom_piece(np.array([w0]), line, 0.0, 1 / 64, 1.0)[0] - side * a / 64
         assert abs(got - want) <= 1e-12 * abs(want) and abs(lane - want) <= 1e-12 * abs(want)
 
     def test_fold_lands_above_the_axis(self):
         w0, a = FOLD
-        got = flows._atom_piece(w0, (0.0, 0.0, a), 0.0, 1 / 64, None) - a / 64
+        got = flows._atom_piece(w0, (0.0, 0.0, a), 0.0, 1 / 64, 1.0) - a / 64
         assert abs(got - (-0.0621894 + 0.0030947j)) < 1e-7
 
     @pytest.mark.parametrize("w0", [0.3 + 0.01j, 1e-6j, -2.0 + 1e-3j])
     def test_negligible_slope_keeps_the_resting_bits(self, w0):
-        rest = flows._atom_piece(w0, (0.0, 0.0, 0.0), 0.0, 1 / 64, None)
+        rest = flows._atom_piece(w0, (0.0, 0.0, 0.0), 0.0, 1 / 64, 1.0)
         for a in (1e-300, -1e-300):
-            assert flows._atom_piece(w0, (0.0, 0.0, a), 0.0, 1 / 64, None) == rest
-            lanes = flows._atom_piece(np.array([w0, w0]), (0.0, 0.0, a), 0.0, 1 / 64, None)
+            assert flows._atom_piece(w0, (0.0, 0.0, a), 0.0, 1 / 64, 1.0) == rest
+            lanes = flows._atom_piece(np.array([w0, w0]), (0.0, 0.0, a), 0.0, 1 / 64, 1.0)
             assert np.all(lanes == flows._atom_piece(np.array([w0, w0]), (0.0, 0.0, 0.0),
-                                                     0.0, 1 / 64, None))
+                                                     0.0, 1 / 64, 1.0))
 
     def test_log1p_tail(self, rng):
         # by its series below |x| = 1/4, by the log above it, and i pi less left of
@@ -1292,13 +1291,14 @@ class TestPieceTable:
         monkeypatch.setattr(flows, "_atom_piece", lambda *a: ends.append(a[2:4]) or atom_piece(*a))
         if walk == "forward":
             assert flow_forward(d, 3j, t).alive  # forward runs each piece backwards
-            assert len(ends) == 2 and ends[0][0] == 0.0 and ends[1][1] == -t
+            assert len(ends) == 2 and ends[0][0] == 0.0 and ends[1][1] == t
             return
-        flow = flow_reverse if walk == "monotone" else flow_reverse_anti
+        anti = walk == "anti-monotone"
+        flow, first, last = (flow_reverse_anti, t, 0.1) if anti else (flow_reverse, 0.1, t)
         for z in (0.3 + 0.5j, np.array([0.3 + 0.5j, -1.0 + 1e-3j])):
             ends.clear()
-            flow(d, 0.1, t, z)
-            assert len(ends) == 2 and ends[0][0] == 0.1 and ends[1][1] == t
+            flow(d, 0.1, t, z)  # the anti-monotone walk runs down the driver's times
+            assert len(ends) == 2 and ends[0][0] == first and ends[1][1] == last
 
 
 # ---------------------------------------------------------------------------
@@ -1401,9 +1401,9 @@ class TestPointMassesIntegrateNothing:
 
 
 #: windows of THREE_PIECES that meet the knots: both ends on knots, s = t on a knot and
-#: inside a piece, both ends inside one piece, t at the horizon, and two where the
-#: anti-monotone walk's first driver time c - s = (s + t) - s lands exactly on a knot
-#: (0.6, and 0.3 one ulp below t = 0.30000000000000004)
+#: inside a piece, both ends inside one piece, t at the horizon, and two where ``(s + t) -
+#: s`` rounds onto a knot (0.6, and 0.3 one ulp below t = 0.30000000000000004), which a walk
+#: in the reflected time ``s + t - r`` would have to guard
 WALK_WINDOWS = [(0.3, 0.6), (0.0, 0.3), (0.3, 0.3), (0.45, 0.45), (0.35, 0.55), (0.45, 1.0),
                 (0.1, 0.6), (0.2, 0.30000000000000004)]
 
@@ -1442,16 +1442,11 @@ class TestTableWalk:
             assert abs(point - want) <= 1e-12 * abs(want)
             assert abs(lane - want) <= 1e-12 * abs(want)
 
-    @pytest.mark.parametrize("s, t, pieces", [(0.1, 0.6, [1, 0]), (0.2, 0.30000000000000004, [0])])
-    def test_first_reflected_piece_ends_on_its_knot(self, s, t, pieces):
-        # (s + t) - s is the knot: the anti-monotone walk starts on the piece below it
-        assert (s + t) - s in THREE_PIECES.knots
-        assert [j for *_, j in _segments(THREE_PIECES, s, t, s + t)] == pieces
-
 
 class TestFarStarts:
     """Past ``|w| = 1e154`` a resting piece maps ``w sqrt(1 -+ 2 dt/w**2)``, where
-    ``(w - u)**2`` would overflow (it raised ``OverflowError``)."""
+    ``(w - u)**2`` would overflow (it raised ``OverflowError``); a semicircle or arcsine piece
+    maps as a resting point mass there."""
 
     def test_resting_pieces_map_a_far_start(self, tmp_path):
         fp = flow_forward(D0, 1e200 + 1j, 1.0)
@@ -1499,6 +1494,22 @@ class TestFarStarts:
                         want = complex(mp.sqrt(w * w + 2 * mp.mpf(t)))
                         want = want if want.imag >= 0 else -want
                         assert abs(fp.value - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("r", [1e76, 1e155, 1e300])
+    @pytest.mark.parametrize("d", [
+        sle_driving(2.0, 1.0 / 64.0, 1.0, 1), MeasurePath((0.0, 0.5), (Dirac(0.0), Dirac(1.0))),
+        MeasurePath((0.0,), (Semicircle(1.0),)), MeasurePath((0.0,), (Arcsine(1.0),)),
+        SemicircleFamily()], ids=["atom-path", "dirac-path", "semicircle", "arcsine", "family"])
+    def test_every_flow_keeps_a_far_start(self, d, r):
+        # a law piece returned NaN past 1.34e154 (and flow_forward raised), and the family's
+        # monotone quartic left the half-plane from about 1e76
+        for angle in (0.5, 1.5, 3.0):
+            z = r * cmath.exp(1j * angle)
+            lanes = np.array([z, 1j])
+            for got in (flow_reverse(d, 0.0, 1.0, z), flow_reverse_anti(d, 0.0, 1.0, z),
+                        flow_forward(d, z, 1.0).value, flow_reverse(d, 0.0, 1.0, lanes)[0],
+                        flow_reverse_anti(d, 0.0, 1.0, lanes)[0]):
+                assert cmath.isfinite(got) and got.imag > 0 and abs(got - z) <= 1e-13 * r
 
     @pytest.mark.parametrize("x, y", [(1e153, 2e-6), (1e156, 1.0000001e-6)])
     def test_swallow_lifetime_either_side_matches_mpmath(self, x, y):
