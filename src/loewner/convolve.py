@@ -31,7 +31,6 @@ from .transforms import (
     as_f,
     cauchy,
     invert_stieltjes,
-    merge_domains,
 )
 
 SUBORDINATION_TOL = 1e-12
@@ -48,14 +47,12 @@ def _sum_meta(a: AnalyticMap, b: AnalyticMap):
 def monotone(fa: AnalyticMap, fb: AnalyticMap) -> AnalyticMap:
     """Monotone convolution on the transform side: ``fa o fb``.
 
-    Mean/variance metadata is propagated only for mean-zero factors, where the
-    additivity of both is valid.
+    ``F(z) = z - m - v/z + O(1/z**2)`` composes with ``m`` and ``v`` adding, so the
+    mean/variance metadata is the sum for any two factors.
     """
     if fa.kind != F or fb.kind != F:
         raise ValidationError("monotone convolution needs two f-kind maps")
-    mean = var = None
-    if fa.mean == 0.0 and fb.mean == 0.0:
-        mean, var = _sum_meta(fa, fb)
+    mean, var = _sum_meta(fa, fb)
     return AnalyticMap(F, lambda z: fa.fn(fb.fn(z)), mean=mean, variance=var)
 
 
@@ -68,9 +65,8 @@ def free_r(ra: AnalyticMap, rb: AnalyticMap) -> AnalyticMap:
     """Free convolution on the R-transform side: pointwise sum."""
     if ra.kind != R or rb.kind != R:
         raise ValidationError("free_r needs two r-kind maps")
-    dom = merge_domains(ra.domain, rb.domain)
     mean, var = _sum_meta(ra, rb)
-    return AnalyticMap(R, lambda w: ra.fn(w) + rb.fn(w), mean=mean, variance=var, domain=dom)
+    return AnalyticMap(R, lambda w: ra.fn(w) + rb.fn(w), mean=mean, variance=var)
 
 
 def free_subordination(ga: AnalyticMap, gb: AnalyticMap) -> AnalyticMap:

@@ -22,10 +22,6 @@ class AtomicPointError(ValidationError):
     """Density evaluation requested exactly at an atom location."""
 
 
-class DomainMismatchError(ValidationError):
-    """Two transforms have no common evaluation domain."""
-
-
 class NumericError(LoewnerError):
     """A numeric routine failed to reach its target accuracy."""
 

@@ -82,8 +82,7 @@ class EvolutionFamily:
     def transform(self, s: float, t: float) -> AnalyticMap:
         """The slice ``z -> eval(s, t, z)`` as a tagged analytic map."""
         kind = R if self.semantics == FREE else F
-        return AnalyticMap(kind, lambda z: self.eval(s, t, z), mean=0.0, variance=t - s,
-                           domain=(0.0, 0.5) if kind == R else None)
+        return AnalyticMap(kind, lambda z: self.eval(s, t, z), mean=0.0, variance=t - s)
 
     def cauchy_map(self, s: float, t: float) -> AnalyticMap:
         """Cauchy transform of ``sigma_{s,t}`` (Newton inversion for free)."""

@@ -95,6 +95,9 @@ class AtomPath:
         vs = values.tolist()
         lines = tuple((t0, u0, (u1 - u0) / (t1 - t0)) for t0, t1, u0, u1 in
                       zip(self.knots, self.knots[1:], vs, vs[1:]))
+        for j, ((t0, _, slope), h) in enumerate(zip(lines, np.diff(times).tolist())):
+            if not math.isfinite(slope * slope * h):  # what the piece's map moves by
+                raise ValidationError(f"AtomPath piece {j} from t = {t0}: slope**2 span overflows")
         # the last line runs on past the horizon, anchored at it so that U(T) is exact
         object.__setattr__(self, "_lines", lines + ((self.knots[-1], vs[-1], lines[-1][2]),))
         object.__setattr__(self, "_pieces", tuple(
@@ -112,8 +115,12 @@ class AtomPath:
         tj, uj, slope = self._lines[_piece_at(self, 0.5 * (lo + hi))]
         if slope == 0.0:
             return (hi - lo) * (1.0 / (w - (uj + slope * (lo - tj))))
-        # integral of 1/(w - U(tau)), off the cut as Im w != 0; np.log: the two logs cancel
-        return (np.log(w - (uj + slope * (lo - tj))) - np.log(w - (uj + slope * (hi - tj)))) / slope
+        # log(e0/e1)/slope, e = w - U at lo and hi, is (hi - lo)/e1 log1p(x)/x, x = (U1 - U0)/e1,
+        # or the same from e0; the nearer end keeps |1 + x| >= 1, and no two logs of |w| cancel
+        e0, e1 = w - (uj + slope * (lo - tj)), w - (uj + slope * (hi - tj))
+        near = np.abs(e1) <= np.abs(e0)
+        e = np.where(near, e1, e0)
+        return (hi - lo) / e * _log1p_ratio(np.where(near, 1.0, -1.0) * (slope * (hi - lo)) / e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,12 +174,12 @@ class SemicircleFamily:
     def integral(self, lo: float, hi: float, w):
         """Closed form: ``w log(w + S) - S`` is an antiderivative, ``S_tau = sqrt(w**2 - 4 tau)``.
         Its difference is ``w log1p(x) - d`` with ``d = S_hi - S_lo = -4 (hi - lo)/(S_hi + S_lo)``
-        and ``x = d/(w + S_lo)``, free of cancellation for short spans and near the axis."""
+        and ``x = d/(w + S_lo)``, free of cancellation for short spans and near the axis; it is
+        formed as ``w x log1p(x)/x`` with ``w x = d/(1 + S_lo/w)``, so no ``x ~ -1/w**2`` of a
+        far ``w`` underflows into the product."""
         s_lo, s_hi = (halfplane_sqrt(w, 2.0 * math.sqrt(t)) for t in (lo, hi))
         d = -4.0 * (hi - lo) / (s_hi + s_lo)
-        x = d / (w + s_lo)
-        with np.errstate(invalid="ignore"):
-            out = w * _log1p(x) - d
+        out = d / (1.0 + s_lo / w) * _log1p_ratio(d / (w + s_lo)) - d
         return out if isinstance(out, np.ndarray) and out.ndim else complex(out)
 
 
@@ -482,9 +489,19 @@ _KEPLER_MAX_ITER = 50
 
 def _log1p(x):
     """``log(1 + x)`` for complex lanes, Kahan's way: numpy's ``log1p`` loses digits at small x.
-    np.log, not :func:`lane_log`: the trick needs the relative digits of ``log p`` at p ~ 1."""
+    np.log, not :func:`lane_log`: the trick needs the relative digits of ``log p`` at p ~ 1.
+    Below ``|x| = 2**-500``, where ``log(p) x`` would underflow, it is ``x`` itself."""
     p = 1.0 + x
-    return np.where(p == 1.0, x, np.log(p) * x / (p - 1.0))
+    with np.errstate(all="ignore"):  # lanes below 2**-500 divide as well, then are picked
+        return np.where((p == 1.0) | (np.abs(x) < 2.0 ** -500), x, np.log(p) * x / (p - 1.0))
+
+
+def _log1p_ratio(x):
+    """``log1p(x)/x`` for complex scalars or lanes, as :func:`_log1p` forms it without the
+    product: ``log(p)/(p - 1)``, and 1 below ``|x| = 2**-52``, where it is within 2**-53."""
+    p = 1.0 + x
+    with np.errstate(all="ignore"):  # lanes below 2**-52 divide as well, then are picked
+        return np.where(np.abs(x) < 2.0 ** -52, 1.0, np.log(p) / (p - 1.0))
 
 
 def _sinh_tail(u):
@@ -530,11 +547,13 @@ def _law_piece(y, m, span: float):
     (:func:`_sloped_lanes` on ``x/a``), and ``w_1 = zeta + v/zeta``, ``zeta = sqrt(v (1 + x_1))``
     with ``Im zeta >= 0``; ``x`` is kept in the closed upper half-plane (on the axis ``Re w = 0``
     it is real, and rounded below it would take the other root).  Arcsine: :func:`_kepler`.
-    Past ``_FAR`` a lane maps as a point mass resting at the center."""
+    Past ``_FAR``, or ``_FAR`` radii of a narrower law, a lane maps as a point mass resting at
+    the center: the law's own maps would overflow there."""
     if not isinstance(y, np.ndarray):
         return complex(_law_piece(np.array([y]), m, span)[0])
     w = y.ravel() - m.center
-    far = np.abs(w) >= _FAR  # where the law's correction to the resting map is below 1e-600
+    # where the law's correction to the resting map, (radius/|w|)**2, is below 1e-308
+    far = np.abs(w) >= _FAR * min(1.0, m.radius)
     if far.any():
         out = m.center + _rest(w, -2.0 * span)
         out[~far] = _law_piece(y.ravel()[~far], m, span)
@@ -615,7 +634,7 @@ class HullTrace:
 
 
 def _check(d: Driving, s: float, t: float, z=None, *, what: str):
-    """The domain of every solve ``phi_{s,t}``: finite times ``0 <= s <= t`` within the horizon
+    """What every solve ``phi_{s,t}`` takes: finite times ``0 <= s <= t`` within the horizon
     of ``d``, and starts ``z`` (complex or ndarray) finite in the open upper half-plane."""
     if not 0.0 <= s <= t < math.inf:
         raise ValidationError(f"{what} needs finite times 0 <= s <= t, got s = {s}, t = {t}")

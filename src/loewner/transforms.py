@@ -51,7 +51,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    DomainMismatchError,
     MassDeficitError,
     NoConvergenceError,
     UnstableFitError,
@@ -82,9 +81,7 @@ class AnalyticMap:
 
     ``fn`` takes a complex scalar or ndarray (the array contract above).
     ``kind`` is one of ``"cauchy"``, ``"f"``, ``"r"``; ``mean``/``variance``
-    are optional asymptotic metadata.  For ``kind="r"`` the optional ``domain``
-    records the radius interval on the imaginary test segment where the map is
-    known to evaluate.
+    are optional asymptotic metadata, which convolutions add; ``domain`` is carried, not read.
     """
 
     kind: str
@@ -339,7 +336,7 @@ def invert_cauchy(g: AnalyticMap, w):
     """Right inverse ``V`` of a Cauchy transform: solves ``G(V) = w``.
 
     Seeded at ``mean + 1/w`` (the exact inverse for a point mass); valid for
-    ``w`` in the image of ``{Im z sufficiently large}``.  Out-of-domain points
+    ``w`` in the image of ``{Im z sufficiently large}``.  Other points
     fail loudly with ``NoConvergenceError``.  ``w`` may be an ndarray; its
     points are solved together, one Newton lane each.
     """
@@ -355,8 +352,8 @@ def r_transform(g: AnalyticMap) -> AnalyticMap:
     """R-transform ``V(w) - 1/w`` where ``V`` right-inverts ``g``.
 
     The returned map is reliable on the image of ``{i y : y >= 0.05}`` under
-    ``g`` and on the imaginary test segment of radius 0.5 recorded in
-    ``domain``; elsewhere the Newton inversion may raise.
+    ``g`` and on the imaginary segment of radius 0.5, ``{-i s : 0 < s <= 0.5}``;
+    elsewhere the Newton inversion may raise.
     """
     if g.kind != CAUCHY:
         raise ValidationError("r_transform expects a cauchy-kind map")
@@ -365,7 +362,7 @@ def r_transform(g: AnalyticMap) -> AnalyticMap:
         ws, back = _lanes(w)
         return back(invert_cauchy(g, ws) - 1.0 / ws)
 
-    return AnalyticMap(R, fn, mean=g.mean, variance=g.variance, domain=(0.0, 0.5))
+    return AnalyticMap(R, fn, mean=g.mean, variance=g.variance)
 
 
 def cauchy_from_r(r: AnalyticMap) -> AnalyticMap:
@@ -502,15 +499,3 @@ def asymptotic_moments(f: AnalyticMap):
             f"unstable fit: means {means.tolist()}, variances {variances.tolist()}"
         )
     return mean_hat, var_hat
-
-
-def merge_domains(a: tuple | None, b: tuple | None) -> tuple | None:
-    """Intersection of two evaluation-domain intervals (``None`` = unknown)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    if lo >= hi:
-        raise DomainMismatchError(f"domain mismatch: {a} and {b} are disjoint")
-    return (lo, hi)

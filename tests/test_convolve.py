@@ -24,7 +24,7 @@ from loewner import (
 )
 from loewner import transforms
 from loewner.cli import run
-from loewner.errors import DomainMismatchError, NoConvergenceError, ValidationError
+from loewner.errors import NoConvergenceError, ValidationError
 
 from conftest import root_upper
 
@@ -58,11 +58,19 @@ class TestMonotone:
         for z in PROBES:
             assert abs(left(z) - right(z)) < 1e-12
 
-    def test_meta_for_mean_zero_inputs(self):
+    def test_meta_adds_for_any_means(self):
         f = monotone(f_transform(Arcsine(1.0)), f_transform(Semicircle(0.5)))
         assert f.mean == 0.0 and f.variance == pytest.approx(1.5)
         g = monotone(f_transform(Dirac(1.0)), f_transform(Arcsine(1.0)))
-        assert g.mean is None and g.variance is None
+        assert g.mean == 1.0 and g.variance == 1.0
+
+    @pytest.mark.parametrize("op", [monotone, anti_monotone])
+    def test_meta_of_non_centred_laws_matches_the_asymptotics(self, op):
+        # F(z) = z - m - v/z + O(1/z**2) composes with m and v adding, whatever the means
+        f = op(f_transform(Semicircle(0.5, -2.0)), f_transform(Arcsine(1.0, 3.0)))
+        assert (f.mean, f.variance) == (1.0, 1.5)
+        mean, var = asymptotic_moments(f)
+        assert abs(mean - f.mean) < 0.01 * 1.5 and abs(var - f.variance) < 0.01 * 1.5
 
     def test_variance_additivity_via_asymptotics(self):
         f = monotone(f_transform(Arcsine(0.7)), f_transform(Semicircle(0.3)))
@@ -128,12 +136,6 @@ class TestFreeR:
         want = cauchy(Semicircle(1.0, 0.5))
         for z in (2j, 1 + 2j, 3j):
             assert g(z) == pytest.approx(want(z), abs=1e-8)
-
-    def test_domain_mismatch(self):
-        ra = AnalyticMap("r", lambda w: w, domain=(0.0, 0.1))
-        rb = AnalyticMap("r", lambda w: w, domain=(0.2, 0.5))
-        with pytest.raises(DomainMismatchError):
-            free_r(ra, rb)
 
 
 class TestSubordination:

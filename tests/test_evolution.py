@@ -265,6 +265,60 @@ class TestSemicircleFamilyIntegral:
         assert abs(mean_variance(rec)[1] - 1.0) < 1e-3
 
 
+def free_family_oracle(d, t, z):
+    """``R_{0,t}(z)`` summed piece by piece from the closed forms, ``w = 1/z``: ``dtau/(w - U)``
+    on a resting piece, ``dtau/dU log((w - U_0)/(w - U_1))`` on a sloped one, and
+    ``Phi(t) - Phi(0)`` for the semicircle family; at 40 digits more than ``|w|`` has."""
+    with mp.workdps(40 + 2 * max(0, round(-math.log10(abs(z))))):
+        w = 1 / mp.mpc(z)
+        if isinstance(d, SemicircleFamily):
+            root = lambda tau: mp.sqrt(w - 2 * mp.sqrt(tau)) * mp.sqrt(w + 2 * mp.sqrt(tau))
+            phi = lambda tau: w * mp.log(w + root(tau)) - root(tau)
+            return complex(phi(mp.mpf(t)) - phi(0))
+        total = mp.mpc(0)
+        for lo, hi, u0, u1 in zip(d.times, d.times[1:], d.values, d.values[1:]):
+            if lo >= t:
+                break
+            h, du = mp.mpf(hi) - mp.mpf(lo), mp.mpf(u1) - mp.mpf(u0)
+            span = mp.mpf(min(hi, t)) - mp.mpf(lo)
+            moved = du * span / h
+            total += (span / (w - u0) if du == 0
+                      else span / moved * mp.log((w - u0) / (w - u0 - moved)))
+        return complex(total)
+
+
+class TestFreeFamiliesAtSmallZ:
+    """The free families run in ``w = 1/z``.  Near ``z = 0`` a sloped point mass's two logs of
+    ``|w|`` cancelled (1.1e-4 off at 1e-12i, 0 at 1e-300i), and the semicircle family's
+    ``log(p) x``, ``x ~ -1/w**2``, underflowed (1.1e-5 off at 1e-160i, NaN at
+    5e-161 + 1e-160i)."""
+
+    @pytest.mark.parametrize("d", [sle_driving(2.0, 1.0 / 64.0, 1.0, 1), SemicircleFamily()],
+                             ids=["sle", "semicircle-family"])
+    def test_matches_the_closed_forms(self, d):
+        zs = [1e-3j, 1e-6j, 1e-9j, 1e-12j, 1e-160j, 5e-161 + 1e-160j, 1e-200j, 1e-300j,
+              0.3 + 1e-3j, 1 + 1j]
+        fam = free_family(d)
+        for t in (0.3, 1.0):
+            got = fam(0.0, t, np.array(zs))
+            for z, g in zip(zs, got.tolist()):
+                want = free_family_oracle(d, t, z)
+                assert abs(fam(0.0, t, z) - want) <= 1e-14 * abs(want)
+                assert abs(g - want) <= 1e-14 * abs(want)
+
+    def test_a_piece_near_either_end_of_its_driver(self):
+        # log1p is taken of the ratio over the nearer end, so 1 + x is never a cancelled 0
+        d = AtomPath([0.0, 1.0 / 64.0], [0.3, 0.45])
+        for u in (0.3, 0.45):
+            for h in (1e-3, 1e-9, 1e-15):
+                for dx in (0.0, 1e-10, -1e-7):
+                    w = complex(u + dx, -h)
+                    with mp.workdps(40):
+                        want = complex(mp.mpf(1 / 64) / (mp.mpf(0.45) - mp.mpf(0.3))
+                                       * mp.log((w - mp.mpf(0.3)) / (w - mp.mpf(0.45))))
+                    assert abs(d.integral(0.0, 1.0 / 64.0, w) - want) <= 1e-15 * abs(want)
+
+
 class TestNormality:
     @pytest.mark.parametrize("driver", [D0, TWO_STEP,
                                         sle_driving(2.0, 1.0 / 64.0, 1.0, seed=11)],

@@ -411,6 +411,25 @@ class TestDrivers:
         with pytest.raises(ValidationError):
             AtomPath([0.0, 1.0], [0.0, math.nan])
 
+    @pytest.mark.parametrize("times, values", [([0.0, 2.0], [0.0, 2e160]),
+                                               ([0.0, 1.0, 1.0 + 2.0 ** -52], [0.0, 1.0, 1e150])],
+                             ids=["steep-line", "short-jump"])
+    def test_atom_path_refuses_a_piece_whose_map_overflows(self, times, values):
+        # slope**2 * span overflowed in the piece's map, which wrote NaN with alive = 1
+        with pytest.raises(ValidationError, match=f"piece {len(times) - 2} .* overflows"):
+            AtomPath(times, values)
+        assert AtomPath([0.0, 2.0], [0.0, 2e153]).horizon == 2.0  # slope**2 * span stays finite
+
+    @pytest.mark.parametrize("argv", [["flow", "--z", "1+1i", "--T", "1", "--steps", "1"],
+                                      ["family", "--semantics", "free", "--t", "1", "--z", "1i"],
+                                      ["trace", "--T", "1", "--steps", "2"],
+                                      ["welding", "--T", "1", "--pairs", "2"]],
+                             ids=["flow", "family", "trace", "welding"])
+    def test_a_steep_line_driver_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run(argv + ["--driver", "line:0:1e160", "--out", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err and not out.exists()
+
     def test_u_reads_the_line_table(self):
         # exact at the knots and at the horizon; past either end the end piece extends
         d = AtomPath([0.0, 1.0, 3.0], [0.5, 1.5, -0.5])
@@ -1510,6 +1529,34 @@ class TestFarStarts:
                         flow_forward(d, z, 1.0).value, flow_reverse(d, 0.0, 1.0, lanes)[0],
                         flow_reverse_anti(d, 0.0, 1.0, lanes)[0]):
                 assert cmath.isfinite(got) and got.imag > 0 and abs(got - z) <= 1e-13 * r
+
+    @pytest.mark.parametrize("law", [Semicircle, Arcsine], ids=["semicircle", "arcsine"])
+    @pytest.mark.parametrize("var", [1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 1.0])
+    def test_a_narrow_law_maps_a_far_start_by_its_radius(self, law, var):
+        # a law of radius r < 1 overflowed from |w| ~ 1e154 r (1e5 at var = 1e-300): NaN in
+        # the reverse flows, AttributeError from flow_forward
+        d, t = MeasurePath((0.0,), (law(var),)), 1.0
+        for r in (1.0, 1e5, 1e50, 1e105, 1e150, 1e300):
+            z = r * complex(0.6, 0.8)
+            tol = 1e-13 * r + t / z.imag
+            fp = flow_forward(d, z, t)
+            assert fp.alive and cmath.isfinite(fp.value)
+            assert fp.value.imag <= z.imag + 1e-13 * r and abs(fp.value - z) <= tol
+            for got in (flow_reverse(d, 0.0, t, z), flow_reverse_anti(d, 0.0, t, np.array([z]))[0]):
+                assert cmath.isfinite(got) and got.imag >= z.imag - 1e-13 * r
+                assert abs(got - z) <= tol
+
+    def test_a_narrow_law_driver_runs_from_the_cli(self, tmp_path):
+        # family wrote nan,nan and exited 0, flow exited 1 with a traceback
+        driver = ('{"kind":"measure-path","breakpoints":[0],'
+                  '"measures":[{"kind":"semicircle","var":1e-300}]}')
+        out = tmp_path / "f.csv"
+        assert run(["family", "--driver", driver, "--t", "1", "--z", "6e4+8e4i",
+                    "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
+        assert run(["flow", "--driver", driver, "--z", "6e4+8e4i", "--T", "1",
+                    "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
 
     @pytest.mark.parametrize("x, y", [(1e153, 2e-6), (1e156, 1.0000001e-6)])
     def test_swallow_lifetime_either_side_matches_mpmath(self, x, y):

@@ -24,7 +24,7 @@ from loewner import (
     sle_driving,
     welding,
 )
-from loewner.errors import NumericError, ValidationError
+from loewner.errors import LoewnerError, ValidationError
 
 
 def test_every_export_resolves_once():
@@ -39,14 +39,14 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def test_every_numeric_error_has_a_trigger():
-    # a NumericError must come from an input outside the method's reach, so each subclass
-    # is raised by some test, or it is deleted
+def test_every_error_has_a_trigger():
+    # every error class marks an input the library refuses or a method's reach, so each
+    # subclass is raised by some test, or it is deleted
     raised = set()
     for path in Path(__file__).parent.rglob("*.py"):
         for args in re.findall(r"pytest\.raises\(([^)]*)", path.read_text()):
             raised.update(re.findall(r"\w+", args))
-    assert sorted(c.__name__ for c in _subclasses(NumericError) if c.__name__ not in raised) == []
+    assert sorted(c.__name__ for c in _subclasses(LoewnerError) if c.__name__ not in raised) == []
 
 
 SC = Semicircle(1.0)
