@@ -64,8 +64,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         a, b, n = float(a), float(b), int(n)
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"grid must look like a:b:n, got {spec!r}") from exc
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError(f"grid ends must be finite, got {spec!r}")
+    if not math.isfinite(b - a):  # so are a and b; linspace would warn and write NaN
+        raise ValidationError(f"grid ends and their span must be finite, got {spec!r}")
     if n < 1:
         raise ValidationError(f"grid needs n >= 1 points, got {spec!r}")
     return np.linspace(a, b, n)

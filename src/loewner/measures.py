@@ -85,7 +85,7 @@ class Empirical:
     ----------
     atoms : sequence of (location, mass) pairs
     a, b : float, optional
-        Endpoints of the uniform density grid, ``a < b``.
+        Endpoints of the uniform density grid, ``a < b`` with ``b - a`` finite.
     values : array of float, optional
         Density samples on ``linspace(a, b, len(values))``; interpreted by
         linear interpolation between nodes.
@@ -108,26 +108,24 @@ class Empirical:
                 raise ValidationError(f"atom location {x} is not finite")
             if not (0.0 <= m <= 1.0):
                 raise ValidationError(f"atom mass {m} outside [0, 1]")
-        has_density = self.values is not None
-        if has_density:
+        total = sum(m for _, m in atoms)
+        if self.values is not None:
             if self.a is None or self.b is None:
                 raise ValidationError("density grid needs both endpoints")
-            if not (-math.inf < self.a < self.b < math.inf):
-                raise ValidationError("density grid endpoints must be finite with a < b")
-            vals = np.asarray(self.values, dtype=float)
+            if not (-math.inf < self.a < self.b and float(self.b) - float(self.a) < math.inf):
+                raise ValidationError("density grid needs finite a < b with b - a finite")
+            vals = np.array(self.values, dtype=float)  # a copy
             if vals.ndim != 1 or vals.size < 2:
                 raise ValidationError("density grid needs at least two nodes")
-            if not np.all(np.isfinite(vals) & (vals >= 0)):
+            if not (vals.min() >= 0.0 and vals.max() < math.inf):  # a NaN fails too
                 raise ValidationError("density values must be finite and non-negative")
-            vals = vals.copy()
             vals.flags.writeable = False
             object.__setattr__(self, "values", vals)
+            h = (self.b - self.a) / (vals.size - 1)  # the trapezoid rule at its own spacing
+            total += h * float(vals.sum() - 0.5 * (vals[0] + vals[-1]))
         elif self.a is not None or self.b is not None:
             raise ValidationError("grid endpoints given without density values")
-        total = sum(m for _, m in atoms)
-        if has_density:
-            total += float(np.trapezoid(self.values, self.grid()))
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # a NaN total fails too
             raise ValidationError(f"total mass {total!r} is not 1 within {MASS_TOL}")
 
     def grid(self) -> np.ndarray:

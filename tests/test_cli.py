@@ -405,6 +405,10 @@ class TestExitCodes:
          "--grid=-2:2:41"],
         ["density", "--measure", '{"a": -Infinity, "b": 1, "values": [0.5, 0.5, 0.5]}',
          "--grid=-2:2:41"],
+        # finite ends whose span b - a overflows, in a measure and in a grid
+        ["density", "--measure", '{"a": -1e308, "b": 1e308, "values": [1, 1, 1]}',
+         "--grid=-1:1:5"],
+        ["density", "--measure", "sc:1", "--grid=-1e308:1e308:5"],
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, argv):
         # complete commands, so only the spec is wrong

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from loewner import Arcsine, Dirac, Empirical, Semicircle, density_at, mean_variance
 from loewner.errors import AtomicPointError, ValidationError
-from loewner.measures import from_dict, from_spec
+from loewner.measures import MASS_TOL, from_dict, from_spec
 
 from conftest import gaussian_empirical
 
@@ -95,6 +95,23 @@ class TestValidation:
     def test_empirical_grid_order(self):
         with pytest.raises(ValidationError):
             Empirical(a=1.0, b=-1.0, values=np.full(11, 0.5))
+
+    def test_empirical_grid_span_must_be_finite(self):
+        # b - a overflows: grid() would read [nan, inf, 1e308] and every moment NaN
+        with pytest.raises(ValidationError, match="b - a finite"):
+            Empirical(a=-1e308, b=1e308, values=[1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("atoms", [(), ((0.5, 0.25), (2.0, 0.125))], ids=["density", "atoms"])
+    @pytest.mark.parametrize("off, ok", [(0.5, True), (-0.5, True), (2.0, False), (-2.0, False)])
+    def test_empirical_mass_gate_at_its_edge(self, atoms, off, ok):
+        # atom masses plus the trapezoid mass of [0, 1, 2, 1, 0] c on [-1, 1] (2c) total 1 + off
+        density_mass = 1.0 - sum(m for _, m in atoms) + off * MASS_TOL
+        vals = np.array([0.0, 1.0, 2.0, 1.0, 0.0]) * (density_mass / 2.0)
+        if ok:
+            assert np.array_equal(Empirical(atoms, -1.0, 1.0, vals).values, vals)
+        else:
+            with pytest.raises(ValidationError, match="total mass"):
+                Empirical(atoms, -1.0, 1.0, vals)
 
     def test_atom_mass_range(self):
         with pytest.raises(ValidationError):

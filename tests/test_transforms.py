@@ -217,6 +217,30 @@ class TestStieltjesInversion:
         closed = np.sqrt(4.0 - xs[inner] ** 2) / (2.0 * math.pi)
         assert float(np.max(np.abs(np.asarray(rec.values)[inner] - closed))) < 1e-2
 
+    @pytest.mark.parametrize("rel, resampled", [(5e-10, False), (2e-9, True)])
+    def test_uniform_grid_rule_at_its_edge(self, rel, resampled):
+        # spacings within 1e-9 relative of the first keep their nodes; one further off sends
+        # the density, by linear interpolation, onto linspace(x[0], x[-1], n)
+        g, eps = cauchy(Semicircle(1.0)), 1e-3
+        steps = 0.015 * (1.0 + rel * np.sin(np.arange(400)))  # the first is 0.015
+        xs = np.concatenate([[-3.0], -3.0 + np.cumsum(steps)])
+        both = g.fn(np.concatenate([xs + 1j * eps, xs + 1j * (eps / 2.0)]))
+        dens = np.clip(-(2.0 * both[401:].imag - both[:401].imag) / math.pi, 0.0, None)
+        even = np.linspace(xs[0], xs[-1], 401)
+        own, moved = dens / np.trapezoid(dens, xs), np.interp(even, xs, dens)
+        moved /= np.trapezoid(moved, even)
+        assert not np.array_equal(own, moved)
+        rec = invert_stieltjes(g, xs, eps)
+        assert (rec.a, rec.b, rec.atoms) == (xs[0], xs[-1], ())
+        assert np.array_equal(rec.values, moved if resampled else own)
+
+    @pytest.mark.parametrize("grid", [[-1e308, 0.0, 1e308], [-1.5e308, 1.5e308],
+                                      [0.0, math.inf, math.inf, 1.0]])
+    def test_grid_is_refused_without_a_warning(self, grid):
+        # spans that overflow, and infinite nodes whose spacing would be inf - inf
+        with pytest.raises(ValidationError, match="finite span"):
+            invert_stieltjes(cauchy(Semicircle(1.0)), grid, 1e-3)
+
     def test_dirac_atom(self):
         rec = invert_stieltjes(cauchy(Dirac(0.0)), np.linspace(-0.5, 0.5, 201), 1e-4)
         assert len(rec.atoms) == 1
